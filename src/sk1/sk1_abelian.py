@@ -66,6 +66,15 @@ def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]
     return row
 
 
+def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == EXHAUSTIVE and G.order > max_order:
+        raise TooLarge(
+            f"|G| = {G.order} exceeds the exhaustive-strategy guard {max_order}"
+        )
+
+
 def relation_matrix(
     G: AbelianPGroup,
     basis=None,
@@ -79,8 +88,7 @@ def relation_matrix(
     identity for the zero tuple).  ``exhaustive`` runs every group
     element through, guarded by ``max_order``.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_strategy(G, strategy, max_order)
     if basis is None:
         basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
@@ -88,10 +96,6 @@ def relation_matrix(
     eg = G.exponent
     k = len(G.orders)
     if strategy == EXHAUSTIVE:
-        if G.order > max_order:
-            raise TooLarge(
-                f"|G| = {G.order} exceeds the exhaustive-strategy guard {max_order}"
-            )
         refs = np.array(enumerate_elements(G), dtype=np.int64)
     else:
         refs = np.array([S.hom.coeffs for S in basis], dtype=np.int64)
@@ -124,8 +128,10 @@ def sk1(
     """Cyclic decomposition of the torsion part of the Whitehead group of G.
 
     Results are cached per (group, strategy); the computation is pure, so
-    repeated calls are free.
+    repeated calls are free.  The strategy and its guard are checked
+    before the cache, so a hit never answers a call the guard refuses.
     """
+    _check_strategy(G, strategy, max_order)
     key = (G, strategy)
     hit = _SK1_CACHE.get(key)
     if hit is not None:

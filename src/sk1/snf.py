@@ -1,10 +1,24 @@
-"""Exact integer Smith normal form and cokernel decompositions.
+"""Smith normal form and cokernel decompositions of integer matrices.
 
-The reduction repeatedly picks the smallest nonzero entry of the
-remaining submatrix as pivot and clears its row and column with
-unimodular operations, then normalizes the resulting diagonal into a
-divisibility chain.  A vectorized int64 fast path handles typical
-inputs; any overflow risk falls back to unbounded Python integers.
+``cokernel_decomposition`` computes Z^cols modulo the row span.  The
+relation matrices of this package carry seed rows, rows with a single
+nonzero entry, whose entries put q*Z^cols inside the row span for a
+prime power q = p^e (the group exponent).  The cokernel is then exact
+over the local ring Z/q, and the elimination runs there in int64:
+
+- every entry is reduced into [0, q);
+- the pivot is an entry of least p-adic valuation k, and k never
+  decreases from one step to the next;
+- scaling the pivot row by the inverse of the pivot's unit part makes
+  the pivot p^k, so every entry below it is an exact multiple of p^k and
+  one rank-1 update followed by ``% q`` clears the column;
+- each pivot contributes p^k, and each column without a pivot q.
+
+No entry reaches q, and q**2 < 2**63 keeps every product inside int64.
+This precondition is checked on the input (every column has a seed row,
+the lcm q of the per-column gcds of the seed entries is a prime power,
+q**2 < 2**63).  Any other input, and every ``smith_divisors`` call, goes
+through an exact elimination on unbounded Python integers instead.
 """
 
 from __future__ import annotations
@@ -16,13 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteCokernel
-
-_INT64_LIMIT = 2**62
-
-
-class _Int64Overflow(Exception):
-    """Internal: the fast path cannot bound the next update."""
-
 
 @dataclass(frozen=True)
 class CyclicDecomposition:
@@ -78,6 +85,22 @@ def _as_int_rows(mat) -> list[list[int]]:
     return rows
 
 
+def _int_array(mat) -> np.ndarray:
+    """mat as a 2-d int64 array, or as an object array of Python integers
+    when some entry does not fit in int64."""
+    if isinstance(mat, np.ndarray):
+        if mat.ndim != 2 or 0 in mat.shape:
+            raise ValueError("matrix must be 2-d and non-empty")
+        if np.issubdtype(mat.dtype, np.integer):
+            return mat.astype(np.int64, copy=False)
+        mat = mat.tolist()
+    rows = _as_int_rows(mat)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def smith_divisors(mat) -> list[int]:
     """Diagonal invariants d_1 | d_2 | ... of an integer matrix.
 
@@ -85,31 +108,8 @@ def smith_divisors(mat) -> list[int]:
     last.  Accepts any rectangular nest of integers or a 2-d integer
     ndarray.
     """
-    rows: list[list[int]] | None = None
-    arr: np.ndarray | None = None
-    if isinstance(mat, np.ndarray):
-        if mat.ndim != 2 or 0 in mat.shape:
-            raise ValueError("matrix must be 2-d and non-empty")
-        if np.issubdtype(mat.dtype, np.integer):
-            arr = mat.astype(np.int64, copy=True)
-        else:
-            rows = _as_int_rows(mat.tolist())
-        shape = mat.shape
-    else:
-        rows = _as_int_rows(mat)
-        shape = (len(rows), len(rows[0]))
-        try:
-            arr = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            arr = None
-    slots = min(shape)
-    if arr is not None:
-        try:
-            return _divisor_chain(_diagonalize_int64(arr), slots)
-        except _Int64Overflow:
-            if rows is None:
-                rows = _as_int_rows(mat.tolist())
-    return _divisor_chain(_diagonalize_exact(rows), slots)
+    rows = _int_array(mat).tolist()
+    return _divisor_chain(_diagonalize_exact(rows), min(len(rows), len(rows[0])))
 
 
 def cokernel_decomposition(mat) -> CyclicDecomposition:
@@ -117,12 +117,74 @@ def cokernel_decomposition(mat) -> CyclicDecomposition:
 
     Raises InfiniteCokernel unless the rows have full column rank.
     """
-    n_rows = len(mat)
-    n_cols = len(mat[0])
-    divisors = smith_divisors(mat)
-    if n_rows < n_cols or 0 in divisors:
+    arr = _int_array(mat)
+    local = _seed_prime_power(arr)
+    if local is not None:
+        return CyclicDecomposition(_cokernel_mod_prime_power(arr, *local))
+    divisors = smith_divisors(arr)
+    if arr.shape[0] < arr.shape[1] or 0 in divisors:
         raise InfiniteCokernel("relation rows do not have full column rank")
     return CyclicDecomposition(tuple(d for d in divisors if d > 1))
+
+
+def _seed_prime_power(arr: np.ndarray) -> tuple[int, int] | None:
+    """(p, e) when the row span contains q*Z^cols for q = p^e, read off
+    the rows with exactly one nonzero entry, and q**2 < 2**63; else None.
+
+    A column's seed entries put their gcd g_c times the unit vector into
+    the row span, so q = lcm(g_c) works once every column has a seed.
+    """
+    seeds = arr[np.count_nonzero(arr, axis=1) == 1]
+    cols = np.argmax(seeds != 0, axis=1)
+    gcds = [0] * arr.shape[1]
+    for c, v in zip(cols.tolist(), seeds[np.arange(len(seeds)), cols].tolist()):
+        gcds[c] = math.gcd(gcds[c], v)
+    if 0 in gcds:
+        return None
+    q = math.lcm(*gcds)
+    if q == 1 or q * q >= 2**63:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def _cokernel_mod_prime_power(arr: np.ndarray, p: int, e: int) -> list[int]:
+    """Cyclic orders > 1 of Z^cols modulo the row span of arr, which must
+    contain q*Z^cols for q = p^e, by elimination over Z/q."""
+    q = p**e
+    A = (arr % q).astype(np.int64)
+    n_cols = A.shape[1]
+    orders: list[int] = []
+    k, pk, pk1 = 0, 1, p  # least valuation of the active block, p^k, p^(k+1)
+    for t in range(n_cols):
+        # Candidate pivots have valuation exactly k.  Look in the leading
+        # column first; when it has none, move every column of the active
+        # block that has one to the front, raising k while there is none.
+        cand = np.flatnonzero(A[t:, t] % pk1)
+        if not cand.size:
+            while not (live := (A[t:, t:] % pk1).any(axis=0)).any():
+                k, pk, pk1 = k + 1, pk1, pk1 * p
+                if k == e:
+                    # The active block is zero mod q: each column left is a C_q.
+                    return orders + [q] * (n_cols - t)
+            A[t:, t:] = A[t:, t:][:, np.argsort(~live, kind="stable")]
+            cand = np.flatnonzero(A[t:, t] % pk1)
+        # The sparsest candidate row makes the least fill-in.
+        i = t + int(cand[np.argmin(np.count_nonzero(A[t + cand, t:], axis=1))])
+        if i != t:
+            A[[t, i]] = A[[i, t]]
+        A[t, t:] = A[t, t:] * pow(int(A[t, t]) // pk, -1, q) % q
+        below = t + 1 + np.flatnonzero(A[t + 1 :, t])
+        if below.size:
+            f = A[below, t] // pk
+            A[below, t + 1 :] = (A[below, t + 1 :] - f[:, None] * A[t, t + 1 :]) % q
+        if pk > 1:
+            orders.append(pk)
+    return orders
 
 
 def _divisor_chain(diagonal: list[int], slots: int) -> list[int]:
@@ -140,64 +202,12 @@ def _divisor_chain(diagonal: list[int], slots: int) -> list[int]:
     return vals + [0] * (slots - len(vals))
 
 
-def _diagonalize_int64(M: np.ndarray) -> list[int]:
-    """Reduce M to diagonal form in place; return the diagonal entries.
-
-    Raises _Int64Overflow if an update cannot be bounded inside int64.
-    """
-    n_rows, n_cols = M.shape
-    sentinel = np.iinfo(np.int64).max
-    diagonal: list[int] = []
-    t = 0
-    while t < n_rows and t < n_cols:
-        sub = np.abs(M[t:, t:])
-        if not sub.any():
-            break
-        masked = np.where(sub > 0, sub, sentinel)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        pi, pj = t + int(i), t + int(j)
-        if pi != t:
-            M[[t, pi], :] = M[[pi, t], :]
-        if pj != t:
-            M[:, [t, pj]] = M[:, [pj, t]]
-        if M[t, t] < 0:
-            M[t, :] = -M[t, :]
-        while True:
-            pivot = int(M[t, t])
-            col = M[t + 1 :, t]
-            if col.any():
-                q = col // pivot
-                limit = (
-                    int(np.max(np.abs(M[t + 1 :, t:])))
-                    + int(np.max(np.abs(q))) * int(np.max(np.abs(M[t, t:])))
-                )
-                if limit >= _INT64_LIMIT:
-                    raise _Int64Overflow
-                M[t + 1 :, t:] -= q[:, None] * M[t, t:][None, :]
-                rem = M[t + 1 :, t]
-                if rem.any():
-                    nz = np.nonzero(rem)[0]
-                    r = int(nz[np.argmin(rem[nz])]) + t + 1
-                    M[[t, r], :] = M[[r, t], :]
-                    continue
-            # The pivot column is clear below, so clearing the pivot row by
-            # column operations only changes row t: reduce it mod the pivot.
-            row = M[t, t + 1 :]
-            if row.any():
-                np.mod(row, pivot, out=row)
-                if row.any():
-                    nz = np.nonzero(row)[0]
-                    c = int(nz[np.argmin(row[nz])]) + t + 1
-                    M[:, [t, c]] = M[:, [c, t]]
-                    continue
-            break
-        diagonal.append(int(M[t, t]))
-        t += 1
-    return diagonal
-
-
 def _diagonalize_exact(rows: list[list[int]]) -> list[int]:
-    """Pure-Python twin of _diagonalize_int64 on unbounded integers."""
+    """Reduce rows to diagonal form over Z; return the diagonal entries.
+
+    Pivots on the smallest nonzero entry of the remaining block and
+    clears its row and column by Euclidean steps, on unbounded integers.
+    """
     M = [list(r) for r in rows]
     n_rows, n_cols = len(M), len(M[0])
     diagonal: list[int] = []

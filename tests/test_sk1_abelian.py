@@ -126,6 +126,13 @@ def test_exhaustive_guard():
         relation_matrix(make_group(3, [9, 9]), strategy=EXHAUSTIVE, max_order=50)
 
 
+def test_cache_hit_does_not_skip_exhaustive_guard():
+    G = make_group(3, [9, 9])
+    assert sk1(G, strategy=EXHAUSTIVE, max_order=10**4).divisors == (3, 3)
+    with pytest.raises(TooLarge):
+        sk1(G, strategy=EXHAUSTIVE, max_order=10)
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         relation_matrix(make_group(3, [3, 3]), strategy="everything")

@@ -2,6 +2,8 @@
 
 Derived expectations are pinned against first-principles oracles:
 gcds of k x k cofactor minors and additive-closure lattice indices.
+The modular route of ``cokernel_decomposition`` is checked against the
+exact elimination and, where installed, against sympy.
 """
 
 import math
@@ -151,19 +153,115 @@ def test_divisor_chain_shape_random_wide_range():
             assert b % a == 0
 
 
-def test_fast_and_exact_paths_agree():
+def _exact_cokernel(rows) -> tuple[int, ...]:
+    """Nontrivial invariants of Z^cols / rowspan on the exact route."""
     from sk1.snf import _diagonalize_exact, _divisor_chain
 
+    slots = min(len(rows), len(rows[0]))
+    divs = _divisor_chain(_diagonalize_exact([list(r) for r in rows]), slots)
+    return tuple(sorted(d for d in divs if d > 1))
+
+
+def _random_local_lattice(rng, p, c):
+    """Seed rows +-p^(e_c) in random places among rows with two or more
+    nonzero entries of either sign, some at least the largest seed."""
+    exps = [rng.randint(1, 4) for _ in range(c)]
+    q = p ** max(exps)
+    rows = [
+        [rng.choice((1, -1)) * p**e if j == i else 0 for j in range(c)]
+        for i, e in enumerate(exps)
+    ]
+    for _ in range(rng.randint(0, 2 * c)):
+        row = [rng.choice((0, rng.randint(-3 * q, 3 * q))) for _ in range(c)]
+        if sum(map(bool, row)) > 1:
+            rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_fast_and_exact_paths_agree():
+    from sk1.snf import _seed_prime_power
+
     rng = random.Random(12)
-    for _ in range(80):
-        n_rows = rng.randint(1, 6)
-        n_cols = rng.randint(1, 6)
-        mat = [
-            [rng.randint(-50, 50) for _ in range(n_cols)] for _ in range(n_rows)
-        ]
-        slots = min(n_rows, n_cols)
-        exact = _divisor_chain(_diagonalize_exact([list(r) for r in mat]), slots)
-        assert smith_divisors(np.array(mat, dtype=np.int64)) == exact
+    for _ in range(150):
+        p = rng.choice((3, 5, 7))
+        rows = _random_local_lattice(rng, p, rng.randint(1, 6))
+        assert _seed_prime_power(np.array(rows))[0] == p  # the modular route
+        assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
+        arr = np.array(rows, dtype=np.int64)
+        assert cokernel_decomposition(arr).divisors == _exact_cokernel(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0], [0, 3], [1, 1]],  # seeds give q = 6, not a prime power
+        [[4, 0], [0, 6], [2, 2], [2, 4]],  # q = 4 * 3
+        [[9, 0], [1, 3], [2, -3]],  # the second column has no seed row
+        [[27, 0, 0], [0, 9, 0], [3, 3, 3], [0, 3, 6]],  # ditto, the third
+        [[3**20, 0], [0, 3**20], [3**7, 3**12]],  # q**2 >= 2**63
+        [[3**40, 0], [0, 3**40], [3**20, 3**39]],  # q beyond int64
+        [[1, 0], [0, 1]],  # q = 1
+    ],
+)
+def test_inputs_outside_the_precondition_take_the_exact_route(rows, monkeypatch):
+    import sk1.snf
+
+    def refuse(*args):
+        raise AssertionError("the modular route ran outside its precondition")
+
+    monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
+    assert sk1.snf._seed_prime_power(sk1.snf._int_array(rows)) is None
+    dec = cokernel_decomposition(rows)
+    assert dec.divisors == _exact_cokernel(rows)
+    assert dec.order == oracles.minor_gcd(rows, len(rows[0]))
+
+
+def test_largest_modulus_inside_int64_takes_the_modular_route():
+    from sk1.snf import _seed_prime_power
+
+    q = 3**19  # q**2 < 2**63 <= (3 * q)**2
+    rows = [[q, 0], [0, q], [3**7, q - 1], [-(q + 5), 3**12]]
+    assert _seed_prime_power(np.array(rows)) == (3, 19)
+    assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
+
+
+def test_sympy_smith_form_agrees_on_relation_matrices():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    from sk1.abelian import make_group
+    from sk1.sk1_abelian import relation_matrix
+
+    rng = random.Random(7)
+    mats = [
+        relation_matrix(make_group(p, orders)).rows.tolist()
+        for p, orders in (
+            (3, [9, 3]), (3, [9, 9]), (3, [27, 9]), (3, [3, 3, 3]),
+            (5, [25, 5]), (7, [7, 7]),
+        )
+    ]
+    mats += [_random_local_lattice(rng, rng.choice((3, 5, 7)), 4) for _ in range(10)]
+    for rows in mats:
+        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        want = sorted(abs(int(snf[i, i])) for i in range(len(rows[0])))
+        assert cokernel_decomposition(rows).divisors == tuple(d for d in want if d > 1)
+
+
+def test_default_pipelines_never_take_the_exact_route(monkeypatch):
+    import sk1.sk1_abelian
+    import sk1.snf
+    from sk1.abelian import make_group
+    from sk1.metacyclic import make_metacyclic, sk1_metacyclic
+
+    def refuse(rows):
+        raise AssertionError("exact Smith form reached from a default pipeline")
+
+    monkeypatch.setattr(sk1.snf, "_diagonalize_exact", refuse)
+    monkeypatch.setattr(sk1.sk1_abelian, "_SK1_CACHE", {})
+    dec = sk1.sk1_abelian.sk1(make_group(3, [243, 243]))
+    assert dec.prime_power_multiplicities(3) == {1: 60, 2: 42, 3: 12, 4: 2}
+    assert sk1_metacyclic(make_metacyclic(3, 5)).divisors == (3,) * 6
 
 
 def test_int64_overflow_falls_back_to_exact():
