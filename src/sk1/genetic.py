@@ -4,18 +4,16 @@ A subgroup of an abelian p-group has cyclic quotient exactly when it is
 the kernel of a homomorphism into Z/eg, where eg is the group exponent.
 Kernels are enumerated from a restricted family of coefficient tuples
 (first coordinate ranges over powers of p modulo eg, the rest are free),
-deduplicated by their member sets, and returned sorted by
-(quotient order, defining tuple).
+deduplicated as linear forms up to a unit, without listing any element,
+and returned sorted by (quotient order, defining tuple).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
-
-import numpy as np
 
 from .abelian import (
     ENUMERATION_LIMIT,
@@ -74,39 +72,31 @@ def enumerate_cyclic_homs(G: AbelianPGroup) -> list[CyclicHom]:
     return [CyclicHom(G, t) for t in product(first, *rest)]
 
 
-def _coordinate_matrix(G: AbelianPGroup) -> np.ndarray:
-    """|G| x k matrix of element coordinates, rows in lexicographic order."""
+def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
+    """One subgroup per distinct kernel, sorted by (index, defining tuple).
+
+    Divided by its step, a homomorphism is a linear form onto Z/index,
+    and two such surjections share a kernel exactly when they differ by a
+    unit.  So the key is the form scaled to make its first unit
+    coordinate 1.  The first tuple in enumeration order wins.
+    """
     if G.order > ENUMERATION_LIMIT:
         raise TooLarge(
             f"|G| = {G.order} exceeds the enumeration guard {ENUMERATION_LIMIT}"
         )
-    k = len(G.orders)
-    return np.indices(G.orders, dtype=np.int64).reshape(k, -1).T
-
-
-@lru_cache(maxsize=None)
-def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
-    """One subgroup per distinct kernel, sorted by (index, defining tuple).
-
-    Deduplication compares explicit member sets: two homomorphisms count
-    as the same basis member exactly when their kernels agree elementwise.
-    The first tuple in enumeration order wins.
-    """
-    coords = _coordinate_matrix(G)
     eg = G.exponent
-    chosen: dict[bytes, CyclicHom] = {}
+    chosen: dict[tuple, GeneticSubgroupA] = {}
     for hom in enumerate_cyclic_homs(G):
-        w = np.asarray(hom.weights, dtype=np.int64)
-        kernel_mask = (coords @ w) % eg == 0
-        key = np.packbits(kernel_mask).tobytes()
-        if key not in chosen:
-            chosen[key] = hom
-    subs = []
-    for hom in chosen.values():
         step = math.gcd(eg, *hom.weights)
-        subs.append(GeneticSubgroupA(hom, index=eg // step, step=step))
-    subs.sort(key=lambda S: (S.index, S.hom.coeffs))
-    return tuple(subs)
+        index = eg // step
+        v = [w // step for w in hom.weights]
+        # A unit coordinate exists: the coordinates are coprime to the
+        # prime power index (and in Z/1 every value is a unit).
+        u = pow(next(c for c in v if math.gcd(c, index) == 1), -1, index)
+        key = (index, tuple(c * u % index for c in v))
+        if key not in chosen:
+            chosen[key] = GeneticSubgroupA(hom, index=index, step=step)
+    return tuple(sorted(chosen.values(), key=lambda S: (S.index, S.hom.coeffs)))
 
 
 def quotient_dlog(S: GeneticSubgroupA, x: Element) -> int:

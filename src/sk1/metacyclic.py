@@ -3,9 +3,14 @@
 Elements are pairs (i, j) meaning a^i b^j with i mod p^(n-1) and j mod p,
 multiplied so that b a b^-1 = a^(p^(n-2) + 1).  The cyclic-section
 subgroup family is built explicitly, and relation rows split into a
-normal case (class computations in the quotient of the full group) and
-the single non-normal member, whose column follows closed determinant
-rules on a p-dimensional induced module.
+normal case and the single non-normal member.
+
+Every normal member contains [G, G] = <a^(p^(n-2))>, so its column is a
+linear form (alpha, beta) on G^ab = C_{p^(n-2)} x C_p: the class of
+a^i b^j in the cyclic quotient G/S is alpha*i + beta*j.  The normal
+members are the genetic basis of G^ab pulled back to G, and each form is
+read off the generators of its member.  The non-normal member's column
+follows closed determinant rules on a p-dimensional induced module.
 """
 
 from __future__ import annotations
@@ -131,77 +136,58 @@ class MetaGeneticSubgroup:
     """Basis member with explicit member set and its cyclic section order.
 
     ``quotient_order`` is the order of N(S)/S, which is the full quotient
-    G/S for the normal members.
+    G/S for the normal members.  For those, ``form`` = (alpha, beta) gives
+    the class of a^i b^j in G/S as (alpha*i + beta*j) mod quotient_order,
+    relative to the canonical generator: the least element (in (i, j)
+    order) whose class has full order.  S is exactly the kernel of the
+    form.  The non-normal member has no form.
     """
 
     label: str
     members: frozenset[MElement]
     quotient_order: int
-    normal: bool
+    form: tuple[int, int] | None
+
+    @property
+    def normal(self) -> bool:
+        return self.form is not None
 
 
 def _power_label(exponent: int) -> str:
     return "a" if exponent == 1 else f"a^{exponent}"
 
 
+def _class_form(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
+    """Scale (alpha, beta) mod q so the canonical generator maps to 1.
+
+    The least element whose class has full order is b = (0, 1) when
+    beta is a unit, and otherwise a = (1, 0), since every (0, j) then
+    lands in a proper subgroup of Z/q.
+    """
+    u = pow(beta if beta % p else alpha, -1, q)
+    return (alpha * u % q, beta * u % q)
+
+
 @lru_cache(maxsize=None)
 def genetic_basis_metacyclic(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, ...]:
     """The (n-2)p + 3 member family, labelled by generators, in canonical order."""
     p, n = G.prime, G.n
-    b = G.gen_b()
-    out = [MetaGeneticSubgroup("G", frozenset(elements(G)), 1, True)]
-    out.append(MetaGeneticSubgroup("<a>", _closure(G, [G.gen_a()]), p, True))
+    a, b = G.gen_a(), G.gen_b()
+
+    def normal(label, gens, q, alpha, beta):
+        form = _class_form(p, q, alpha, beta)
+        return MetaGeneticSubgroup(label, _closure(G, gens), q, form)
+
+    out = [MetaGeneticSubgroup("G", frozenset(elements(G)), 1, (0, 0))]
+    out.append(normal("<a>", [a], p, 0, 1))
     for i in range(n - 2):
+        q = p ** (i + 1)
         for j in range(1, p):
-            gen = (j * p**i, 1)
-            label = f"<{_power_label(j * p**i)}*b>"
-            out.append(
-                MetaGeneticSubgroup(label, _closure(G, [gen]), p ** (i + 1), True)
-            )
-        step = p ** (i + 1)
-        out.append(
-            MetaGeneticSubgroup(
-                f"<{_power_label(step)},b>",
-                _closure(G, [(step, 0), b]),
-                step,
-                True,
-            )
-        )
-    out.append(MetaGeneticSubgroup("<b>", _closure(G, [b]), p ** (n - 2), False))
+            k = j * p**i
+            out.append(normal(f"<{_power_label(k)}*b>", [(k, 1)], q, 1, -k))
+        out.append(normal(f"<{_power_label(q)},b>", [(q, 0), b], q, 1, 0))
+    out.append(MetaGeneticSubgroup("<b>", _closure(G, [b]), p ** (n - 2), None))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _quotient_exponents(G: MetacyclicGroup, S: MetaGeneticSubgroup) -> dict[MElement, int]:
-    """For normal S: class exponent of every element of G relative to the
-    canonical generator of G/S (the coset of maximal order whose least
-    member is smallest)."""
-    members = S.members
-    rep: dict[MElement, MElement] = {}
-    for x in elements(G):
-        if x in rep:
-            continue
-        coset = [mul(G, x, s) for s in members]
-        r = min(coset)
-        for y in coset:
-            rep[y] = r
-    q = G.order // len(members)
-
-    def coset_order(r: MElement) -> int:
-        t, y = 1, r
-        while y not in members:
-            y = mul(G, y, r)
-            t += 1
-        return t
-
-    gen = min(r for r in set(rep.values()) if coset_order(r) == q)
-    by_rep: dict[MElement, int] = {}
-    cur = rep[G.identity()]
-    for t in range(q):
-        by_rep[cur] = t
-        cur = rep[mul(G, cur, gen)]
-    assert len(by_rep) == q
-    return {x: by_rep[r] for x, r in rep.items()}
 
 
 def _reduced(G: MetacyclicGroup, x: MElement) -> MElement:
@@ -236,19 +222,30 @@ def relation_component(
     induced module, a generator of a conjugate of the member sees the
     class of g in the section, and every other h contributes 0.
     """
-    p, n = G.prime, G.n
     h = _reduced(G, h)
     g = _reduced(G, g)
     _require_centralized(G, h, g)
     if S.quotient_order == 1:
         raise ValueError("the full group carries no column")
-    if S.normal:
-        return _quotient_exponents(G, S)[g] if h in S.members else 0
-    section = p ** (n - 2)
+    return _component(G, S, h, g)
+
+
+def _component(
+    G: MetacyclicGroup, S: MetaGeneticSubgroup, h: MElement, g: MElement
+) -> int:
+    """``relation_component`` for reduced h and g with g in C(h), S not G."""
+    p, n = G.prime, G.n
     gi, gj = g
+    hi, hj = h
+    if S.normal:
+        alpha, beta = S.form
+        q = S.quotient_order
+        if (alpha * hi + beta * hj) % q:
+            return 0  # h lies outside S, the kernel of the form
+        return (alpha * gi + beta * gj) % q
+    section = p ** (n - 2)
     if h == G.identity():
         return (gi + gj * (p - 1) * p ** (n - 3)) % section
-    hi, hj = h
     if hj != 0 and hi % section == 0:
         return (gi // p) % section
     return 0
@@ -284,7 +281,8 @@ def sk1_metacyclic(
         else:
             gens = (h,)
         for g in gens:
-            row = tuple(relation_component(G, S, h, g) for S in cols)
+            _require_centralized(G, h, g)
+            row = tuple(_component(G, S, h, g) for S in cols)
             if row not in seen:
                 seen.add(row)
                 rows.append(row)

@@ -57,7 +57,9 @@ class CyclicDecomposition:
 
     def prime_power_multiplicities(self, p: int) -> dict[int, int]:
         """Map exponent e -> multiplicity of C_{p^e}; every divisor must be
-        a power of p."""
+        a power of p, and p must be at least 2."""
+        if p < 2:
+            raise ValueError(f"p must be at least 2, got {p}")
         out: Counter = Counter()
         for d in self.divisors:
             e, v = 0, d

@@ -7,9 +7,14 @@ code paths it is used to check.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
+import numpy as np
+
+from sk1 import metacyclic
 from sk1.abelian import AbelianPGroup, Element, enumerate_elements, mul
+from sk1.genetic import enumerate_cyclic_homs
 
 
 def order_by_iteration(G: AbelianPGroup, x: Element) -> int:
@@ -132,3 +137,58 @@ def lattice_index(rows, modulus: int) -> int:
                     new.append(y)
         frontier = new
     return modulus**c // len(seen)
+
+
+def genetic_basis_by_kernel_masks(G: AbelianPGroup) -> list[tuple]:
+    """(coeffs, index, step) per genetic basis member, deduplicated by kernel.
+
+    Every homomorphism's kernel is packed as a bitmask over all |G|
+    elements; the first tuple in enumeration order wins, and members are
+    sorted by (index, coeffs).
+    """
+    k = len(G.orders)
+    coords = np.indices(G.orders, dtype=np.int64).reshape(k, -1).T
+    eg = G.exponent
+    chosen = {}
+    for hom in enumerate_cyclic_homs(G):
+        w = np.asarray(hom.weights, dtype=np.int64)
+        key = np.packbits((coords @ w) % eg == 0).tobytes()
+        chosen.setdefault(key, hom)
+    out = []
+    for hom in chosen.values():
+        step = math.gcd(eg, *hom.weights)
+        out.append((hom.coeffs, eg // step, step))
+    return sorted(out, key=lambda t: (t[1], t[0]))
+
+
+def quotient_exponents_by_cosets(G, S) -> dict:
+    """For a normal metacyclic basis member S: class exponent of every
+    element in G/S, relative to the coset of maximal order whose least
+    member is smallest.  Walks every coset of the explicit member set.
+    """
+    members = S.members
+    rep = {}
+    for x in metacyclic.elements(G):
+        if x in rep:
+            continue
+        coset = [metacyclic.mul(G, x, s) for s in members]
+        r = min(coset)
+        for y in coset:
+            rep[y] = r
+    q = G.order // len(members)
+
+    def coset_order(r):
+        t, y = 1, r
+        while y not in members:
+            y = metacyclic.mul(G, y, r)
+            t += 1
+        return t
+
+    gen = min(r for r in set(rep.values()) if coset_order(r) == q)
+    by_rep = {}
+    cur = rep[G.identity()]
+    for t in range(q):
+        by_rep[cur] = t
+        cur = rep[metacyclic.mul(G, cur, gen)]
+    assert len(by_rep) == q
+    return {x: by_rep[r] for x, r in rep.items()}

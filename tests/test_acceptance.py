@@ -2,8 +2,7 @@
 
 Each test prints a single ``ACCEPTANCE <k>: PASS/FAIL - <summary>`` line
 (visible with ``pytest tests/test_acceptance.py -v -s``) and enforces the
-wall-clock budget attached to its criterion.  The optional long-running
-case is marked slow and excluded from the default run.
+wall-clock budget attached to its criterion.
 """
 
 import contextlib
@@ -12,8 +11,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from sk1.abelian import make_group
 from sk1.cli import main as cli_main
@@ -71,9 +68,8 @@ def test_criterion_2_large_square_abelian():
         assert elapsed < 300
 
 
-@pytest.mark.slow
 def test_criterion_2_slow_n6():
-    with criterion("2 (slow)", "SK1 of C_729 x C_729 matches within one hour"):
+    with criterion("2 (n = 6)", "SK1 of C_729 x C_729 matches within one hour"):
         t0 = time.monotonic()
         dec = sk1(make_group(3, [729, 729]))
         elapsed = time.monotonic() - t0

@@ -153,6 +153,13 @@ def test_exhaustive_guard_exit_code(capsys):
     assert "error:" in err
 
 
+def test_basis_enumeration_guard_exit_code(capsys):
+    # 3^15 > 10^7 elements: the abelian basis refuses before enumerating.
+    rc, _, err = run(capsys, "basis", "--prime", "3", "--orders", ",".join(["3"] * 15))
+    assert rc == EXIT_GUARD
+    assert "error:" in err
+
+
 def test_metacyclic_guard_and_override(capsys):
     rc, _, err = run(capsys, "metacyclic", "--prime", "3", "--n", "7")
     assert rc == EXIT_GUARD

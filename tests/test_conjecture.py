@@ -96,8 +96,8 @@ def test_verify_rejects_foreign_torsion():
         verify(3, 3, CyclicDecomposition((3, 5)))
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (5, 3)])
-def test_verify_against_pipeline_p5(p, n):
+@pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+def test_verify_against_pipeline(p, n):
     from sk1 import sk1
     from sk1.abelian import make_group
 

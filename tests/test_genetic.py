@@ -164,3 +164,18 @@ def test_weights_definition():
         assert h.weights == expected
         x = (2, 1)
         assert h(x) == (expected[0] * 2 + expected[1] * 1) % eg
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [
+        (3, [9, 3]), (3, [3, 3, 3]), (3, [27, 27]), (3, [27, 9, 3]), (3, [81, 81]),
+        (3, [243, 243]), (5, [25, 5]), (5, [125, 125]), (7, [49, 49]),
+    ],
+)
+def test_basis_matches_kernel_mask_oracle(p, orders):
+    # Deduping by normalized forms must keep the same members, the same
+    # first-wins tuples and the same order as comparing explicit kernels.
+    G = make_group(p, orders)
+    got = [(S.hom.coeffs, S.index, S.step) for S in genetic_basis_abelian(G)]
+    assert got == oracles.genetic_basis_by_kernel_masks(G)

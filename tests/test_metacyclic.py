@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from sk1.errors import BadParams, DomainViolation, TooLarge
 from sk1.metacyclic import (
     MetaGeneticSubgroup,
@@ -303,6 +304,31 @@ def test_normal_column_classes_are_balanced(p, n):
             tally[v] = tally.get(v, 0) + 1
             assert (v == 0) == (g in S.members)
         assert tally == {t: G.order // q for t in range(q)}
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (5, 3), (5, 4), (7, 3), (7, 4), (11, 3)],
+)
+def test_normal_columns_match_coset_oracle(p, n):
+    # The linear class forms must give the coset walk's class exponents:
+    # on every g for h = 1, and on the rows sk1_metacyclic builds from
+    # central and middle-layer h, where membership of h in S decides.
+    G = make_metacyclic(p, n)
+    a, b, e = G.gen_a(), G.gen_b(), G.identity()
+    for S in genetic_basis_metacyclic(G):
+        if not S.normal or S.quotient_order == 1:
+            continue
+        want = oracles.quotient_exponents_by_cosets(G, S)
+        for g in elements(G):
+            assert relation_component(G, S, e, g) == want[g]
+        for h in elements(G):
+            if h[0] % p:
+                continue
+            gens = (a, b) if h[1] == 0 else ((p, 0), b)
+            for g in gens:
+                expected = want[g] if h in S.members else 0
+                assert relation_component(G, S, h, g) == expected
 
 
 SK1_CASES = [

@@ -289,3 +289,9 @@ def test_decomposition_rejects_bad_divisors():
         CyclicDecomposition((0,))
     with pytest.raises(ValueError):
         CyclicDecomposition((6,)).prime_power_multiplicities(3)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_prime_power_multiplicities_rejects_base_below_two(p):
+    with pytest.raises(ValueError):
+        CyclicDecomposition((3, 9)).prime_power_multiplicities(p)
