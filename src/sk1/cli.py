@@ -112,7 +112,8 @@ def _cmd_basis(args) -> int:
     else:
         G = make_metacyclic(args.prime, args.n)
         for S in genetic_basis_metacyclic(G):
-            index = G.order // len(S.members)
+            # G/S for the normal members (1 for G itself); <b> has order p.
+            index = S.quotient_order if S.normal else G.a_order
             if args.format == "tsv":
                 print(f"{S.label}\t{index}\t{S.quotient_order}")
             else:

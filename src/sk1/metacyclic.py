@@ -2,8 +2,8 @@
 
 Elements are pairs (i, j) meaning a^i b^j with i mod p^(n-1) and j mod p,
 multiplied so that b a b^-1 = a^(p^(n-2) + 1).  The cyclic-section
-subgroup family is built explicitly, and relation rows split into a
-normal case and the single non-normal member.
+subgroup family is built from generators, and relation rows split into
+a normal case and the single non-normal member.
 
 Every normal member contains [G, G] = <a^(p^(n-2))>, so its column is a
 linear form (alpha, beta) on G^ab = C_{p^(n-2)} x C_p: the class of
@@ -11,16 +11,26 @@ a^i b^j in the cyclic quotient G/S is alpha*i + beta*j.  The normal
 members are the genetic basis of G^ab pulled back to G, and each form is
 read off the generators of its member.  The non-normal member's column
 follows closed determinant rules on a p-dimensional induced module.
+
+The relation rows are computed in one numpy pass over arrays of (h, g)
+pairs, g a generator of the centralizer of h.  The normal columns take
+one membership product h @ F.T and one class product g @ F.T modulo the
+column orders; the column of <b> takes its closed rules elementwise.
+Only h = a^i b^j with p | i are visited: every other h generates its
+own centralizer, so its only pair is (h, h), and its row is zero (see
+``_row_pairs``).  A zero row leaves the row span unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+
+import numpy as np
 
 from .abelian import _is_odd_prime
 from .errors import BadParams, DomainViolation, TooLarge
-from .snf import CyclicDecomposition, cokernel_decomposition
+from .snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
 
 DEFAULT_MAX_ORDER = 3**6
 
@@ -133,7 +143,7 @@ def _closure(G: MetacyclicGroup, gens) -> frozenset[MElement]:
 
 @dataclass(frozen=True)
 class MetaGeneticSubgroup:
-    """Basis member with explicit member set and its cyclic section order.
+    """Basis member given by its generators, with its cyclic section order.
 
     ``quotient_order`` is the order of N(S)/S, which is the full quotient
     G/S for the normal members.  For those, ``form`` = (alpha, beta) gives
@@ -144,13 +154,19 @@ class MetaGeneticSubgroup:
     """
 
     label: str
-    members: frozenset[MElement]
+    group: MetacyclicGroup
+    gens: tuple[MElement, ...]
     quotient_order: int
     form: tuple[int, int] | None
 
     @property
     def normal(self) -> bool:
         return self.form is not None
+
+    @cached_property
+    def members(self) -> frozenset[MElement]:
+        """Explicit member set, closed from the generators on first use."""
+        return _closure(self.group, self.gens)
 
 
 def _power_label(exponent: int) -> str:
@@ -168,7 +184,6 @@ def _class_form(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
     return (alpha * u % q, beta * u % q)
 
 
-@lru_cache(maxsize=None)
 def genetic_basis_metacyclic(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, ...]:
     """The (n-2)p + 3 member family, labelled by generators, in canonical order."""
     p, n = G.prime, G.n
@@ -176,17 +191,17 @@ def genetic_basis_metacyclic(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, .
 
     def normal(label, gens, q, alpha, beta):
         form = _class_form(p, q, alpha, beta)
-        return MetaGeneticSubgroup(label, _closure(G, gens), q, form)
+        return MetaGeneticSubgroup(label, G, gens, q, form)
 
-    out = [MetaGeneticSubgroup("G", frozenset(elements(G)), 1, (0, 0))]
-    out.append(normal("<a>", [a], p, 0, 1))
+    out = [MetaGeneticSubgroup("G", G, (a, b), 1, (0, 0))]
+    out.append(normal("<a>", (a,), p, 0, 1))
     for i in range(n - 2):
         q = p ** (i + 1)
         for j in range(1, p):
             k = j * p**i
-            out.append(normal(f"<{_power_label(k)}*b>", [(k, 1)], q, 1, -k))
-        out.append(normal(f"<{_power_label(q)},b>", [(q, 0), b], q, 1, 0))
-    out.append(MetaGeneticSubgroup("<b>", _closure(G, [b]), p ** (n - 2), None))
+            out.append(normal(f"<{_power_label(k)}*b>", ((k, 1),), q, 1, -k))
+        out.append(normal(f"<{_power_label(q)},b>", ((q, 0), b), q, 1, 0))
+    out.append(MetaGeneticSubgroup("<b>", G, (b,), p ** (n - 2), None))
     return tuple(out)
 
 
@@ -194,21 +209,62 @@ def _reduced(G: MetacyclicGroup, x: MElement) -> MElement:
     return (x[0] % G.a_order, x[1] % G.prime)
 
 
-def _require_centralized(G: MetacyclicGroup, h: MElement, g: MElement) -> None:
-    p = G.prime
-    hi, hj = h
-    if hi % p == 0 and hj == 0:
-        return  # h is central
-    if hi % p == 0:
-        if g[0] % p == 0:
-            return  # centralizer is the abelian subgroup <a^p, b>
-    else:
-        y = G.identity()  # centralizer is <h>
-        for _ in range(G.a_order):
-            if y == g:
-                return
-            y = mul(G, y, h)
-    raise DomainViolation(f"{g} is not in the centralizer of {h}")
+def _int_dtype(G: MetacyclicGroup):
+    """int64 while every product of the entry routine, below
+    2 * a_order**2, fits; unbounded Python integers beyond."""
+    return np.int64 if 2 * G.a_order**2 < 2**63 else object
+
+
+def _require_centralized(G: MetacyclicGroup, h: np.ndarray, g: np.ndarray) -> None:
+    """Raise DomainViolation unless g[k] * h[k] == h[k] * g[k] for every k.
+
+    The b-exponents of both products are equal, so only the a-exponents
+    are compared.
+    """
+    tw = np.array(G._twist_powers, dtype=h.dtype)
+    (hi, hj), (gi, gj) = h.T, g.T
+    gh = (gi + hi * tw[gj.astype(np.intp, copy=False)]) % G.a_order
+    hg = (hi + gi * tw[hj.astype(np.intp, copy=False)]) % G.a_order
+    commute = gh == hg
+    if not commute.all():
+        k = int(np.argmin(commute))
+        raise DomainViolation(
+            f"{tuple(map(int, g[k]))} is not in the centralizer of {tuple(map(int, h[k]))}"
+        )
+
+
+def _nonnormal_entries(G: MetacyclicGroup, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Entries of the column of <b>, by the closed determinant rules."""
+    p, n = G.prime, G.n
+    section = p ** (n - 2)
+    (hi, hj), (gi, gj) = h.T, g.T
+    whole = (gi + gj * ((p - 1) * p ** (n - 3))) % section
+    conjugate = np.where((hj != 0) & (hi % section == 0), gi // p % section, 0)
+    return np.where((hi == 0) & (hj == 0), whole, conjugate)
+
+
+def _entries(
+    G: MetacyclicGroup, cols, h: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Relation entries of the pairs (h[k], g[k]), one column per member.
+
+    h and g are (pairs, 2) integer arrays of reduced elements, each g[k]
+    centralizing h[k] (checked).  The normal columns are one membership
+    product and one class product over all pairs at once.
+    """
+    _require_centralized(G, h, g)
+    if any(S.quotient_order == 1 for S in cols):
+        raise ValueError("the full group carries no column")
+    out = np.zeros((len(h), len(cols)), dtype=h.dtype)
+    normal = [c for c, S in enumerate(cols) if S.normal]
+    if normal:
+        F = np.array([cols[c].form for c in normal], dtype=h.dtype)
+        q = np.array([cols[c].quotient_order for c in normal], dtype=h.dtype)
+        out[:, normal] = np.where(h @ F.T % q == 0, g @ F.T % q, 0)
+    for c, S in enumerate(cols):
+        if not S.normal:
+            out[:, c] = _nonnormal_entries(G, h, g)
+    return out
 
 
 def relation_component(
@@ -222,33 +278,37 @@ def relation_component(
     induced module, a generator of a conjugate of the member sees the
     class of g in the section, and every other h contributes 0.
     """
-    h = _reduced(G, h)
-    g = _reduced(G, g)
-    _require_centralized(G, h, g)
-    if S.quotient_order == 1:
-        raise ValueError("the full group carries no column")
-    return _component(G, S, h, g)
+    dtype = _int_dtype(G)
+    pair = [np.array([_reduced(G, x)], dtype=dtype) for x in (h, g)]
+    return int(_entries(G, [S], *pair)[0, 0])
 
 
-def _component(
-    G: MetacyclicGroup, S: MetaGeneticSubgroup, h: MElement, g: MElement
-) -> int:
-    """``relation_component`` for reduced h and g with g in C(h), S not G."""
-    p, n = G.prime, G.n
-    gi, gj = g
-    hi, hj = h
-    if S.normal:
-        alpha, beta = S.form
-        q = S.quotient_order
-        if (alpha * hi + beta * hj) % q:
-            return 0  # h lies outside S, the kernel of the form
-        return (alpha * gi + beta * gj) % q
-    section = p ** (n - 2)
-    if h == G.identity():
-        return (gi + gj * (p - 1) * p ** (n - 3)) % section
-    if hj != 0 and hi % section == 0:
-        return (gi // p) % section
-    return 0
+def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(h, g) arrays over every h = a^i b^j with p | i, in (i, j) order.
+
+    Each such h pairs with the two generators of its centralizer: a and
+    b for central h (j = 0), a^p and b on the middle layer.
+    """
+    # Any other h (p does not divide i) generates its own centralizer, so
+    # its only pair is g = h, and its row is zero.  In a normal column the
+    # entry is the class alpha*i + beta*j of h when that class is 0 (h in
+    # S) and 0 otherwise.  In the column of <b>, h is not the identity,
+    # and i is not divisible by p^(n-2) >= p, so h generates no conjugate
+    # of <b>.  A zero row leaves the row span, and so the cokernel, as it
+    # is; skipping these h also keeps the pair arrays at 2 p^(n-1) rows.
+    p = G.prime
+    k = np.arange(G.a_order, dtype=np.int64)
+    h = np.repeat(np.stack([k // p * p, k % p], axis=1), 2, axis=0)
+    g = np.zeros_like(h)
+    g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
+    g[1::2, 1] = 1
+    return h, g
+
+
+def _relation_rows(G: MetacyclicGroup, cols) -> np.ndarray:
+    """Seed rows, then every distinct row of the visited (h, g) pairs."""
+    seeds = np.diag(np.array([S.quotient_order for S in cols], dtype=np.int64))
+    return distinct_rows(seeds, _entries(G, cols, *_row_pairs(G)))
 
 
 def sk1_metacyclic(
@@ -256,34 +316,14 @@ def sk1_metacyclic(
 ) -> CyclicDecomposition:
     """Cyclic decomposition of the torsion part of the Whitehead group of G.
 
-    Reference elements run over the whole group; each contributes one row
-    per generator of its centralizer ({a, b} for central h, {a^p, b} on
-    the middle layer, {h} otherwise).
+    Rows come from the reference elements h = a^i b^j with p | i, one per
+    generator of the centralizer ({a, b} for central h, {a^p, b} on the
+    middle layer); every other h only gives the zero row.
     """
     if G.order > max_order:
         raise TooLarge(f"|G| = {G.order} exceeds the guard {max_order}")
+    if _int_dtype(G) is not np.int64:
+        raise TooLarge(f"|G| = {G.order}: relation entries would overflow int64")
     basis = genetic_basis_metacyclic(G)
     cols = [S for S in basis if S.quotient_order > 1]
-    p = G.prime
-    a, b, ap = G.gen_a(), G.gen_b(), (p, 0)
-    rows: list[tuple[int, ...]] = []
-    for idx, S in enumerate(cols):
-        seed = [0] * len(cols)
-        seed[idx] = S.quotient_order
-        rows.append(tuple(seed))
-    seen = set(rows)
-    for h in elements(G):
-        hi, hj = h
-        if hi % p == 0 and hj == 0:
-            gens = (a, b)
-        elif hi % p == 0:
-            gens = (ap, b)
-        else:
-            gens = (h,)
-        for g in gens:
-            _require_centralized(G, h, g)
-            row = tuple(_component(G, S, h, g) for S in cols)
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-    return cokernel_decomposition([list(r) for r in rows])
+    return cokernel_decomposition(_relation_rows(G, cols))

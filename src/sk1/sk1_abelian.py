@@ -17,7 +17,7 @@ import numpy as np
 from .abelian import AbelianPGroup, Element, enumerate_elements
 from .errors import TooLarge
 from .genetic import GeneticSubgroupA, genetic_basis_abelian, quotient_dlog
-from .snf import CyclicDecomposition, cokernel_decomposition
+from .snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
@@ -105,16 +105,8 @@ def relation_matrix(
     # Class of generator e_i in column c is weights[c, i] // steps[c].
     gen_dlog = weights.T // steps
     seeds = np.diag(np.array(target.orders, dtype=np.int64))
-    chunks = [seeds]
-    seen = {bytes(r.tobytes()) for r in seeds}
-    for mask in member:
-        for g in range(k):
-            v = np.where(mask, gen_dlog[g], 0)
-            key = v.tobytes()
-            if key not in seen:
-                seen.add(key)
-                chunks.append(v[None, :])
-    return RelationSet(target, np.concatenate(chunks, axis=0))
+    candidates = (np.where(mask, gen_dlog[g], 0) for mask in member for g in range(k))
+    return RelationSet(target, distinct_rows(seeds, candidates))
 
 
 _SK1_CACHE: dict = {}

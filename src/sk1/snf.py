@@ -19,12 +19,16 @@ This precondition is checked on the input (every column has a seed row,
 the lcm q of the per-column gcds of the seed entries is a prime power,
 q**2 < 2**63).  Any other input, and every ``smith_divisors`` call, goes
 through an exact elimination on unbounded Python integers instead.
+
+``distinct_rows`` assembles a relation matrix for both families: the
+seed rows first, then every other row at its first occurrence.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +105,24 @@ def _int_array(mat) -> np.ndarray:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
         return np.array(rows, dtype=object)
+
+
+def distinct_rows(seeds: np.ndarray, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Relation matrix of the seed rows, then each other row at its first
+    occurrence; duplicates are dropped.
+
+    Rows are keyed by their bytes, so every row must share the seeds'
+    dtype.  ``rows`` is read once, one row at a time, so candidates may
+    stream in without being stacked first.
+    """
+    chunks = [seeds]
+    seen = {r.tobytes() for r in seeds}
+    for r in rows:
+        key = r.tobytes()
+        if key not in seen:
+            seen.add(key)
+            chunks.append(r[None, :])
+    return np.concatenate(chunks, axis=0)
 
 
 def smith_divisors(mat) -> list[int]:

@@ -192,3 +192,50 @@ def quotient_exponents_by_cosets(G, S) -> dict:
         cur = rep[metacyclic.mul(G, cur, gen)]
     assert len(by_rep) == q
     return {x: by_rep[r] for x, r in rep.items()}
+
+
+def metacyclic_rows_by_elements(G, cols) -> list[tuple[int, ...]]:
+    """Seed rows, then the relation row of every (h, g) over the whole
+    group, each row at its first occurrence.
+
+    h runs over every element in (i, j) order and g over the generators
+    of its centralizer: a and b for central h, a^p and b on the middle
+    layer (p | i, j != 0), h itself otherwise.  Entries are computed one
+    at a time: a normal column gives the class of g under its form when
+    h lies in the explicit member set and 0 otherwise; the column of <b>
+    follows the closed determinant rules.
+    """
+    p, n = G.prime, G.n
+    section = p ** (n - 2)
+
+    def entry(S, h, g):
+        (hi, hj), (gi, gj) = h, g
+        if S.normal:
+            alpha, beta = S.form
+            return (alpha * gi + beta * gj) % S.quotient_order if h in S.members else 0
+        if h == G.identity():
+            return (gi + gj * (p - 1) * p ** (n - 3)) % section
+        if hj != 0 and hi % section == 0:
+            return (gi // p) % section
+        return 0
+
+    rows = []
+    for c, S in enumerate(cols):
+        seed = [0] * len(cols)
+        seed[c] = S.quotient_order
+        rows.append(tuple(seed))
+    seen = set(rows)
+    for h in metacyclic.elements(G):
+        hi, hj = h
+        if hi % p == 0 and hj == 0:
+            gens = (G.gen_a(), G.gen_b())
+        elif hi % p == 0:
+            gens = ((p, 0), G.gen_b())
+        else:
+            gens = (h,)
+        for g in gens:
+            row = tuple(entry(S, h, g) for S in cols)
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+    return rows

@@ -3,6 +3,7 @@
 import pytest
 
 from sk1.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from sk1.metacyclic import genetic_basis_metacyclic, make_metacyclic
 from sk1.snf import CyclicDecomposition
 
 
@@ -69,6 +70,20 @@ def test_basis_metacyclic(capsys):
     assert "index 27  quotient 9  <b>" in lines
     rc, out, _ = run(capsys, "basis", "--prime", "3", "--n", "4", "--format", "tsv")
     assert "<b>\t27\t9" in out.splitlines()
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4)])
+def test_basis_metacyclic_index_matches_member_sets(capsys, p, n):
+    # The printed index is read off each member; it must equal |G| / |S|
+    # counted on the explicit member set.
+    rc, out, _ = run(capsys, "basis", "--prime", str(p), "--n", str(n), "--format", "tsv")
+    assert rc == EXIT_OK
+    G = make_metacyclic(p, n)
+    want = [
+        f"{S.label}\t{G.order // len(S.members)}\t{S.quotient_order}"
+        for S in genetic_basis_metacyclic(G)
+    ]
+    assert out.splitlines() == want
 
 
 def parse_human(out):

@@ -7,8 +7,10 @@ import pytest
 import oracles
 from sk1.errors import BadParams, DomainViolation, TooLarge
 from sk1.metacyclic import (
+    DEFAULT_MAX_ORDER,
     MetaGeneticSubgroup,
     _closure,
+    _relation_rows,
     centralizer,
     element_order,
     elements,
@@ -244,6 +246,41 @@ def test_relation_component_rejects_uncentralized_pairs():
         relation_component(G, B, (0, 1), (1, 0))  # a does not centralize b
     with pytest.raises(DomainViolation):
         relation_component(G, basis[1], (1, 0), (0, 1))  # b outside <a>
+    # Every pair (h, g) of M_4(3) and M_3(5): DomainViolation exactly when
+    # g is not in the brute-force centralizer of h, in a normal column
+    # and in the column of <b>.
+    for p, n in ((3, 4), (5, 3)):
+        G = make_metacyclic(p, n)
+        basis = genetic_basis_metacyclic(G)
+        columns = (basis[1], basis[-1])
+        for h in elements(G):
+            C = centralizer(G, h)
+            for k, g in enumerate(elements(G)):
+                S = columns[k % 2]
+                if g in C:
+                    relation_component(G, S, h, g)
+                else:
+                    with pytest.raises(DomainViolation):
+                        relation_component(G, S, h, g)
+
+
+def test_relation_component_is_exact_beyond_int64():
+    # |a| = 3^24: products of the entry routine pass 2^63, so it works
+    # on Python integers; the pipeline refuses such a group outright.
+    G = make_metacyclic(3, 25)
+    basis = genetic_basis_metacyclic(G)
+    top = basis[-2]  # <a^(3^23), b>, form (1, 0) mod 3^23
+    assert top.form == (1, 0) and top.quotient_order == 3**23
+    e, x = G.identity(), (G.a_order - 1, 2)
+    assert relation_component(G, top, e, x) == (G.a_order - 1) % 3**23
+    assert relation_component(G, top, (3**23, 1), (3**22, 0)) == 3**22
+    B = basis[-1]
+    assert relation_component(G, B, e, x) == (G.a_order - 1 + 2 * 2 * 3**22) % 3**23
+    assert relation_component(G, B, (3**23, 1), (3**22, 0)) == 3**21
+    with pytest.raises(DomainViolation):
+        relation_component(G, B, (1, 0), (0, 1))
+    with pytest.raises(TooLarge):
+        sk1_metacyclic(G, max_order=G.order)
 
 
 def test_relation_component_rejects_full_group_column():
@@ -340,12 +377,42 @@ SK1_CASES = [
     (5, 4, {1: 8}),
 ]
 
+# Beyond the default guard: SK1 = C_p^((n-2)(p-1)), the paper's theorem.
+LARGE_SK1_CASES = [
+    (p, n, {1: (n - 2) * (p - 1)})
+    for p, n in [(3, 7), (3, 8), (3, 9), (7, 4), (7, 5), (5, 6), (11, 4), (13, 4)]
+]
 
-@pytest.mark.parametrize("p,n,expected", SK1_CASES)
+
+@pytest.mark.parametrize("p,n,expected", SK1_CASES + LARGE_SK1_CASES)
 def test_sk1_values(p, n, expected):
     G = make_metacyclic(p, n)
-    dec = sk1_metacyclic(G)
+    dec = sk1_metacyclic(G, max_order=max(G.order, DEFAULT_MAX_ORDER))
     assert dec.prime_power_multiplicities(p) == expected
+
+
+ROW_GROUPS = (
+    [(3, n) for n in range(3, 10)]
+    + [(5, n) for n in range(3, 7)]
+    + [(7, n) for n in range(3, 6)]
+    + [(11, 4), (13, 4)]
+)
+
+
+@pytest.mark.parametrize("p,n", ROW_GROUPS)
+def test_rows_match_element_loop_oracle(p, n):
+    # The vectorised rows over h = a^i b^j with p | i must give the same
+    # nonzero rows as the entry-by-entry loop over the whole group, with
+    # the seeds first and no row twice.
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    rows = [tuple(r) for r in _relation_rows(G, cols).tolist()]
+    want = oracles.metacyclic_rows_by_elements(G, cols)
+    c = len(cols)
+    assert rows[:c] == want[:c]
+    assert [r[k] for k, r in enumerate(rows[:c])] == [S.quotient_order for S in cols]
+    assert len(set(rows)) == len(rows)
+    assert {r for r in rows if any(r)} == {r for r in want if any(r)}
 
 
 def test_sk1_guard():
