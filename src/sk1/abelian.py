@@ -16,6 +16,8 @@ from .errors import DimensionMismatch, NonOddPrime, NotPPower, TooLarge
 # Hard ceiling on brute-force element enumeration: fail fast instead of
 # thrashing on groups sized beyond desk scale.
 ENUMERATION_LIMIT = 10**7
+# Default order guard of the exhaustive strategy and of sk1_metacyclic.
+DEFAULT_MAX_ORDER = 3**6
 
 Element = tuple[int, ...]
 
@@ -40,6 +42,12 @@ def _p_power_exponent(value: int, p: int) -> int | None:
         value //= p
         e += 1
     return e if value == 1 else None
+
+
+def guard_order(G, limit: int, guard: str) -> None:
+    """Raise TooLarge when |G| exceeds limit; ``guard`` names the check."""
+    if G.order > limit:
+        raise TooLarge(f"|G| = {G.order} exceeds the {guard} {limit}")
 
 
 @dataclass(frozen=True)
@@ -74,13 +82,13 @@ def make_group(p: int, orders) -> AbelianPGroup:
     """
     if not _is_odd_prime(p):
         raise NonOddPrime(f"p must be an odd prime, got {p}")
-    orders = [int(o) for o in orders]
+    orders = list(orders)
     if not orders:
         raise ValueError("at least one cyclic factor is required")
     for o in orders:
-        if _p_power_exponent(o, p) is None:
+        if int(o) != o or _p_power_exponent(int(o), p) is None:
             raise NotPPower(f"{o} is not a positive power of {p}")
-    return AbelianPGroup(p, tuple(sorted(orders, reverse=True)))
+    return AbelianPGroup(p, tuple(sorted(map(int, orders), reverse=True)))
 
 
 def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:
@@ -99,8 +107,5 @@ def element_order(G: AbelianPGroup, x: Element) -> int:
 
 def enumerate_elements(G: AbelianPGroup) -> list[Element]:
     """All elements in lexicographic coordinate order."""
-    if G.order > ENUMERATION_LIMIT:
-        raise TooLarge(
-            f"|G| = {G.order} exceeds the enumeration guard {ENUMERATION_LIMIT}"
-        )
+    guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
     return list(product(*(range(o) for o in G.orders)))

@@ -11,13 +11,13 @@ import argparse
 import os
 import sys
 
-from .abelian import make_group
+from .abelian import DEFAULT_MAX_ORDER, make_group
 from .conjecture import predicted_decomposition, verify
 from .errors import Sk1Error, TooLarge
 from .genetic import genetic_basis_abelian
 from .metacyclic import genetic_basis_metacyclic, make_metacyclic, sk1_metacyclic
 from .ranks import rank_metacyclic, rank_square_abelian
-from .sk1_abelian import DEFAULT_MAX_ORDER, EXHAUSTIVE, REPRESENTATIVES, sk1
+from .sk1_abelian import EXHAUSTIVE, REPRESENTATIVES, sk1
 from .snf import CyclicDecomposition
 
 EXIT_OK = 0
@@ -130,7 +130,8 @@ def _add_guard(p: argparse.ArgumentParser) -> None:
         "--max-order",
         type=int,
         default=DEFAULT_MAX_ORDER,
-        help="group-order guard for exhaustive enumeration modes",
+        help="largest group order accepted (default %(default)s): every metacyclic "
+        "call, and abelian or conjecture with --strategy exhaustive",
     )
 
 

@@ -21,8 +21,9 @@ from .abelian import (
     Element,
     _is_odd_prime,
     _p_power_exponent,
+    guard_order,
 )
-from .errors import BadParams, TooLarge
+from .errors import BadParams
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,7 @@ def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     unit.  So the key is the form scaled to make its first unit
     coordinate 1.  The first tuple in enumeration order wins.
     """
-    if G.order > ENUMERATION_LIMIT:
-        raise TooLarge(
-            f"|G| = {G.order} exceeds the enumeration guard {ENUMERATION_LIMIT}"
-        )
+    guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
     eg = G.exponent
     chosen: dict[tuple, GeneticSubgroupA] = {}
     for hom in enumerate_cyclic_homs(G):

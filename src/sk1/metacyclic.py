@@ -28,11 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .abelian import _is_odd_prime
+from .abelian import DEFAULT_MAX_ORDER, _is_odd_prime, guard_order
 from .errors import BadParams, DomainViolation, TooLarge
 from .snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
-
-DEFAULT_MAX_ORDER = 3**6
 
 MElement = tuple[int, int]
 
@@ -76,9 +74,9 @@ class MetacyclicGroup:
 
 def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
     """Group with presentation a^(p^(n-1)) = b^p = 1, b a b^-1 = a^(p^(n-2)+1)."""
-    if not _is_odd_prime(p) or n < 3:
-        raise BadParams(f"need an odd prime and n >= 3, got p={p}, n={n}")
-    return MetacyclicGroup(p, n)
+    if not _is_odd_prime(p) or int(n) != n or n < 3:
+        raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
+    return MetacyclicGroup(p, int(n))
 
 
 def mul(G: MetacyclicGroup, x: MElement, y: MElement) -> MElement:
@@ -307,8 +305,8 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
 
 def _relation_rows(G: MetacyclicGroup, cols) -> np.ndarray:
     """Seed rows, then every distinct row of the visited (h, g) pairs."""
-    seeds = np.diag(np.array([S.quotient_order for S in cols], dtype=np.int64))
-    return distinct_rows(seeds, _entries(G, cols, *_row_pairs(G)))
+    orders = [S.quotient_order for S in cols]
+    return distinct_rows(orders, _entries(G, cols, *_row_pairs(G)))
 
 
 def sk1_metacyclic(
@@ -320,8 +318,7 @@ def sk1_metacyclic(
     generator of the centralizer ({a, b} for central h, {a^p, b} on the
     middle layer); every other h only gives the zero row.
     """
-    if G.order > max_order:
-        raise TooLarge(f"|G| = {G.order} exceeds the guard {max_order}")
+    guard_order(G, max_order, "order guard")
     if _int_dtype(G) is not np.int64:
         raise TooLarge(f"|G| = {G.order}: relation entries would overflow int64")
     basis = genetic_basis_metacyclic(G)

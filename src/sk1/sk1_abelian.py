@@ -14,16 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import AbelianPGroup, Element, enumerate_elements
-from .errors import TooLarge
+from .abelian import (
+    DEFAULT_MAX_ORDER,
+    AbelianPGroup,
+    Element,
+    enumerate_elements,
+    guard_order,
+)
 from .genetic import GeneticSubgroupA, genetic_basis_abelian, quotient_dlog
 from .snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
 STRATEGIES = (REPRESENTATIVES, EXHAUSTIVE)
-
-DEFAULT_MAX_ORDER = 3**6
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,6 @@ class TargetProduct:
     member with nontrivial quotient."""
 
     columns: tuple[tuple[GeneticSubgroupA, int], ...]
-
-    @property
-    def subgroups(self) -> tuple[GeneticSubgroupA, ...]:
-        return tuple(S for S, _ in self.columns)
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -69,15 +68,12 @@ def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]
 def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == EXHAUSTIVE and G.order > max_order:
-        raise TooLarge(
-            f"|G| = {G.order} exceeds the exhaustive-strategy guard {max_order}"
-        )
+    if strategy == EXHAUSTIVE:
+        guard_order(G, max_order, "exhaustive-strategy guard")
 
 
 def relation_matrix(
     G: AbelianPGroup,
-    basis=None,
     strategy: str = REPRESENTATIVES,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> RelationSet:
@@ -89,24 +85,21 @@ def relation_matrix(
     element through, guarded by ``max_order``.
     """
     _check_strategy(G, strategy, max_order)
-    if basis is None:
-        basis = genetic_basis_abelian(G)
+    basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    cols = target.subgroups
-    eg = G.exponent
-    k = len(G.orders)
     if strategy == EXHAUSTIVE:
         refs = np.array(enumerate_elements(G), dtype=np.int64)
     else:
         refs = np.array([S.hom.coeffs for S in basis], dtype=np.int64)
-    weights = np.array([S.hom.weights for S in cols], dtype=np.int64)
-    steps = np.array([S.step for S in cols], dtype=np.int64)
-    member = (refs @ weights.T) % eg == 0
-    # Class of generator e_i in column c is weights[c, i] // steps[c].
-    gen_dlog = weights.T // steps
-    seeds = np.diag(np.array(target.orders, dtype=np.int64))
-    candidates = (np.where(mask, gen_dlog[g], 0) for mask in member for g in range(k))
-    return RelationSet(target, distinct_rows(seeds, candidates))
+    # Column c is the form F[c] = weights // step onto Z/q[c], step = eg / q:
+    # F[c, i] is the class of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
+    q = np.array(target.orders, dtype=np.int64)
+    F = np.array([S.hom.weights for S, _ in target.columns]) // (G.exponent // q)[:, None]
+    member = refs @ F.T % q == 0
+    # Entries lie in [0, eg): uint16 rows, where they fit, build and key faster.
+    F = F.astype(np.uint16 if G.exponent <= 2**16 else np.int64)
+    rows = member[:, None, :] * F.T  # (reference, generator, column)
+    return RelationSet(target, distinct_rows(q, rows.reshape(-1, len(q))))
 
 
 _SK1_CACHE: dict = {}

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class CyclicDecomposition:
     divisors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        divs = tuple(sorted(int(d) for d in self.divisors))
+        divs = tuple(sorted(_exact_int(d) for d in self.divisors))
         if divs and divs[0] <= 1:
             raise ValueError("cyclic orders must all exceed 1")
         object.__setattr__(self, "divisors", divs)
@@ -81,8 +80,19 @@ class CyclicDecomposition:
         return " x ".join(f"(C{d})^{m}" for d, m in self.multiplicities().items())
 
 
+def _exact_int(v) -> int:
+    """v as a Python integer; ValueError unless v is an integer value."""
+    try:
+        i = int(v)
+        if i == v:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{v!r} is not an integer")
+
+
 def _as_int_rows(mat) -> list[list[int]]:
-    rows = [[int(v) for v in r] for r in mat]
+    rows = [[_exact_int(v) for v in r] for r in mat]
     if not rows or not rows[0]:
         raise ValueError("matrix must be non-empty")
     width = len(rows[0])
@@ -93,11 +103,12 @@ def _as_int_rows(mat) -> list[list[int]]:
 
 def _int_array(mat) -> np.ndarray:
     """mat as a 2-d int64 array, or as an object array of Python integers
-    when some entry does not fit in int64."""
+    when some entry does not fit in int64; ValueError on any entry that
+    is not an integer value."""
     if isinstance(mat, np.ndarray):
         if mat.ndim != 2 or 0 in mat.shape:
             raise ValueError("matrix must be 2-d and non-empty")
-        if np.issubdtype(mat.dtype, np.integer):
+        if np.can_cast(mat.dtype, np.int64):
             return mat.astype(np.int64, copy=False)
         mat = mat.tolist()
     rows = _as_int_rows(mat)
@@ -107,22 +118,28 @@ def _int_array(mat) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
-def distinct_rows(seeds: np.ndarray, rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Relation matrix of the seed rows, then each other row at its first
-    occurrence; duplicates are dropped.
+def distinct_rows(orders, rows: np.ndarray) -> np.ndarray:
+    """Relation matrix, in int64, of the seed rows diag(orders), then each
+    row of the 2-d integer array ``rows`` at its first occurrence;
+    duplicates are dropped.
 
-    Rows are keyed by their bytes, so every row must share the seeds'
-    dtype.  ``rows`` is read once, one row at a time, so candidates may
-    stream in without being stacked first.
+    Rows are keyed by their bytes in one dtype that holds the rows and the
+    orders exactly, so equal rows meet whatever their dtypes, and narrow
+    rows give short keys.  Rows that do not cast exactly to int64 raise
+    TypeError.
     """
-    chunks = [seeds]
+    rows = np.asarray(rows)
+    dtype = np.result_type(rows.dtype, np.min_scalar_type(max(orders)))
+    seeds = np.diag(np.asarray(orders, dtype=dtype))
+    rows = rows.astype(dtype, copy=False)
     seen = {r.tobytes() for r in seeds}
-    for r in rows:
+    keep = []
+    for i, r in enumerate(rows):
         key = r.tobytes()
         if key not in seen:
             seen.add(key)
-            chunks.append(r[None, :])
-    return np.concatenate(chunks, axis=0)
+            keep.append(i)
+    return np.concatenate([seeds, rows[keep]], dtype=np.int64, casting="safe")
 
 
 def smith_divisors(mat) -> list[int]:

@@ -25,6 +25,7 @@ def test_make_group_square():
     G = make_group(3, [9, 9])
     assert G.orders == (9, 9)
     assert G.order == 81
+    assert make_group(3, [9.0, 9]) == G
 
 
 @pytest.mark.parametrize("p", [2, 4, 9, 1, -3, 15])
@@ -33,7 +34,7 @@ def test_make_group_rejects_non_odd_primes(p):
         make_group(p, [p if p > 1 else 3])
 
 
-@pytest.mark.parametrize("orders", [[6], [1], [9, 5], [0], [27, 2]])
+@pytest.mark.parametrize("orders", [[6], [1], [9, 5], [0], [27, 2], [27.9, 27]])
 def test_make_group_rejects_non_p_powers(orders):
     with pytest.raises(NotPPower):
         make_group(3, orders)

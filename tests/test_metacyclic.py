@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,6 +11,7 @@ from sk1.metacyclic import (
     DEFAULT_MAX_ORDER,
     MetaGeneticSubgroup,
     _closure,
+    _entries,
     _relation_rows,
     centralizer,
     element_order,
@@ -43,9 +45,12 @@ def test_make_examples():
     assert (G.order, G.a_order, G.twist) == (81, 27, 10)
     G = make_metacyclic(5, 3)
     assert (G.order, G.a_order, G.twist) == (125, 25, 6)
+    assert make_metacyclic(3, 4.0) == make_metacyclic(3, 4)
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (9, 3), (1, 4), (15, 3), (3, 0)])
+@pytest.mark.parametrize(
+    "p,n", [(2, 3), (3, 2), (9, 3), (1, 4), (15, 3), (3, 0), (3, 4.5)]
+)
 def test_make_rejects_bad_params(p, n):
     with pytest.raises(BadParams):
         make_metacyclic(p, n)
@@ -351,21 +356,20 @@ def test_normal_columns_match_coset_oracle(p, n):
     # The linear class forms must give the coset walk's class exponents:
     # on every g for h = 1, and on the rows sk1_metacyclic builds from
     # central and middle-layer h, where membership of h in S decides.
+    # Every pair is evaluated in one _entries call.
     G = make_metacyclic(p, n)
     a, b, e = G.gen_a(), G.gen_b(), G.identity()
-    for S in genetic_basis_metacyclic(G):
-        if not S.normal or S.quotient_order == 1:
-            continue
+    cols = [S for S in genetic_basis_metacyclic(G) if S.normal and S.quotient_order > 1]
+    pairs = [(e, g) for g in elements(G)]
+    for h in elements(G):
+        if h[0] % p == 0:
+            pairs += [(h, g) for g in ((a, b) if h[1] == 0 else ((p, 0), b))]
+    h_arr, g_arr = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+    got = _entries(G, cols, h_arr, g_arr)
+    for c, S in enumerate(cols):
         want = oracles.quotient_exponents_by_cosets(G, S)
-        for g in elements(G):
-            assert relation_component(G, S, e, g) == want[g]
-        for h in elements(G):
-            if h[0] % p:
-                continue
-            gens = (a, b) if h[1] == 0 else ((p, 0), b)
-            for g in gens:
-                expected = want[g] if h in S.members else 0
-                assert relation_component(G, S, h, g) == expected
+        expected = [want[g] if h in S.members else 0 for h, g in pairs]
+        assert got[:, c].tolist() == expected
 
 
 SK1_CASES = [

@@ -1,0 +1,33 @@
+"""The package's public names."""
+
+import sk1
+
+# Names the package exported before ``__all__`` was cut to the public API;
+# each must still resolve as an attribute.
+IMPORTABLE = """
+AbelianPGroup BadParams ConjecturePrediction CyclicDecomposition CyclicHom
+DimensionMismatch DomainViolation EXHAUSTIVE Element GeneticSubgroupA
+InfiniteCokernel IrrepCounts MetaGeneticSubgroup MetacyclicGroup NonOddPrime
+NotPPower REPRESENTATIVES RelationSet Sk1Error TargetProduct TooLarge
+VerifyReport centralizer cokernel_decomposition cyclic_quotient_count
+element_order enumerate_cyclic_homs enumerate_elements genetic_basis_abelian
+genetic_basis_metacyclic irrep_counts_metacyclic irrep_counts_square_abelian
+make_group make_metacyclic predicted_decomposition predicted_multiplicity
+quotient_dlog rank_metacyclic rank_square_abelian relation_component
+relation_matrix relation_row sk1 sk1_metacyclic smith_divisors target_product
+verify
+""".split()
+
+
+def test_public_api_is_a_subset_of_importable_names():
+    assert len(sk1.__all__) == len(set(sk1.__all__))
+    assert set(sk1.__all__) <= set(IMPORTABLE)
+    for name in IMPORTABLE:
+        assert hasattr(sk1, name), name
+
+
+def test_star_import_gives_the_public_api():
+    ns: dict = {}
+    exec("from sk1 import *", ns)
+    assert set(ns) - {"__builtins__"} == set(sk1.__all__)
+    assert "relation_matrix" not in ns

@@ -69,24 +69,36 @@ def test_relation_matrix_starts_with_seed_block():
     assert len(seen) == len(rel.rows)
 
 
-@pytest.mark.parametrize("orders", [[3, 3], [9, 3], [9, 9], [3, 3, 3]])
-def test_matrix_rows_match_reference_rows(orders):
-    # The vectorized builder must agree with the per-element reference
+@pytest.mark.parametrize(
+    "p,orders,strategy",
+    [
+        pytest.param(3, orders, REPRESENTATIVES, id=f"orders{i}")
+        for i, orders in enumerate([[3, 3], [9, 3], [9, 9], [3, 3, 3]])
+    ]
+    + [
+        pytest.param(3, [9, 3, 3], EXHAUSTIVE, id="exhaustive"),
+        pytest.param(5, [25, 5], REPRESENTATIVES, id="p5"),
+    ],
+)
+def test_matrix_rows_match_reference_rows(p, orders, strategy):
+    # The array builder must agree with the per-element reference
     # implementation, duplicates removed in the same first-wins order.
-    G = make_group(3, orders)
+    G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    gens = G.generators()
+    if strategy == EXHAUSTIVE:
+        refs = enumerate_elements(G)
+    else:
+        refs = [S.hom.coeffs for S in basis]
     rows = [list(r) for r in np.diag(np.array(target.orders, dtype=np.int64))]
     seen = {tuple(r) for r in rows}
-    for S in basis:
-        h = S.hom.coeffs
-        for gen in gens:
+    for h in refs:
+        for gen in G.generators():
             row = relation_row(G, basis, h, gen)
             if tuple(row) not in seen:
                 seen.add(tuple(row))
                 rows.append(row)
-    rel = relation_matrix(G, strategy=REPRESENTATIVES)
+    rel = relation_matrix(G, strategy=strategy)
     assert rel.rows.tolist() == rows
 
 

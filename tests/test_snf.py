@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from sk1.errors import InfiniteCokernel
-from sk1.snf import CyclicDecomposition, cokernel_decomposition, smith_divisors
+from sk1.snf import (
+    CyclicDecomposition,
+    cokernel_decomposition,
+    distinct_rows,
+    smith_divisors,
+)
 
 import oracles
 
@@ -269,6 +274,36 @@ def test_int64_overflow_falls_back_to_exact():
     want = [1, 2**61]
     assert smith_divisors(mat) == want
     assert smith_divisors(np.array(mat, dtype=np.int64)) == want
+    # Unsigned entries above 2**63 - 1 take the exact route too; a cast to
+    # int64 would wrap 2**63 + 2 to -(2**63 - 2).
+    assert smith_divisors(np.array([[2**63 + 2]], dtype=np.uint64)) == [2**63 + 2]
+    assert smith_divisors(np.array([[3, 1], [0, 5]], dtype=np.uint64)) == [1, 15]
+
+
+def test_non_integral_entries_are_rejected():
+    # int() would truncate 9.9 to 9 and 3.2 to 3.
+    with pytest.raises(ValueError):
+        cokernel_decomposition([[9.9, 0], [0, 3.2]])
+    with pytest.raises(ValueError):
+        cokernel_decomposition(np.array([[9.9, 0], [0, 3.2]]))
+    assert cokernel_decomposition(np.array([[9.0, 0], [0, 3.0]])).divisors == (3, 9)
+
+
+def test_distinct_rows_dedupes_across_integer_dtypes():
+    # Seeds and rows are keyed in one dtype, so a narrow copy of a seed row
+    # or of an earlier row is still a duplicate; the matrix is int64.
+    for dtype in (np.uint8, np.int32, np.int64):
+        rows = np.array([[3, 0], [1, 2], [1, 2], [0, 3]], dtype=dtype)
+        out = distinct_rows([3, 3], rows)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[3, 0], [0, 3], [1, 2]]
+    assert distinct_rows([300], np.array([[44]], dtype=np.uint8)).tolist() == [[300], [44]]
+    with pytest.raises(TypeError):
+        distinct_rows([3, 3], np.array([[1.5, 0.0]]))
+    with pytest.raises(TypeError):
+        distinct_rows([3, 3], np.array([[1, 0]], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        distinct_rows([3, 3], np.array([[1, 2, 0]]))
 
 
 def test_decomposition_normalizes_and_renders():
@@ -287,6 +322,9 @@ def test_decomposition_rejects_bad_divisors():
         CyclicDecomposition((1, 3))
     with pytest.raises(ValueError):
         CyclicDecomposition((0,))
+    with pytest.raises(ValueError):
+        CyclicDecomposition((3.5, 9))
+    assert CyclicDecomposition((9.0, 3)).divisors == (3, 9)
     with pytest.raises(ValueError):
         CyclicDecomposition((6,)).prime_power_multiplicities(3)
 
