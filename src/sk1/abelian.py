@@ -22,7 +22,15 @@ DEFAULT_MAX_ORDER = 3**6
 Element = tuple[int, ...]
 
 
-def _is_odd_prime(p: int) -> bool:
+def _is_odd_prime(p) -> bool:
+    """True when p is an odd prime.  An integral value such as 3.0 counts
+    (callers then use int(p)); 3.5 and non-numbers do not."""
+    try:
+        if int(p) != p:
+            return False
+    except (TypeError, ValueError, OverflowError):
+        return False
+    p = int(p)
     if p < 3 or p % 2 == 0:
         return False
     d = 3
@@ -82,6 +90,7 @@ def make_group(p: int, orders) -> AbelianPGroup:
     """
     if not _is_odd_prime(p):
         raise NonOddPrime(f"p must be an odd prime, got {p}")
+    p = int(p)
     orders = list(orders)
     if not orders:
         raise ValueError("at least one cyclic factor is required")

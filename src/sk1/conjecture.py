@@ -22,6 +22,7 @@ def predicted_multiplicity(p: int, i: int, n: int) -> int:
     """
     if not _is_odd_prime(p) or i < 1 or n < 2 * i:
         raise BadParams(f"need an odd prime, i >= 1 and n >= 2i, got p={p}, i={i}, n={n}")
+    p = int(p)
     doubled = 2 if i % 2 == 0 else 1
     return (p - 1) * (doubled * p ** (n - (i // 2 + 2)) + (n - 2 * i) * p ** (i - 1))
 
@@ -43,6 +44,7 @@ def predicted_decomposition(p: int, n: int) -> ConjecturePrediction:
     """Multiplicity of C_{p^i} for every 0 < i < n."""
     if not _is_odd_prime(p) or n < 2:
         raise BadParams(f"need an odd prime and n >= 2, got p={p}, n={n}")
+    p = int(p)
     mult = {}
     for i in range(1, n):
         if 2 * i <= n:

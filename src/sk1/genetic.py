@@ -107,4 +107,5 @@ def cyclic_quotient_count(p: int, n: int, m: int) -> int:
     """Number of cyclic-quotient subgroups of C_{p^n} x C_{p^m} for n <= m."""
     if not _is_odd_prime(p) or not 1 <= n <= m:
         raise BadParams(f"need an odd prime and 1 <= n <= m, got p={p}, n={n}, m={m}")
+    p = int(p)
     return p**n * (m - n + 1) + 2 * (p**n - 1) // (p - 1)

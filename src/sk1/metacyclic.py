@@ -76,7 +76,7 @@ def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
     """Group with presentation a^(p^(n-1)) = b^p = 1, b a b^-1 = a^(p^(n-2)+1)."""
     if not _is_odd_prime(p) or int(n) != n or n < 3:
         raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
-    return MetacyclicGroup(p, int(n))
+    return MetacyclicGroup(int(p), int(n))
 
 
 def mul(G: MetacyclicGroup, x: MElement, y: MElement) -> MElement:

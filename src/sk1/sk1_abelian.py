@@ -102,6 +102,9 @@ def relation_matrix(
     return RelationSet(target, distinct_rows(q, rows.reshape(-1, len(q))))
 
 
+# Results of sk1 per (group, strategy), least recently used first; the
+# oldest is dropped once SK1_CACHE_SIZE are held.
+SK1_CACHE_SIZE = 128
 _SK1_CACHE: dict = {}
 
 
@@ -112,16 +115,19 @@ def sk1(
 ) -> CyclicDecomposition:
     """Cyclic decomposition of the torsion part of the Whitehead group of G.
 
-    Results are cached per (group, strategy); the computation is pure, so
-    repeated calls are free.  The strategy and its guard are checked
-    before the cache, so a hit never answers a call the guard refuses.
+    The last SK1_CACHE_SIZE results are cached per (group, strategy); the
+    computation is pure, so a repeated call is free.  The strategy and
+    its guard are checked before the cache, so a hit never answers a call
+    the guard refuses.
     """
     _check_strategy(G, strategy, max_order)
     key = (G, strategy)
-    hit = _SK1_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rel = relation_matrix(G, strategy=strategy, max_order=max_order)
-    dec = cokernel_decomposition(rel.rows)
+    dec = _SK1_CACHE.pop(key, None)
+    if dec is None:
+        rel = relation_matrix(G, strategy=strategy, max_order=max_order)
+        dec = cokernel_decomposition(rel.rows)
+        if len(_SK1_CACHE) >= SK1_CACHE_SIZE:
+            del _SK1_CACHE[next(iter(_SK1_CACHE))]
+    # Insertion order is recency order: a hit moves to the end.
     _SK1_CACHE[key] = dec
     return dec

@@ -4,21 +4,29 @@
 relation matrices of this package carry seed rows, rows with a single
 nonzero entry, whose entries put q*Z^cols inside the row span for a
 prime power q = p^e (the group exponent).  The cokernel is then exact
-over the local ring Z/q, and the elimination runs there in int64:
+over the local ring Z/q, where each nonzero entry is p^k times a unit
+for its valuation k < e, and one sparse elimination computes it:
 
-- every entry is reduced into [0, q);
-- the pivot is an entry of least p-adic valuation k, and k never
-  decreases from one step to the next;
-- scaling the pivot row by the inverse of the pivot's unit part makes
-  the pivot p^k, so every entry below it is an exact multiple of p^k and
-  one rank-1 update followed by ``% q`` clears the column;
-- each pivot contributes p^k, and each column without a pivot q.
+- rows are dicts {column: entry} built from the nonzero entries, with
+  an index from each column to the rows that have an entry there;
+- the seed rows of column c put g*e_c into the span for some g | q, so
+  the other entries of column c are kept mod g and one seed row {c: g}
+  stands in for all of them (none when g = q);
+- the elimination runs in valuation phases k = 0, ..., e-1.  In phase k
+  every entry left has valuation >= k, so any entry of valuation exactly
+  k divides all of them and can be the pivot.  It is taken from the
+  shortest row that has one, in that row's column with the fewest
+  entries, which keeps the fill-in small;
+- scaled by the inverse of the pivot's unit part, the pivot row clears
+  the pivot column from every other row.  The pivot row and column are
+  then dropped, and the pivot contributes p^k;
+- after phase e-1 no entry is left, and each column without a pivot
+  is a C_q.
 
-No entry reaches q, and q**2 < 2**63 keeps every product inside int64.
-This precondition is checked on the input (every column has a seed row,
+The precondition is checked on the input: every column has a seed row,
 the lcm q of the per-column gcds of the seed entries is a prime power,
-q**2 < 2**63).  Any other input, and every ``smith_divisors`` call, goes
-through an exact elimination on unbounded Python integers instead.
+and q**2 < 2**63.  Any other input, and every ``smith_divisors`` call,
+goes through an exact elimination on unbounded Python integers instead.
 
 ``distinct_rows`` assembles a relation matrix for both families: the
 seed rows first, then every other row at its first occurrence.
@@ -26,6 +34,7 @@ seed rows first, then every other row at its first occurrence.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -195,37 +204,101 @@ def _seed_prime_power(arr: np.ndarray) -> tuple[int, int] | None:
 
 def _cokernel_mod_prime_power(arr: np.ndarray, p: int, e: int) -> list[int]:
     """Cyclic orders > 1 of Z^cols modulo the row span of arr, which must
-    contain q*Z^cols for q = p^e, by elimination over Z/q."""
+    contain q*Z^cols for q = p^e, by sparse elimination over Z/q."""
     q = p**e
-    A = (arr % q).astype(np.int64)
-    n_cols = A.shape[1]
+    rows, cols, mods = _local_rows(arr, q)
     orders: list[int] = []
-    k, pk, pk1 = 0, 1, p  # least valuation of the active block, p^k, p^(k+1)
-    for t in range(n_cols):
-        # Candidate pivots have valuation exactly k.  Look in the leading
-        # column first; when it has none, move every column of the active
-        # block that has one to the front, raising k while there is none.
-        cand = np.flatnonzero(A[t:, t] % pk1)
-        if not cand.size:
-            while not (live := (A[t:, t:] % pk1).any(axis=0)).any():
-                k, pk, pk1 = k + 1, pk1, pk1 * p
-                if k == e:
-                    # The active block is zero mod q: each column left is a C_q.
-                    return orders + [q] * (n_cols - t)
-            A[t:, t:] = A[t:, t:][:, np.argsort(~live, kind="stable")]
-            cand = np.flatnonzero(A[t:, t] % pk1)
-        # The sparsest candidate row makes the least fill-in.
-        i = t + int(cand[np.argmin(np.count_nonzero(A[t + cand, t:], axis=1))])
-        if i != t:
-            A[[t, i]] = A[[i, t]]
-        A[t, t:] = A[t, t:] * pow(int(A[t, t]) // pk, -1, q) % q
-        below = t + 1 + np.flatnonzero(A[t + 1 :, t])
-        if below.size:
-            f = A[below, t] // pk
-            A[below, t + 1 :] = (A[below, t + 1 :] - f[:, None] * A[t, t + 1 :]) % q
-        if pk > 1:
-            orders.append(pk)
-    return orders
+    pivots = 0
+    for k in range(e):
+        pk, pk1 = p**k, p ** (k + 1)
+        # Every entry left has valuation >= k.  Rows come off the heap
+        # shortest first; an entry whose length is out of date is stale.
+        heap = [(len(row), i) for i, row in enumerate(rows) if row]
+        heapq.heapify(heap)
+        while heap:
+            n, i = heapq.heappop(heap)
+            prow = rows[i]
+            if len(prow) != n:
+                continue
+            # The pivot column: fewest entries among the row's entries of
+            # valuation exactly k.
+            c, fewest = -1, 0
+            for j, v in prow.items():
+                if v % pk1 and (c < 0 or len(cols[j]) < fewest):
+                    c, fewest = j, len(cols[j])
+            if c < 0:
+                continue
+            rows[i] = {}
+            for j in prow:
+                cols[j].discard(i)
+            below = cols[c]
+            cols[c] = set()
+            # Scaled by the inverse of its unit part, the pivot is p^k, and
+            # each entry of column c is f * p^k: subtracting f times the
+            # pivot row clears it.
+            unit_inv = pow(prow.pop(c) // pk, -1, q)
+            scaled = [(j, v * unit_inv % q) for j, v in prow.items()]
+            for s in below:
+                row = rows[s]
+                f = row.pop(c) // pk
+                get = row.get
+                for j, v in scaled:
+                    w = get(j)
+                    if w is None:
+                        w = -f * v % mods[j]
+                        if w:
+                            row[j] = w
+                            cols[j].add(s)
+                    else:
+                        w = (w - f * v) % mods[j]
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+                            cols[j].discard(s)
+                if row:
+                    heapq.heappush(heap, (len(row), s))
+            pivots += 1
+            if k:
+                orders.append(pk)
+    # No entry is left: each column without a pivot is a C_q.
+    return orders + [q] * (len(cols) - pivots)
+
+
+def _local_rows(arr: np.ndarray, q: int):
+    """Sparse rows of arr over Z/q, for a row span containing q*Z^cols.
+
+    Returns (rows, cols, mods): rows are dicts {column: entry}, cols[c] is
+    the set of rows with an entry in column c, and column c's entries are
+    reduced mod mods[c], which divides q.  A row whose only nonzero entry
+    mod q is v, in column c, puts gcd(v, q) * e_c into the span, so
+    mods[c] is the gcd of q and all such v, and one seed row {c: mods[c]}
+    (none when it is q) stands in for all of them.
+    """
+    n_rows, n_cols = arr.shape
+    at = np.flatnonzero(arr)
+    vals = (arr.ravel()[at] % q).astype(np.int64)
+    keep = vals != 0
+    r, c = np.divmod(at[keep], n_cols)
+    vals = vals[keep]
+    single = np.bincount(r, minlength=n_rows)[r] == 1
+    mods = np.full(n_cols, q, dtype=np.int64)
+    np.gcd.at(mods, c[single], vals[single])
+    r, c = r[~single], c[~single]
+    vals = vals[~single] % mods[c]
+    keep = vals != 0
+    r, c, vals = r[keep], c[keep], vals[keep]
+    # The entries are in row-major order: split them where the row changes.
+    starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
+    cl, vl = c.tolist(), vals.tolist()
+    rows = [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(starts, starts[1:])]
+    mods = mods.tolist()
+    rows += [{j: m} for j, m in enumerate(mods) if m < q]
+    cols = [set() for _ in mods]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    return rows, cols, mods
 
 
 def _divisor_chain(diagonal: list[int], slots: int) -> list[int]:

@@ -139,6 +139,48 @@ def lattice_index(rows, modulus: int) -> int:
     return modulus**c // len(seen)
 
 
+def cokernel_by_dense_elimination(rows, p: int, e: int) -> list[int]:
+    """Cyclic orders > 1 of Z^cols modulo the row span of rows, which must
+    contain q*Z^cols for q = p^e, by elimination over Z/q on a dense
+    int64 matrix (q**2 < 2**63 keeps every product inside int64).
+
+    The pivot is an entry of least p-adic valuation k, and k never
+    decreases; scaling the pivot row by the inverse of the pivot's unit
+    part makes the pivot p^k, and one rank-1 update clears its column.
+    Each pivot contributes p^k, and each column without a pivot q.
+    """
+    q = p**e
+    A = (np.asarray(rows) % q).astype(np.int64)
+    n_cols = A.shape[1]
+    orders: list[int] = []
+    k, pk, pk1 = 0, 1, p  # least valuation of the active block, p^k, p^(k+1)
+    for t in range(n_cols):
+        # Candidate pivots have valuation exactly k.  Look in the leading
+        # column first; when it has none, move every column of the active
+        # block that has one to the front, raising k while there is none.
+        cand = np.flatnonzero(A[t:, t] % pk1)
+        if not cand.size:
+            while not (live := (A[t:, t:] % pk1).any(axis=0)).any():
+                k, pk, pk1 = k + 1, pk1, pk1 * p
+                if k == e:
+                    # The active block is zero mod q: each column left is a C_q.
+                    return orders + [q] * (n_cols - t)
+            A[t:, t:] = A[t:, t:][:, np.argsort(~live, kind="stable")]
+            cand = np.flatnonzero(A[t:, t] % pk1)
+        # The sparsest candidate row makes the least fill-in.
+        i = t + int(cand[np.argmin(np.count_nonzero(A[t + cand, t:], axis=1))])
+        if i != t:
+            A[[t, i]] = A[[i, t]]
+        A[t, t:] = A[t, t:] * pow(int(A[t, t]) // pk, -1, q) % q
+        below = t + 1 + np.flatnonzero(A[t + 1 :, t])
+        if below.size:
+            f = A[below, t] // pk
+            A[below, t + 1 :] = (A[below, t + 1 :] - f[:, None] * A[t, t + 1 :]) % q
+        if pk > 1:
+            orders.append(pk)
+    return orders
+
+
 def genetic_basis_by_kernel_masks(G: AbelianPGroup) -> list[tuple]:
     """(coeffs, index, step) per genetic basis member, deduplicated by kernel.
 

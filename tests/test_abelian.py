@@ -34,6 +34,16 @@ def test_make_group_rejects_non_odd_primes(p):
         make_group(p, [p if p > 1 else 3])
 
 
+def test_make_group_takes_integral_primes_only():
+    with pytest.raises(NonOddPrime):
+        make_group(3.5, [9, 3])
+    with pytest.raises(NonOddPrime):
+        make_group("3", [9, 3])
+    G = make_group(3.0, [9.0, 3])
+    assert G == make_group(3, [9, 3])
+    assert type(G.prime) is int
+
+
 @pytest.mark.parametrize("orders", [[6], [1], [9, 5], [0], [27, 2], [27.9, 27]])
 def test_make_group_rejects_non_p_powers(orders):
     with pytest.raises(NotPPower):

@@ -71,6 +71,17 @@ def test_predicted_decomposition_rejects_bad_params():
         predicted_decomposition(3, 1)
     with pytest.raises(BadParams):
         predicted_decomposition(2, 4)
+    with pytest.raises(BadParams):
+        predicted_decomposition(3.5, 4)
+    with pytest.raises(BadParams):
+        predicted_multiplicity(3.5, 1, 2)
+
+
+def test_predicted_decomposition_takes_an_integral_float_prime():
+    pred = predicted_decomposition(3.0, 3)
+    assert pred == predicted_decomposition(3, 3)
+    assert pred.decomposition().divisors == (3,) * 8 + (9,) * 2
+    assert predicted_multiplicity(3.0, 1, 3) == predicted_multiplicity(3, 1, 3)
 
 
 def test_verify_match():
@@ -96,7 +107,7 @@ def test_verify_rejects_foreign_torsion():
         verify(3, 3, CyclicDecomposition((3, 5)))
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+@pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4)])
 def test_verify_against_pipeline(p, n):
     from sk1 import sk1
     from sk1.abelian import make_group

@@ -73,7 +73,7 @@ def test_count_formula_matches_enumeration(p, n, m, expected):
     assert cyclic_quotient_count(p, n, m) == expected
 
 
-@pytest.mark.parametrize("args", [(2, 1, 1), (3, 0, 1), (3, 2, 1), (9, 1, 1), (3, -1, 2)])
+@pytest.mark.parametrize("args", [(2, 1, 1), (3, 0, 1), (3, 2, 1), (9, 1, 1), (3, -1, 2), (3.5, 1, 1)])
 def test_count_formula_rejects_bad_params(args):
     with pytest.raises(BadParams):
         cyclic_quotient_count(*args)

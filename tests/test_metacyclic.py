@@ -46,10 +46,14 @@ def test_make_examples():
     G = make_metacyclic(5, 3)
     assert (G.order, G.a_order, G.twist) == (125, 25, 6)
     assert make_metacyclic(3, 4.0) == make_metacyclic(3, 4)
+    G = make_metacyclic(3.0, 4)
+    assert G == make_metacyclic(3, 4)
+    assert type(G.prime) is int and str(G) == "M_4(3)"
+    assert sk1_metacyclic(G).divisors == (3,) * 4
 
 
 @pytest.mark.parametrize(
-    "p,n", [(2, 3), (3, 2), (9, 3), (1, 4), (15, 3), (3, 0), (3, 4.5)]
+    "p,n", [(2, 3), (3, 2), (9, 3), (1, 4), (15, 3), (3, 0), (3, 4.5), (3.5, 4), (5.5, 3)]
 )
 def test_make_rejects_bad_params(p, n):
     with pytest.raises(BadParams):

@@ -109,6 +109,19 @@ def test_bad_params():
             fn(9, 4)
 
 
+def test_integral_float_params_act_as_ints():
+    for fn in (rank_square_abelian, irrep_counts_square_abelian, rank_metacyclic, irrep_counts_metacyclic):
+        assert fn(3.0, 4.0) == fn(3, 4)
+        with pytest.raises(BadParams):
+            fn(3.5, 4)
+        with pytest.raises(BadParams):
+            fn(3, 4.5)
+    assert rank_metacyclic(3.0, 4) == 8 and type(rank_metacyclic(3.0, 4)) is int
+    assert type(rank_square_abelian(3.0, 4)) is int
+    for counts in (irrep_counts_square_abelian(3.0, 4), irrep_counts_metacyclic(3.0, 4)):
+        assert {type(v) for v in vars(counts).values()} == {int}
+
+
 def test_exact_division_guard():
     assert _exact_div(12, 4) == 3
     with pytest.raises(ArithmeticError):

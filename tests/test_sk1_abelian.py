@@ -155,6 +155,29 @@ def test_sk1_is_cached():
     assert sk1(G) is sk1(G)
 
 
+def test_sk1_cache_drops_the_least_recently_used(monkeypatch):
+    from sk1 import sk1_abelian
+
+    # The default holds every distinct solve of a long mixed session, such
+    # as the 48 of the perfbench sweep.
+    assert sk1_abelian.SK1_CACHE_SIZE >= 48
+    monkeypatch.setattr(sk1_abelian, "_SK1_CACHE", {})
+    monkeypatch.setattr(sk1_abelian, "SK1_CACHE_SIZE", 2)
+    A, B, C = (make_group(3, orders) for orders in ([3, 3], [9, 3], [9, 9]))
+    a, b = sk1(A), sk1(B)
+    assert sk1(A) is a  # the hit makes A the most recent
+    c = sk1(C)  # so B is dropped
+    assert list(sk1_abelian._SK1_CACHE) == [(A, REPRESENTATIVES), (C, REPRESENTATIVES)]
+    assert sk1(A) is a and sk1(C) is c
+    again = sk1(B)  # solved anew, dropping A
+    assert again == b and again is not b
+    assert list(sk1_abelian._SK1_CACHE) == [(C, REPRESENTATIVES), (B, REPRESENTATIVES)]
+    # A full cache still checks the guard before the lookup.
+    sk1(B, strategy=EXHAUSTIVE, max_order=10**4)
+    with pytest.raises(TooLarge):
+        sk1(B, strategy=EXHAUSTIVE, max_order=10)
+
+
 def test_sk1_values_are_p_power_torsion():
     for orders in ([9, 3], [27, 3], [27, 9]):
         G = make_group(3, orders)

@@ -231,6 +231,52 @@ def test_largest_modulus_inside_int64_takes_the_modular_route():
     assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
 
 
+def _relation_rows_of(family, p, size):
+    """The relation matrix sk1 or sk1_metacyclic hands to the Smith form."""
+    from sk1.abelian import make_group
+    from sk1.metacyclic import _relation_rows, genetic_basis_metacyclic, make_metacyclic
+    from sk1.sk1_abelian import relation_matrix
+
+    if family == "abelian":
+        return relation_matrix(make_group(p, size)).rows
+    G = make_metacyclic(p, size)
+    return _relation_rows(G, [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1])
+
+
+_ORACLE_GROUPS = [
+    ("abelian", 3, (243, 243)),
+    ("abelian", 5, (125, 125)),
+    ("abelian", 3, (27, 27, 3)),
+    ("abelian", 17, (289, 289)),
+    ("abelian", 19, (361, 361)),
+    ("abelian", 7, (343, 343)),
+    ("abelian", 5, (625, 625)),
+    ("abelian", 3, (27, 9, 3)),
+    ("metacyclic", 3, 7),
+    ("metacyclic", 3, 8),
+    ("metacyclic", 5, 5),
+    ("metacyclic", 7, 4),
+    ("metacyclic", 11, 4),
+    ("metacyclic", 13, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "family,p,size",
+    _ORACLE_GROUPS,
+    ids=["x".join(f"C{o}" for o in s) if f == "abelian" else f"M{s}({p})" for f, p, s in _ORACLE_GROUPS],
+)
+def test_sparse_elimination_matches_dense_oracle(family, p, size):
+    from sk1.snf import _cokernel_mod_prime_power, _seed_prime_power
+
+    rows = _relation_rows_of(family, p, size)
+    local = _seed_prime_power(rows)
+    assert local is not None and local[0] == p  # the modular route
+    want = sorted(oracles.cokernel_by_dense_elimination(rows, *local))
+    assert sorted(_cokernel_mod_prime_power(rows, *local)) == want
+    assert cokernel_decomposition(rows).divisors == tuple(want)
+
+
 def test_sympy_smith_form_agrees_on_relation_matrices():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
