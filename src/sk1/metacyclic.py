@@ -16,9 +16,13 @@ The relation rows are computed in one numpy pass over arrays of (h, g)
 pairs, g a generator of the centralizer of h.  The normal columns take
 one membership product h @ F.T and one class product g @ F.T modulo the
 column orders; the column of <b> takes its closed rules elementwise.
-Only h = a^i b^j with p | i are visited: every other h generates its
-own centralizer, so its only pair is (h, h), and its row is zero (see
-``_row_pairs``).  A zero row leaves the row span unchanged.
+Only h in A = <a^p, b> = {a^i b^j : p | i} can give a nonzero row:
+every other h generates its own centralizer, so its only pair is
+(h, h), and its row is zero.  Inside A a row depends on h only through
+the subgroup <h>, so one generator of each cyclic subgroup of A is
+visited, 2 + (n-2)p elements and 2(2 + (n-2)p) pairs (see
+``_row_pairs``).  The abelian family takes its reference elements by the
+same rule.
 """
 
 from __future__ import annotations
@@ -282,21 +286,37 @@ def relation_component(
 
 
 def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(h, g) arrays over every h = a^i b^j with p | i, in (i, j) order.
+    """(h, g) arrays over one generator h of each cyclic subgroup of
+    A = <a^p, b> = C_{p^(n-2)} x C_p: 1, b, then a^(p^(n-1-k)) b^y for
+    k = 1..n-2 and y = 0..p-1, in that order, 2 + (n-2)p of them.
 
-    Each such h pairs with the two generators of its centralizer: a and
-    b for central h (j = 0), a^p and b on the middle layer.
+    Each h pairs with the two generators of its centralizer: a and b for
+    central h (b-exponent 0), a^p and b on the middle layer.
     """
-    # Any other h (p does not divide i) generates its own centralizer, so
-    # its only pair is g = h, and its row is zero.  In a normal column the
-    # entry is the class alpha*i + beta*j of h when that class is 0 (h in
-    # S) and 0 otherwise.  In the column of <b>, h is not the identity,
+    # Any h outside A (p does not divide i) generates its own centralizer,
+    # so its only pair is g = h, and its row is zero.  In a normal column
+    # the entry is the class alpha*i + beta*j of h when that class is 0 (h
+    # in S) and 0 otherwise.  In the column of <b>, h is not the identity,
     # and i is not divisible by p^(n-2) >= p, so h generates no conjugate
     # of <b>.  A zero row leaves the row span, and so the cokernel, as it
-    # is; skipping these h also keeps the pair arrays at 2 p^(n-1) rows.
-    p = G.prime
-    k = np.arange(G.a_order, dtype=np.int64)
-    h = np.repeat(np.stack([k // p * p, k % p], axis=1), 2, axis=0)
+    # is.
+    #
+    # Inside A a row depends on h only through <h>.  A is abelian, so for
+    # u prime to p, h^u = a^(u*i) b^(u*j) generates the same subgroup: h
+    # and h^u lie in the same normal members, and they have the same
+    # centralizer, since u*j is 0 exactly when j is.  They also agree on
+    # the two tests of the column of <b>: h = 1, and "b-exponent != 0 and
+    # p^(n-2) divides the a-exponent".  So h gives the rows of the listed
+    # generator of <h>, and the distinct rows are those of the whole of A
+    # in another order.  The list has each cyclic subgroup once: one of
+    # order p^k >= p^2 has a generator whose a-exponent has order p^k, a
+    # unit power brings that exponent to p^(n-1-k), and that leaves p
+    # subgroups, one per y; order p has the p + 1 subgroups <b> and
+    # <a^(p^(n-2)) b^y>.
+    p, n = G.prime, G.n
+    refs = [(0, 0), (0, 1)]
+    refs += [(p ** (n - 1 - k), y) for k in range(1, n - 1) for y in range(p)]
+    h = np.repeat(np.array(refs, dtype=np.int64), 2, axis=0)
     g = np.zeros_like(h)
     g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
     g[1::2, 1] = 1
@@ -314,9 +334,11 @@ def sk1_metacyclic(
 ) -> CyclicDecomposition:
     """Cyclic decomposition of the torsion part of the Whitehead group of G.
 
-    Rows come from the reference elements h = a^i b^j with p | i, one per
-    generator of the centralizer ({a, b} for central h, {a^p, b} on the
-    middle layer); every other h only gives the zero row.
+    Rows come from one reference element h per cyclic subgroup of
+    <a^p, b>, 2 + (n-2)p of them, one row per generator of the
+    centralizer of h ({a, b} for central h, {a^p, b} on the middle
+    layer).  Every other h gives a zero row or repeats the rows of the
+    reference element that generates <h>.
     """
     guard_order(G, max_order, "order guard")
     if _int_dtype(G) is not np.int64:

@@ -13,6 +13,7 @@ from sk1.metacyclic import (
     _closure,
     _entries,
     _relation_rows,
+    _row_pairs,
     centralizer,
     element_order,
     elements,
@@ -389,6 +390,7 @@ SK1_CASES = [
 LARGE_SK1_CASES = [
     (p, n, {1: (n - 2) * (p - 1)})
     for p, n in [(3, 7), (3, 8), (3, 9), (7, 4), (7, 5), (5, 6), (11, 4), (13, 4)]
+    + [(3, 12), (3, 16), (3, 20), (5, 14), (7, 12), (11, 9), (13, 9)]
 ]
 
 
@@ -427,3 +429,33 @@ def test_sk1_guard():
         sk1_metacyclic(make_metacyclic(3, 7))
     with pytest.raises(TooLarge):
         sk1_metacyclic(make_metacyclic(3, 5), max_order=100)
+
+
+def test_int64_refusal_starts_at_m21_3():
+    # M_20(3) is the largest n for p = 3 whose entries fit int64 (it is
+    # pinned in LARGE_SK1_CASES); M_21(3) is refused past the order guard.
+    G = make_metacyclic(3, 21)
+    with pytest.raises(TooLarge, match="int64"):
+        sk1_metacyclic(G, max_order=G.order)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 3), (7, 4)]
+)
+def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
+    # The h of _row_pairs generate every cyclic subgroup of <a^p, b>
+    # exactly once, each paired with the generators of its centralizer.
+    G = make_metacyclic(p, n)
+    h, g = _row_pairs(G)
+    assert len(h) == len(g) == 2 * (2 + (n - 2) * p)
+    refs = [tuple(x) for x in h[0::2].tolist()]
+    assert refs == [tuple(x) for x in h[1::2].tolist()]
+
+    A = _closure(G, [(p, 0), G.gen_b()])
+    generated = [_closure(G, [x]) for x in refs]
+    assert all(x in A for x in refs)
+    assert len(set(generated)) == len(generated)
+    assert set(generated) == {_closure(G, [x]) for x in A}
+    for k, x in enumerate(refs):
+        gens = [tuple(y) for y in g[2 * k : 2 * k + 2].tolist()]
+        assert _closure(G, gens) == centralizer(G, x)

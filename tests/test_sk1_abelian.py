@@ -1,7 +1,11 @@
 """Tests for the abelian relation-matrix pipeline."""
 
+from math import comb
+
 import numpy as np
 import pytest
+
+import oracles
 
 from sk1.abelian import enumerate_elements, make_group
 from sk1.errors import TooLarge
@@ -217,3 +221,49 @@ def test_exhaustive_rows_extend_representative_rows():
     exh_rows = {r.tobytes() for r in exh.rows}
     for r in rep.rows:
         assert r.tobytes() in exh_rows
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [(3, [9, 9]), (3, [27, 27]), (3, [27, 9, 3]), (5, [25, 25]), (3, [9, 3])],
+)
+def test_representatives_take_one_generator_per_cyclic_subgroup(p, orders):
+    # The rule the metacyclic rows share: the reference elements, the basis
+    # members' coefficient tuples reduced mod the factor orders, generate
+    # every cyclic subgroup of G exactly once.
+    G = make_group(p, orders)
+    refs = [
+        tuple(c % o for c, o in zip(S.hom.coeffs, G.orders))
+        for S in genetic_basis_abelian(G)
+    ]
+    generated = [oracles.cyclic_subgroup(G, h) for h in refs]
+    assert len(set(generated)) == len(generated)
+    assert set(generated) == oracles.cyclic_subgroups(G)
+
+
+# Alperin, Dennis, Oliver & Stein, "SK1 of finite abelian groups, I",
+# Invent. Math. 87 (1987): for G = (C_p)^k, SK1(Z[G]) is (C_p)^N with
+# N = (p^k - 1)/(p - 1) - C(p + k - 1, p).
+@pytest.mark.parametrize(
+    "p,k,N",
+    [
+        (3, 2, 0), (3, 3, 3), (3, 4, 20), (3, 5, 86),
+        (5, 3, 10), (5, 4, 100), (7, 3, 21), (11, 3, 55),
+    ],
+)
+def test_sk1_elementary_abelian_closed_form(p, k, N):
+    assert N == (p**k - 1) // (p - 1) - comb(p + k - 1, p)
+    assert sk1(make_group(p, [p] * k)).divisors == (p,) * N
+
+
+# Observed values, not a cited theorem: SK1 of C_{p^n} x C_p is 0 on
+# every case pinned here.
+@pytest.mark.parametrize(
+    "p,orders",
+    [
+        (3, [9, 3]), (3, [243, 3]), (3, [2187, 3]),
+        (5, [625, 5]), (7, [343, 7]), (13, [169, 13]),
+    ],
+)
+def test_sk1_of_cyclic_times_order_p_vanishes(p, orders):
+    assert sk1(make_group(p, orders)).divisors == ()
