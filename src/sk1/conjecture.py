@@ -12,17 +12,21 @@ from dataclasses import dataclass
 
 from .abelian import _is_odd_prime
 from .errors import BadParams
+from .ranks import _check
 from .snf import CyclicDecomposition
 
 
 def predicted_multiplicity(p: int, i: int, n: int) -> int:
     """Predicted multiplicity of C_{p^i} in SK1 of the square of C_{p^n}.
 
-    Valid for i >= 1 and n >= 2i; even i get a doubled leading term.
+    Valid for integers i >= 1 and n >= 2i; even i get a doubled leading
+    term.  Integral floats act as ints.
     """
-    if not _is_odd_prime(p) or i < 1 or n < 2 * i:
-        raise BadParams(f"need an odd prime, i >= 1 and n >= 2i, got p={p}, i={i}, n={n}")
-    p = int(p)
+    if not _is_odd_prime(p) or int(i) != i or int(n) != n or i < 1 or n < 2 * i:
+        raise BadParams(
+            f"need an odd prime and integers i >= 1, n >= 2i, got p={p}, i={i}, n={n}"
+        )
+    p, i, n = int(p), int(i), int(n)
     doubled = 2 if i % 2 == 0 else 1
     return (p - 1) * (doubled * p ** (n - (i // 2 + 2)) + (n - 2 * i) * p ** (i - 1))
 
@@ -41,10 +45,8 @@ class ConjecturePrediction:
 
 
 def predicted_decomposition(p: int, n: int) -> ConjecturePrediction:
-    """Multiplicity of C_{p^i} for every 0 < i < n."""
-    if not _is_odd_prime(p) or n < 2:
-        raise BadParams(f"need an odd prime and n >= 2, got p={p}, n={n}")
-    p = int(p)
+    """Multiplicity of C_{p^i} for every 0 < i < n; n is an integer >= 2."""
+    p, n = _check(p, n, 2)
     mult = {}
     for i in range(1, n):
         if 2 * i <= n:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .abelian import DEFAULT_MAX_ORDER, _is_odd_prime, guard_order
 from .errors import BadParams, DomainViolation, TooLarge
-from .snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
+from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 MElement = tuple[int, int]
 
@@ -323,7 +323,7 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
-def _relation_rows(G: MetacyclicGroup, cols) -> np.ndarray:
+def _relation_rows(G: MetacyclicGroup, cols) -> Lattice:
     """Seed rows, then every distinct row of the visited (h, g) pairs."""
     orders = [S.quotient_order for S in cols]
     return distinct_rows(orders, _entries(G, cols, *_row_pairs(G)))

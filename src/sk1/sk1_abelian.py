@@ -22,11 +22,15 @@ from .abelian import (
     guard_order,
 )
 from .genetic import GeneticSubgroupA, genetic_basis_abelian, quotient_dlog
-from .snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
+from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
 STRATEGIES = (REPRESENTATIVES, EXHAUSTIVE)
+
+# Columns per membership pass of ``relation_matrix``: its transient arrays
+# are (reference elements) x COLUMN_CHUNK.
+COLUMN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class RelationSet:
     """Relation rows over a target product: seeds first, duplicates removed."""
 
     target: TargetProduct
-    rows: np.ndarray
+    rows: Lattice
 
 
 def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
@@ -95,11 +99,21 @@ def relation_matrix(
     # F[c, i] is the class of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
     q = np.array(target.orders, dtype=np.int64)
     F = np.array([S.hom.weights for S, _ in target.columns]) // (G.exponent // q)[:, None]
-    member = refs @ F.T % q == 0
-    # Entries lie in [0, eg): uint16 rows, where they fit, build and key faster.
-    F = F.astype(np.uint16 if G.exponent <= 2**16 else np.int64)
-    rows = member[:, None, :] * F.T  # (reference, generator, column)
-    return RelationSet(target, distinct_rows(q, rows.reshape(-1, len(q))))
+    n_gens = len(G.orders)
+    # Candidate row r * n_gens + i is (reference r, generator i): its entry in
+    # column c is F[c, i] where refs[r] is in the kernel of column c.
+    parts = []
+    for lo in range(0, len(q), COLUMN_CHUNK):
+        hi = lo + COLUMN_CHUNK
+        ref, col = np.nonzero(refs @ F[lo:hi].T % q[lo:hi] == 0)
+        col += lo
+        at, gen = np.nonzero(F[col])
+        col = col[at]
+        parts.append((ref[at] * n_gens + gen, col, F[col, gen]))
+    row, col, val = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(row * len(q) + col)
+    candidates = Lattice(row[order], col[order], val[order], (len(refs) * n_gens, len(q)))
+    return RelationSet(target, distinct_rows(q, candidates))
 
 
 # Results of sk1 per (group, strategy), least recently used first; the

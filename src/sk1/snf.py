@@ -1,14 +1,23 @@
 """Smith normal form and cokernel decompositions of integer matrices.
 
-``cokernel_decomposition`` computes Z^cols modulo the row span.  The
-relation matrices of this package carry seed rows, rows with a single
-nonzero entry, whose entries put q*Z^cols inside the row span for a
-prime power q = p^e (the group exponent).  The cokernel is then exact
-over the local ring Z/q, where each nonzero entry is p^k times a unit
-for its valuation k < e, and one sparse elimination computes it:
+Relation lattices are sparse: a ``Lattice`` holds the (row, column,
+value) triples of the nonzero entries, sorted by row and then column,
+and the shape.  ``distinct_rows`` assembles one for both families: the
+seed rows diag(orders) first, then every other row at its first
+occurrence, keyed by its (column, value) pairs.  No dense matrix is
+built on the way to the Smith form; ``np.asarray(lattice)`` gives one
+for readers that want it.
 
-- rows are dicts {column: entry} built from the nonzero entries, with
-  an index from each column to the rows that have an entry there;
+``cokernel_decomposition`` computes Z^cols modulo the row span.  A dense
+matrix is converted to a Lattice once.  The relation lattices of this
+package carry seed rows, rows with a single nonzero entry, whose entries
+put q*Z^cols inside the row span for a prime power q = p^e (the group
+exponent).  The cokernel is then exact over the local ring Z/q, where
+each nonzero entry is p^k times a unit for its valuation k < e, and one
+sparse elimination computes it:
+
+- rows are dicts {column: entry} built from the triples, with an index
+  from each column to the rows that have an entry there;
 - the seed rows of column c put g*e_c into the span for some g | q, so
   the other entries of column c are kept mod g and one seed row {c: g}
   stands in for all of them (none when g = q);
@@ -23,13 +32,11 @@ for its valuation k < e, and one sparse elimination computes it:
 - after phase e-1 no entry is left, and each column without a pivot
   is a C_q.
 
-The precondition is checked on the input: every column has a seed row,
+The precondition is read off the seed rows of the triples, in the same
+pass that gives each column's modulus g: every column has a seed row,
 the lcm q of the per-column gcds of the seed entries is a prime power,
 and q**2 < 2**63.  Any other input, and every ``smith_divisors`` call,
 goes through an exact elimination on unbounded Python integers instead.
-
-``distinct_rows`` assembles a relation matrix for both families: the
-seed rows first, then every other row at its first occurrence.
 """
 
 from __future__ import annotations
@@ -127,28 +134,76 @@ def _int_array(mat) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
-def distinct_rows(orders, rows: np.ndarray) -> np.ndarray:
-    """Relation matrix, in int64, of the seed rows diag(orders), then each
-    row of the 2-d integer array ``rows`` at its first occurrence;
-    duplicates are dropped.
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Integer matrix as (row, col, value) triples of its nonzero entries,
+    sorted by row and then by column, with its shape; a row without a
+    triple is a zero row.
 
-    Rows are keyed by their bytes in one dtype that holds the rows and the
-    orders exactly, so equal rows meet whatever their dtypes, and narrow
-    rows give short keys.  Rows that do not cast exactly to int64 raise
-    TypeError.
+    ``np.asarray`` gives the dense matrix (int64, or object when an entry
+    does not fit), and ``len`` the number of rows, for callers and tests
+    that read a dense matrix.
     """
-    rows = np.asarray(rows)
-    dtype = np.result_type(rows.dtype, np.min_scalar_type(max(orders)))
-    seeds = np.diag(np.asarray(orders, dtype=dtype))
-    rows = rows.astype(dtype, copy=False)
-    seen = {r.tobytes() for r in seeds}
-    keep = []
-    for i, r in enumerate(rows):
-        key = r.tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return np.concatenate([seeds, rows[keep]], dtype=np.int64, casting="safe")
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # NumPy 2 passes ``copy``; the dense matrix is always a new array.
+        out = np.zeros(self.shape, dtype=self.val.dtype)
+        out[self.row, self.col] = self.val
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _as_lattice(mat) -> Lattice:
+    """mat as a Lattice; a dense matrix is read once, through ``_int_array``."""
+    if isinstance(mat, Lattice):
+        return mat
+    arr = _int_array(mat)
+    r, c = np.nonzero(arr)
+    return Lattice(r, c, arr[r, c], arr.shape)
+
+
+def distinct_rows(orders, rows) -> Lattice:
+    """Relation lattice of the seed rows diag(orders), then each row of
+    ``rows`` at its first occurrence; duplicates are dropped.
+
+    ``rows`` is a Lattice of candidate rows or a 2-d integer array.  Rows
+    are keyed by the int64 bytes of their (column, value) pairs, so equal
+    rows meet whatever dtype they came in.  An array that does not cast
+    exactly to int64 raises TypeError.
+    """
+    if not isinstance(rows, Lattice):
+        rows = np.asarray(rows)
+        if not np.can_cast(rows.dtype, np.int64):
+            raise TypeError(f"relation rows of dtype {rows.dtype} do not cast exactly to int64")
+        rows = _as_lattice(rows)
+    orders = np.asarray(orders, dtype=np.int64)
+    k = len(orders)
+    if rows.shape[1] != k:
+        raise ValueError(f"rows have {rows.shape[1]} columns, expected {k}")
+    seeds = np.arange(k)
+    row = np.concatenate([seeds, rows.row + k])
+    col = np.concatenate([seeds, rows.col])
+    val = np.concatenate([orders, rows.val.astype(np.int64)])
+    n = k + len(rows)
+    # Row i's key is the bytes of its (column, value) pairs.
+    keys = np.stack([col, val], axis=1).tobytes()
+    width = 2 * val.itemsize
+    starts = (np.searchsorted(row, np.arange(n + 1)) * width).tolist()
+    first: dict[bytes, int] = {}
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        first.setdefault(keys[a:b], i)
+    renumber = np.full(n, -1)
+    renumber[list(first.values())] = np.arange(len(first))
+    row = renumber[row]
+    keep = row >= 0
+    return Lattice(row[keep], col[keep], val[keep], (len(first), k))
 
 
 def smith_divisors(mat) -> list[int]:
@@ -165,48 +220,70 @@ def smith_divisors(mat) -> list[int]:
 def cokernel_decomposition(mat) -> CyclicDecomposition:
     """Z^cols modulo the row span, as a cyclic decomposition.
 
-    Raises InfiniteCokernel unless the rows have full column rank.
+    ``mat`` is a Lattice or a dense integer matrix, which is converted to
+    one once.  Raises InfiniteCokernel unless the rows have full column
+    rank.
     """
-    arr = _int_array(mat)
-    local = _seed_prime_power(arr)
+    lat = _as_lattice(mat)
+    local = _local_lattice(lat)
     if local is not None:
-        return CyclicDecomposition(_cokernel_mod_prime_power(arr, *local))
-    divisors = smith_divisors(arr)
-    if arr.shape[0] < arr.shape[1] or 0 in divisors:
+        return CyclicDecomposition(_cokernel_mod_prime_power(*local))
+    divisors = smith_divisors(np.asarray(lat))
+    if lat.shape[0] < lat.shape[1] or 0 in divisors:
         raise InfiniteCokernel("relation rows do not have full column rank")
     return CyclicDecomposition(tuple(d for d in divisors if d > 1))
 
 
-def _seed_prime_power(arr: np.ndarray) -> tuple[int, int] | None:
-    """(p, e) when the row span contains q*Z^cols for q = p^e, read off
-    the rows with exactly one nonzero entry, and q**2 < 2**63; else None.
+def _local_lattice(lat: Lattice):
+    """(p, e, rows, cols, mods) when the row span contains q*Z^cols for
+    q = p^e, read off the seed rows (one nonzero entry), and q**2 < 2**63;
+    else None.
 
-    A column's seed entries put their gcd g_c times the unit vector into
-    the row span, so q = lcm(g_c) works once every column has a seed.
+    Column c's seed entries put their gcd g_c times e_c into the span, so
+    q = lcm(g_c) works once every column has a seed, and g_c divides q.
+    The other rows become sparse rows over Z/q: rows are dicts {column:
+    entry}, cols[c] is the set of rows with an entry in column c, and
+    column c's entries are reduced mod mods[c] = g_c.  One seed row
+    {c: g_c} (none when g_c = q) stands in for the seed rows of column c.
     """
-    seeds = arr[np.count_nonzero(arr, axis=1) == 1]
-    cols = np.argmax(seeds != 0, axis=1)
-    gcds = [0] * arr.shape[1]
-    for c, v in zip(cols.tolist(), seeds[np.arange(len(seeds)), cols].tolist()):
-        gcds[c] = math.gcd(gcds[c], v)
-    if 0 in gcds:
+    n_rows, n_cols = lat.shape
+    single = np.bincount(lat.row, minlength=n_rows)[lat.row] == 1
+    gcds = np.zeros(n_cols, dtype=lat.val.dtype)
+    np.gcd.at(gcds, lat.col[single], lat.val[single])
+    mods = gcds.tolist()
+    if 0 in mods:
         return None
-    q = math.lcm(*gcds)
+    q = math.lcm(*mods)
     if q == 1 or q * q >= 2**63:
         return None
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    e = 0
-    while q % p == 0:
-        q //= p
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
         e += 1
-    return (p, e) if q == 1 else None
+    if rest != 1:
+        return None
+    r, c = lat.row[~single], lat.col[~single]
+    vals = (lat.val[~single] % gcds[c]).astype(np.int64)
+    keep = vals != 0
+    r, c, vals = r[keep], c[keep], vals[keep]
+    # The entries are sorted by row: split them where the row changes.
+    starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
+    cl, vl = c.tolist(), vals.tolist()
+    rows = [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(starts, starts[1:])]
+    rows += [{j: m} for j, m in enumerate(mods) if m < q]
+    cols = [set() for _ in mods]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    return p, e, rows, cols, mods
 
 
-def _cokernel_mod_prime_power(arr: np.ndarray, p: int, e: int) -> list[int]:
-    """Cyclic orders > 1 of Z^cols modulo the row span of arr, which must
-    contain q*Z^cols for q = p^e, by sparse elimination over Z/q."""
+def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
+    """Cyclic orders > 1 of Z^cols modulo the span of the sparse rows over
+    Z/q, q = p^e, as ``_local_lattice`` builds them, by elimination; the
+    rows and the column index are consumed."""
     q = p**e
-    rows, cols, mods = _local_rows(arr, q)
     orders: list[int] = []
     pivots = 0
     for k in range(e):
@@ -263,42 +340,6 @@ def _cokernel_mod_prime_power(arr: np.ndarray, p: int, e: int) -> list[int]:
                 orders.append(pk)
     # No entry is left: each column without a pivot is a C_q.
     return orders + [q] * (len(cols) - pivots)
-
-
-def _local_rows(arr: np.ndarray, q: int):
-    """Sparse rows of arr over Z/q, for a row span containing q*Z^cols.
-
-    Returns (rows, cols, mods): rows are dicts {column: entry}, cols[c] is
-    the set of rows with an entry in column c, and column c's entries are
-    reduced mod mods[c], which divides q.  A row whose only nonzero entry
-    mod q is v, in column c, puts gcd(v, q) * e_c into the span, so
-    mods[c] is the gcd of q and all such v, and one seed row {c: mods[c]}
-    (none when it is q) stands in for all of them.
-    """
-    n_rows, n_cols = arr.shape
-    at = np.flatnonzero(arr)
-    vals = (arr.ravel()[at] % q).astype(np.int64)
-    keep = vals != 0
-    r, c = np.divmod(at[keep], n_cols)
-    vals = vals[keep]
-    single = np.bincount(r, minlength=n_rows)[r] == 1
-    mods = np.full(n_cols, q, dtype=np.int64)
-    np.gcd.at(mods, c[single], vals[single])
-    r, c = r[~single], c[~single]
-    vals = vals[~single] % mods[c]
-    keep = vals != 0
-    r, c, vals = r[keep], c[keep], vals[keep]
-    # The entries are in row-major order: split them where the row changes.
-    starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
-    cl, vl = c.tolist(), vals.tolist()
-    rows = [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(starts, starts[1:])]
-    mods = mods.tolist()
-    rows += [{j: m} for j, m in enumerate(mods) if m < q]
-    cols = [set() for _ in mods]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    return rows, cols, mods
 
 
 def _divisor_chain(diagonal: list[int], slots: int) -> list[int]:

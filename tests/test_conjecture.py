@@ -84,6 +84,32 @@ def test_predicted_decomposition_takes_an_integral_float_prime():
     assert predicted_multiplicity(3.0, 1, 3) == predicted_multiplicity(3, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "args", [(3, 1, 4.5), (3, 1.5, 4), (3, 2.5, 6), (3, 1, 2.000001)]
+)
+def test_multiplicity_rejects_non_integral_i_or_n(args):
+    with pytest.raises(BadParams):
+        predicted_multiplicity(*args)
+
+
+@pytest.mark.parametrize("n", [4.5, 2.5, 3.000001])
+def test_predicted_decomposition_rejects_non_integral_n(n):
+    with pytest.raises(BadParams):
+        predicted_decomposition(3, n)
+    with pytest.raises(BadParams):
+        verify(3, n, CyclicDecomposition((3,) * 8))
+
+
+def test_integral_float_i_and_n_act_as_ints():
+    m = predicted_multiplicity(3, 1.0, 4.0)
+    assert m == predicted_multiplicity(3, 1, 4) == 22
+    assert type(m) is int
+    pred = predicted_decomposition(3, 4.0)
+    assert pred == predicted_decomposition(3, 4)
+    assert type(pred.n) is int
+    assert all(type(m) is int for m in pred.multiplicities.values())
+
+
 def test_verify_match():
     computed = CyclicDecomposition((3,) * 8 + (9,) * 2)
     report = verify(3, 3, computed)
@@ -107,7 +133,11 @@ def test_verify_rejects_foreign_torsion():
         verify(3, 3, CyclicDecomposition((3, 5)))
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4)])
+# C_2187^2 = (3, 7) and C_3125^2 = (5, 5) lie past the paper's table; each
+# solves in a few seconds on the sparse relation lattice.
+@pytest.mark.parametrize(
+    "p,n", [(5, 2), (5, 3), (5, 4), (5, 5), (7, 2), (7, 3), (7, 4), (3, 7)]
+)
 def test_verify_against_pipeline(p, n):
     from sk1 import sk1
     from sk1.abelian import make_group

@@ -411,12 +411,13 @@ ROW_GROUPS = (
 
 @pytest.mark.parametrize("p,n", ROW_GROUPS)
 def test_rows_match_element_loop_oracle(p, n):
-    # The vectorised rows over h = a^i b^j with p | i must give the same
+    # The vectorised rows, whose reference elements ``_row_pairs`` takes
+    # as one generator per cyclic subgroup of <a^p, b>, must give the same
     # nonzero rows as the entry-by-entry loop over the whole group, with
     # the seeds first and no row twice.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    rows = [tuple(r) for r in _relation_rows(G, cols).tolist()]
+    rows = [tuple(r) for r in np.asarray(_relation_rows(G, cols)).tolist()]
     want = oracles.metacyclic_rows_by_elements(G, cols)
     c = len(cols)
     assert rows[:c] == want[:c]

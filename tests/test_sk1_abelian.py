@@ -1,5 +1,6 @@
 """Tests for the abelian relation-matrix pipeline."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from sk1.genetic import genetic_basis_abelian
 from sk1.sk1_abelian import (
     EXHAUSTIVE,
     REPRESENTATIVES,
+    STRATEGIES,
     relation_matrix,
     relation_row,
     sk1,
@@ -66,11 +68,16 @@ def test_relation_matrix_starts_with_seed_block():
     rel = relation_matrix(G)
     orders = rel.target.orders
     k = len(orders)
-    assert rel.rows.dtype == np.int64
-    assert np.array_equal(rel.rows[:k], np.diag(np.array(orders)))
+    rows = np.asarray(rel.rows)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows[:k], np.diag(np.array(orders)))
     # No duplicate rows anywhere.
-    seen = {r.tobytes() for r in rel.rows}
-    assert len(seen) == len(rel.rows)
+    seen = {r.tobytes() for r in rows}
+    assert len(seen) == len(rows)
+    # The triples are sorted by row, then by column, and all nonzero.
+    lat = rel.rows
+    assert np.all(np.diff(lat.row * k + lat.col) > 0)
+    assert np.all(lat.val != 0)
 
 
 @pytest.mark.parametrize(
@@ -103,7 +110,22 @@ def test_matrix_rows_match_reference_rows(p, orders, strategy):
                 seen.add(tuple(row))
                 rows.append(row)
     rel = relation_matrix(G, strategy=strategy)
-    assert rel.rows.tolist() == rows
+    assert np.asarray(rel.rows).tolist() == rows
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 75, 76, 1000])
+def test_relation_matrix_does_not_depend_on_the_column_chunk(chunk, monkeypatch):
+    # C27 x C9 x C3 has 76 columns: the chunks split them anywhere.
+    from sk1 import sk1_abelian
+
+    G = make_group(3, [27, 9, 3])
+    for strategy in STRATEGIES:
+        want = np.asarray(relation_matrix(G, strategy=strategy).rows)
+        monkeypatch.setattr(sk1_abelian, "COLUMN_CHUNK", chunk)
+        got = relation_matrix(G, strategy=strategy).rows
+        monkeypatch.undo()
+        assert got.shape == want.shape
+        assert np.array_equal(np.asarray(got), want)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +204,29 @@ def test_sk1_cache_drops_the_least_recently_used(monkeypatch):
         sk1(B, strategy=EXHAUSTIVE, max_order=10)
 
 
+@pytest.mark.parametrize(
+    "n,expected",
+    [(5, {1: 60, 2: 42, 3: 12, 4: 2}), (6, {1: 170, 2: 120, 3: 54, 4: 12, 5: 2})],
+)
+def test_sk1_peak_memory_stays_below_one_dense_matrix(n, expected, monkeypatch):
+    # The lattice stays sparse from the rows to the Smith form, so a cold
+    # solve of C_{3^n}^2 allocates less than one int64 copy of its dense
+    # relation matrix (1452 x 484 for n = 5, 4368 x 1456 for n = 6).
+    from sk1 import sk1_abelian
+
+    G = make_group(3, [3**n, 3**n])
+    monkeypatch.setattr(sk1_abelian, "_SK1_CACHE", {})
+    tracemalloc.start()
+    try:
+        dec = sk1(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.prime_power_multiplicities(3) == expected
+    n_rows, n_cols = relation_matrix(G).rows.shape
+    assert peak < n_rows * n_cols * np.dtype(np.int64).itemsize
+
+
 def test_sk1_values_are_p_power_torsion():
     for orders in ([9, 3], [27, 3], [27, 9]):
         G = make_group(3, orders)
@@ -203,7 +248,7 @@ def test_extra_reference_rows_change_nothing():
         basis = genetic_basis_abelian(G)
         rel = relation_matrix(G)
         base = cokernel_decomposition(rel.rows)
-        extra = [list(r) for r in rel.rows]
+        extra = np.asarray(rel.rows).tolist()
         els = enumerate_elements(G)
         for _ in range(10):
             h = rng.choice(els)
@@ -218,8 +263,8 @@ def test_exhaustive_rows_extend_representative_rows():
     G = make_group(3, [9, 9])
     rep = relation_matrix(G, strategy=REPRESENTATIVES)
     exh = relation_matrix(G, strategy=EXHAUSTIVE)
-    exh_rows = {r.tobytes() for r in exh.rows}
-    for r in rep.rows:
+    exh_rows = {r.tobytes() for r in np.asarray(exh.rows)}
+    for r in np.asarray(rep.rows):
         assert r.tobytes() in exh_rows
 
 

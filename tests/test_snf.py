@@ -185,13 +185,13 @@ def _random_local_lattice(rng, p, c):
 
 
 def test_fast_and_exact_paths_agree():
-    from sk1.snf import _seed_prime_power
+    from sk1.snf import _as_lattice, _local_lattice
 
     rng = random.Random(12)
     for _ in range(150):
         p = rng.choice((3, 5, 7))
         rows = _random_local_lattice(rng, p, rng.randint(1, 6))
-        assert _seed_prime_power(np.array(rows))[0] == p  # the modular route
+        assert _local_lattice(_as_lattice(rows))[0] == p  # the modular route
         assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
         arr = np.array(rows, dtype=np.int64)
         assert cokernel_decomposition(arr).divisors == _exact_cokernel(rows)
@@ -216,18 +216,18 @@ def test_inputs_outside_the_precondition_take_the_exact_route(rows, monkeypatch)
         raise AssertionError("the modular route ran outside its precondition")
 
     monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
-    assert sk1.snf._seed_prime_power(sk1.snf._int_array(rows)) is None
+    assert sk1.snf._local_lattice(sk1.snf._as_lattice(rows)) is None
     dec = cokernel_decomposition(rows)
     assert dec.divisors == _exact_cokernel(rows)
     assert dec.order == oracles.minor_gcd(rows, len(rows[0]))
 
 
 def test_largest_modulus_inside_int64_takes_the_modular_route():
-    from sk1.snf import _seed_prime_power
+    from sk1.snf import _as_lattice, _local_lattice
 
     q = 3**19  # q**2 < 2**63 <= (3 * q)**2
     rows = [[q, 0], [0, q], [3**7, q - 1], [-(q + 5), 3**12]]
-    assert _seed_prime_power(np.array(rows)) == (3, 19)
+    assert _local_lattice(_as_lattice(rows))[:2] == (3, 19)
     assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
 
 
@@ -267,13 +267,13 @@ _ORACLE_GROUPS = [
     ids=["x".join(f"C{o}" for o in s) if f == "abelian" else f"M{s}({p})" for f, p, s in _ORACLE_GROUPS],
 )
 def test_sparse_elimination_matches_dense_oracle(family, p, size):
-    from sk1.snf import _cokernel_mod_prime_power, _seed_prime_power
+    from sk1.snf import _cokernel_mod_prime_power, _local_lattice
 
     rows = _relation_rows_of(family, p, size)
-    local = _seed_prime_power(rows)
+    local = _local_lattice(rows)
     assert local is not None and local[0] == p  # the modular route
-    want = sorted(oracles.cokernel_by_dense_elimination(rows, *local))
-    assert sorted(_cokernel_mod_prime_power(rows, *local)) == want
+    want = sorted(oracles.cokernel_by_dense_elimination(rows, *local[:2]))
+    assert sorted(_cokernel_mod_prime_power(*local)) == want
     assert cokernel_decomposition(rows).divisors == tuple(want)
 
 
@@ -286,7 +286,7 @@ def test_sympy_smith_form_agrees_on_relation_matrices():
 
     rng = random.Random(7)
     mats = [
-        relation_matrix(make_group(p, orders)).rows.tolist()
+        np.asarray(relation_matrix(make_group(p, orders)).rows).tolist()
         for p, orders in (
             (3, [9, 3]), (3, [9, 9]), (3, [27, 9]), (3, [3, 3, 3]),
             (5, [25, 5]), (7, [7, 7]),
@@ -340,10 +340,11 @@ def test_distinct_rows_dedupes_across_integer_dtypes():
     # or of an earlier row is still a duplicate; the matrix is int64.
     for dtype in (np.uint8, np.int32, np.int64):
         rows = np.array([[3, 0], [1, 2], [1, 2], [0, 3]], dtype=dtype)
-        out = distinct_rows([3, 3], rows)
+        out = np.asarray(distinct_rows([3, 3], rows))
         assert out.dtype == np.int64
         assert out.tolist() == [[3, 0], [0, 3], [1, 2]]
-    assert distinct_rows([300], np.array([[44]], dtype=np.uint8)).tolist() == [[300], [44]]
+    out = distinct_rows([300], np.array([[44]], dtype=np.uint8))
+    assert np.asarray(out).tolist() == [[300], [44]]
     with pytest.raises(TypeError):
         distinct_rows([3, 3], np.array([[1.5, 0.0]]))
     with pytest.raises(TypeError):
