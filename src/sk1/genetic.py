@@ -2,10 +2,13 @@
 
 A subgroup of an abelian p-group has cyclic quotient exactly when it is
 the kernel of a homomorphism into Z/eg, where eg is the group exponent.
-Kernels are enumerated from a restricted family of coefficient tuples
-(first coordinate ranges over powers of p modulo eg, the rest are free),
-deduplicated as linear forms up to a unit, without listing any element,
-and returned sorted by (quotient order, defining tuple).
+Kernels come from a restricted family of coefficient tuples (first
+coordinate ranges over powers of p modulo eg, the rest are free).  One
+numpy pass over all tuples keys each kernel by its linear form up to a
+unit, keeps the first tuple of each key, and sorts the members by
+(quotient order, defining tuple); no group element is listed.  The
+guard bounds that pass, tuples times generators, not the group order,
+and the arithmetic is refused when it could overflow int64.
 """
 
 from __future__ import annotations
@@ -15,15 +18,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
+import numpy as np
+
 from .abelian import (
     ENUMERATION_LIMIT,
     AbelianPGroup,
     Element,
     _is_odd_prime,
     _p_power_exponent,
-    guard_order,
 )
-from .errors import BadParams
+from .errors import BadParams, TooLarge
 
 
 @dataclass(frozen=True)
@@ -73,28 +77,78 @@ def enumerate_cyclic_homs(G: AbelianPGroup) -> list[CyclicHom]:
     return [CyclicHom(G, t) for t in product(first, *rest)]
 
 
+def guard_int64(G: AbelianPGroup) -> None:
+    """Raise TooLarge unless len(orders) * eg**2 < 2**63.
+
+    Every product of the basis (a form coordinate times a unit, both below
+    eg) and every entry of ``refs @ F.T`` in the relation rows (a sum of
+    len(orders) products below eg**2) then fits int64.
+    """
+    eg = G.exponent
+    if len(G.orders) * eg**2 >= 2**63:
+        raise TooLarge(
+            f"{G}: {len(G.orders)} x {eg}^2 >= 2^63, its entries would overflow int64"
+        )
+
+
+def _unit_inverse(a: np.ndarray, p: int, eg: int) -> np.ndarray:
+    """a**(phi(eg) - 1) mod eg, elementwise: the inverse of every unit in
+    a, by square and multiply (products stay below eg**2)."""
+    out = np.ones_like(a)
+    n = eg // p * (p - 1) - 1
+    while n:
+        if n & 1:
+            out = out * a % eg
+        a = a * a % eg
+        n >>= 1
+    return out
+
+
 def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     """One subgroup per distinct kernel, sorted by (index, defining tuple).
 
     Divided by its step, a homomorphism is a linear form onto Z/index,
     and two such surjections share a kernel exactly when they differ by a
-    unit.  So the key is the form scaled to make its first unit
-    coordinate 1.  The first tuple in enumeration order wins.
+    unit.  So the key is (index, the form scaled to make its first unit
+    coordinate 1).  All tuples are keyed in one array pass, and the first
+    tuple in enumeration order wins.
+
+    Refuses with TooLarge when the tuples times the generators, the
+    entries of that pass, exceed ``ENUMERATION_LIMIT``, and when
+    ``guard_int64`` does.
     """
-    guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
-    eg = G.exponent
-    chosen: dict[tuple, GeneticSubgroupA] = {}
-    for hom in enumerate_cyclic_homs(G):
-        step = math.gcd(eg, *hom.weights)
-        index = eg // step
-        v = [w // step for w in hom.weights]
-        # A unit coordinate exists: the coordinates are coprime to the
-        # prime power index (and in Z/1 every value is a unit).
-        u = pow(next(c for c in v if math.gcd(c, index) == 1), -1, index)
-        key = (index, tuple(c * u % index for c in v))
-        if key not in chosen:
-            chosen[key] = GeneticSubgroupA(hom, index=index, step=step)
-    return tuple(sorted(chosen.values(), key=lambda S: (S.index, S.hom.coeffs)))
+    guard_int64(G)
+    p, eg, k = G.prime, G.exponent, len(G.orders)
+    e = _p_power_exponent(eg, p)
+    n_tuples = (e + 1) * math.prod(G.orders[1:])
+    if n_tuples * k > ENUMERATION_LIMIT:
+        raise TooLarge(
+            f"{n_tuples} coefficient tuples x {k} generators exceed the "
+            f"enumeration guard {ENUMERATION_LIMIT}"
+        )
+    # coeffs[:, t] is tuple t of enumerate_cyclic_homs (odometer order).
+    coeffs = np.indices((e + 1, *G.orders[1:]), dtype=np.int64).reshape(k, -1)
+    coeffs[0] = np.array([pow(p, x, eg) for x in range(e + 1)])[coeffs[0]]
+    weights = coeffs * (eg // np.array(G.orders))[:, None] % eg
+    step = np.gcd(np.gcd.reduce(weights, axis=0), eg)
+    index = eg // step
+    form = weights // step
+    # A unit coordinate exists when index > 1: the coordinates are coprime
+    # to the prime power index.  A unit mod index is one mod eg, so its
+    # inverse mod eg serves.  (Only the zero tuple has index 1, and its key
+    # is 0 whatever its lead.)
+    lead = form[(form % p != 0).argmax(axis=0), np.arange(n_tuples)]
+    key = np.empty((n_tuples, k + 1), dtype=np.int64)
+    key[:, 0] = index
+    key[:, 1:] = (form * (_unit_inverse(lead, p, eg) % index) % index).T
+    _, first = np.unique(key.view(np.dtype((np.void, key.strides[0]))), return_index=True)
+    first = first[np.lexsort((*coeffs[::-1, first], index[first]))]
+    return tuple(
+        GeneticSubgroupA(CyclicHom(G, tuple(c)), index=i, step=s)
+        for c, i, s in zip(
+            coeffs[:, first].T.tolist(), index[first].tolist(), step[first].tolist()
+        )
+    )
 
 
 def quotient_dlog(S: GeneticSubgroupA, x: Element) -> int:

@@ -91,14 +91,18 @@ def relation_matrix(
     _check_strategy(G, strategy, max_order)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
+    coeffs = np.array([S.hom.coeffs for S in basis], dtype=np.int64)
     if strategy == EXHAUSTIVE:
         refs = np.array(enumerate_elements(G), dtype=np.int64)
     else:
-        refs = np.array([S.hom.coeffs for S in basis], dtype=np.int64)
-    # Column c is the form F[c] = weights // step onto Z/q[c], step = eg / q:
-    # F[c, i] is the class of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
+        refs = coeffs
+    # Column c is the form F[c] = weights // step onto Z/q[c], step = eg / q,
+    # with weights (eg / o_i) * coeffs_i mod eg: F[c, i] is the class of e_i,
+    # and h is in the kernel iff F[c].h = 0 mod q[c].
+    eg = G.exponent
     q = np.array(target.orders, dtype=np.int64)
-    F = np.array([S.hom.weights for S, _ in target.columns]) // (G.exponent // q)[:, None]
+    nontrivial = np.array([S.index > 1 for S in basis])
+    F = (eg // np.array(G.orders)) * coeffs[nontrivial] % eg // (eg // q)[:, None]
     n_gens = len(G.orders)
     # Candidate row r * n_gens + i is (reference r, generator i): its entry in
     # column c is F[c, i] where refs[r] is in the kernel of column c.

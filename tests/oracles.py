@@ -203,6 +203,29 @@ def genetic_basis_by_kernel_masks(G: AbelianPGroup) -> list[tuple]:
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
+def genetic_basis_by_unit_forms(G: AbelianPGroup) -> list[tuple]:
+    """(coeffs, index, step) per genetic basis member, one homomorphism at
+    a time: the kernel is keyed by the form weights // step scaled to make
+    its first unit coordinate 1.
+
+    Same contract as ``genetic_basis_by_kernel_masks`` without listing
+    any element, so it reaches groups whose kernels are too large to
+    mask.
+    """
+    eg = G.exponent
+    chosen = {}
+    for hom in enumerate_cyclic_homs(G):
+        step = math.gcd(eg, *hom.weights)
+        index = eg // step
+        v = [w // step for w in hom.weights]
+        # A unit coordinate exists: the coordinates are coprime to the
+        # prime power index (and in Z/1 every value is a unit).
+        u = pow(next(c for c in v if math.gcd(c, index) == 1), -1, index)
+        key = (index, tuple(c * u % index for c in v))
+        chosen.setdefault(key, (hom.coeffs, index, step))
+    return sorted(chosen.values(), key=lambda t: (t[1], t[0]))
+
+
 def quotient_exponents_by_cosets(G, S) -> dict:
     """For a normal metacyclic basis member S: class exponent of every
     element in G/S, relative to the coset of maximal order whose least

@@ -169,10 +169,21 @@ def test_exhaustive_guard_exit_code(capsys):
 
 
 def test_basis_enumeration_guard_exit_code(capsys):
-    # 3^15 > 10^7 elements: the abelian basis refuses before enumerating.
+    # 2 * 3^14 coefficient tuples x 15 generators > 10^7: the abelian basis
+    # refuses before allocating them.
     rc, _, err = run(capsys, "basis", "--prime", "3", "--orders", ",".join(["3"] * 15))
     assert rc == EXIT_GUARD
     assert "error:" in err
+
+
+def test_cyclic_group_beyond_the_element_cap(capsys):
+    # C_{3^15}: 16 basis members and a trivial SK1, which prints nothing as TSV.
+    rc, out, _ = run(capsys, "basis", "--prime", "3", "--orders", "14348907", "--format", "tsv")
+    assert rc == EXIT_OK
+    assert len(out.splitlines()) == 16
+    rc, out, _ = run(capsys, "abelian", "--prime", "3", "--orders", "14348907", "--format", "tsv")
+    assert rc == EXIT_OK
+    assert out == ""
 
 
 def test_metacyclic_guard_and_override(capsys):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from sk1.abelian import enumerate_elements, make_group
-from sk1.errors import BadParams
+from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
+from sk1.errors import BadParams, TooLarge
 from sk1.genetic import (
     cyclic_quotient_count,
     enumerate_cyclic_homs,
@@ -179,3 +179,34 @@ def test_basis_matches_kernel_mask_oracle(p, orders):
     G = make_group(p, orders)
     got = [(S.hom.coeffs, S.index, S.step) for S in genetic_basis_abelian(G)]
     assert got == oracles.genetic_basis_by_kernel_masks(G)
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [
+        (3, [9, 3]), (3, [3, 3, 3]), (3, [3] * 5), (3, [27, 9, 3]), (3, [81, 81]),
+        (3, [243, 243]), (3, [729, 729]), (3, [2187, 2187]),
+        (5, [25, 5]), (5, [125, 125]), (7, [49, 49]), (17, [289, 289]),
+        (19, [361, 361]), (11, [121, 11]), (13, [169, 169]), (3, [3**15]),
+    ],
+)
+def test_basis_matches_unit_form_oracle(p, orders):
+    # The array pass must keep the members, the first-wins tuples, the
+    # steps and the order of the per-homomorphism loop.
+    G = make_group(p, orders)
+    got = [(S.hom.coeffs, S.index, S.step) for S in genetic_basis_abelian(G)]
+    assert got == oracles.genetic_basis_by_unit_forms(G)
+
+
+def test_basis_guard_bounds_tuples_times_generators():
+    # C_{3^15} has more than 10^7 elements but only 16 coefficient tuples.
+    G = make_group(3, [3**15])
+    assert G.order > ENUMERATION_LIMIT
+    basis = genetic_basis_abelian(G)
+    assert [S.index for S in basis] == [3**i for i in range(16)]
+    # C_3^14 has fewer than 10^7 elements, but 2 * 3^13 tuples x 14
+    # generators exceed the guard.
+    G = make_group(3, [3] * 14)
+    assert G.order <= ENUMERATION_LIMIT
+    with pytest.raises(TooLarge, match="enumeration guard"):
+        genetic_basis_abelian(G)

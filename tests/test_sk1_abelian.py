@@ -89,6 +89,8 @@ def test_relation_matrix_starts_with_seed_block():
     + [
         pytest.param(3, [9, 3, 3], EXHAUSTIVE, id="exhaustive"),
         pytest.param(5, [25, 5], REPRESENTATIVES, id="p5"),
+        pytest.param(7, [49, 49], REPRESENTATIVES, id="p7"),
+        pytest.param(3, [27, 9, 3], REPRESENTATIVES, id="orders4"),
     ],
 )
 def test_matrix_rows_match_reference_rows(p, orders, strategy):
@@ -137,6 +139,11 @@ def test_relation_matrix_does_not_depend_on_the_column_chunk(chunk, monkeypatch)
         ([3, 3], ()),
         ([9, 9], (3, 3)),
         ([27, 27], (3, 3, 3, 3, 3, 3, 3, 3, 9, 9)),
+        # Beyond the element cap 10^7, from 16 coefficient tuples.
+        ([3**15], ()),
+        # The largest cyclic 3-group inside the int64 refusal; q^2 < 2^63
+        # keeps it on the modular route.
+        ([3**19], ()),
     ],
 )
 def test_sk1_known_decompositions(orders, expected):
@@ -169,6 +176,16 @@ def test_cache_hit_does_not_skip_exhaustive_guard():
     assert sk1(G, strategy=EXHAUSTIVE, max_order=10**4).divisors == (3, 3)
     with pytest.raises(TooLarge):
         sk1(G, strategy=EXHAUSTIVE, max_order=10)
+
+
+def test_int64_refusal():
+    # len(orders) * eg^2 >= 2^63: 3^40 is past it (C_{3^19}, at 3^38, is
+    # pinned in test_sk1_known_decompositions), and every abelian entry
+    # point refuses.
+    G = make_group(3, [3**20])
+    for call in (sk1, relation_matrix, genetic_basis_abelian):
+        with pytest.raises(TooLarge, match="int64"):
+            call(G)
 
 
 def test_unknown_strategy_rejected():
