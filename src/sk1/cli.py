@@ -8,6 +8,7 @@ either human or TSV form.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -198,8 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for the rest of the process.
+
+    It holds no solver: each handler looks up ``sk1``, ``sk1_metacyclic``
+    and ``verify`` among this module's globals when it runs, and argparse
+    looks up ``sys.stdout`` and ``sys.stderr`` only when it prints.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _thread_cap()
         return args.func(args)

@@ -158,8 +158,11 @@ def quotient_dlog(S: GeneticSubgroupA, x: Element) -> int:
 
 
 def cyclic_quotient_count(p: int, n: int, m: int) -> int:
-    """Number of cyclic-quotient subgroups of C_{p^n} x C_{p^m} for n <= m."""
-    if not _is_odd_prime(p) or not 1 <= n <= m:
-        raise BadParams(f"need an odd prime and 1 <= n <= m, got p={p}, n={n}, m={m}")
-    p = int(p)
+    """Number of cyclic-quotient subgroups of C_{p^n} x C_{p^m} for n <= m.
+
+    Integral values such as 3.0 act as ints; 1.5 raises BadParams.
+    """
+    if not _is_odd_prime(p) or int(n) != n or int(m) != m or not 1 <= n <= m:
+        raise BadParams(f"need an odd prime and integers 1 <= n <= m, got p={p}, n={n}, m={m}")
+    p, n, m = int(p), int(n), int(m)
     return p**n * (m - n + 1) + 2 * (p**n - 1) // (p - 1)

@@ -19,10 +19,10 @@ column orders; the column of <b> takes its closed rules elementwise.
 Only h in A = <a^p, b> = {a^i b^j : p | i} can give a nonzero row:
 every other h generates its own centralizer, so its only pair is
 (h, h), and its row is zero.  Inside A a row depends on h only through
-the subgroup <h>, so one generator of each cyclic subgroup of A is
-visited, 2 + (n-2)p elements and 2(2 + (n-2)p) pairs (see
-``_row_pairs``).  The abelian family takes its reference elements by the
-same rule.
+the subgroup <h>, up to conjugacy, so one generator of each conjugacy
+class of cyclic subgroups of A is visited, 3 + (n-3)p elements and
+2(3 + (n-3)p) pairs (see ``_row_pairs``).  The abelian family, where
+conjugacy is equality, takes its reference elements by the same rule.
 """
 
 from __future__ import annotations
@@ -286,9 +286,10 @@ def relation_component(
 
 
 def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(h, g) arrays over one generator h of each cyclic subgroup of
-    A = <a^p, b> = C_{p^(n-2)} x C_p: 1, b, then a^(p^(n-1-k)) b^y for
-    k = 1..n-2 and y = 0..p-1, in that order, 2 + (n-2)p of them.
+    """(h, g) arrays over one generator h of each conjugacy class of
+    cyclic subgroups of A = <a^p, b> = C_{p^(n-2)} x C_p: 1, b,
+    a^(p^(n-2)), then a^(p^(n-1-k)) b^y for k = 2..n-2 and y = 0..p-1,
+    in that order, 3 + (n-3)p of them.
 
     Each h pairs with the two generators of its centralizer: a and b for
     central h (b-exponent 0), a^p and b on the middle layer.
@@ -306,16 +307,23 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
     # and h^u lie in the same normal members, and they have the same
     # centralizer, since u*j is 0 exactly when j is.  They also agree on
     # the two tests of the column of <b>: h = 1, and "b-exponent != 0 and
-    # p^(n-2) divides the a-exponent".  So h gives the rows of the listed
-    # generator of <h>, and the distinct rows are those of the whole of A
-    # in another order.  The list has each cyclic subgroup once: one of
-    # order p^k >= p^2 has a generator whose a-exponent has order p^k, a
-    # unit power brings that exponent to p^(n-1-k), and that leaves p
-    # subgroups, one per y; order p has the p + 1 subgroups <b> and
-    # <a^(p^(n-2)) b^y>.
+    # p^(n-2) divides the a-exponent".  A cyclic subgroup of order p^k >=
+    # p^2 has a generator whose a-exponent has order p^k, a unit power
+    # brings that exponent to p^(n-1-k), and that leaves p subgroups, one
+    # per y.  No two of these are conjugate: conjugation keeps the
+    # b-exponent and moves the a-exponent by a multiple of p^(n-2), so a
+    # unit power that brings the a-exponent back is 1 mod p and keeps y.
+    #
+    # Order p has the p + 1 subgroups <a^(p^(n-2))>, which is central, <b>
+    # and <a^(p^(n-2)) b^y> for y != 0.  Since a^t b a^-t = a^(-t*p^(n-2)) b
+    # and a^(p^(n-2)) is central, the last p - 1 are the conjugates of <b>.
+    # A conjugate of h lies in the same normal members (G/S is abelian) and
+    # passes the same tests of the column of <b>, and here it also has the
+    # same centralizer <a^p, b>, so it gives the rows of b.  The distinct
+    # rows are those of the whole of A in another order.
     p, n = G.prime, G.n
-    refs = [(0, 0), (0, 1)]
-    refs += [(p ** (n - 1 - k), y) for k in range(1, n - 1) for y in range(p)]
+    refs = [(0, 0), (0, 1), (p ** (n - 2), 0)]
+    refs += [(p ** (n - 1 - k), y) for k in range(2, n - 1) for y in range(p)]
     h = np.repeat(np.array(refs, dtype=np.int64), 2, axis=0)
     g = np.zeros_like(h)
     g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
@@ -334,11 +342,11 @@ def sk1_metacyclic(
 ) -> CyclicDecomposition:
     """Cyclic decomposition of the torsion part of the Whitehead group of G.
 
-    Rows come from one reference element h per cyclic subgroup of
-    <a^p, b>, 2 + (n-2)p of them, one row per generator of the
-    centralizer of h ({a, b} for central h, {a^p, b} on the middle
+    Rows come from one reference element h per conjugacy class of cyclic
+    subgroups of <a^p, b>, 3 + (n-3)p of them, one row per generator of
+    the centralizer of h ({a, b} for central h, {a^p, b} on the middle
     layer).  Every other h gives a zero row or repeats the rows of the
-    reference element that generates <h>.
+    reference element whose subgroup is conjugate to <h>.
     """
     guard_order(G, max_order, "order guard")
     if _int_dtype(G) is not np.int64:

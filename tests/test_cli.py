@@ -1,7 +1,13 @@
-"""End-to-end tests of the command line interface, run in process."""
+"""End-to-end tests of the command line interface, run in process; the
+parser-reuse tests also run each call in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+from sk1 import cli
 from sk1.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from sk1.metacyclic import genetic_basis_metacyclic, make_metacyclic
 from sk1.snf import CyclicDecomposition
@@ -219,3 +225,101 @@ def test_empty_orders_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["abelian", "--prime", "3", "--orders", ","])
     assert exc.value.code == EXIT_USAGE
+
+
+# ``main`` parses through one parser per process.  Each call below runs in
+# this process after the ones before it, and must print what the same
+# call prints in a new interpreter, whose parser has seen nothing else.
+FRESH = "import sys; from sk1.cli import main; sys.exit(main(sys.argv[1:]))"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def in_process(capsys, argv):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        (
+            (("conjecture", "--prime", "3", "--n", "2", "--verify"), EXIT_OK, "i\tpredicted"),
+            (("conjecture", "--prime", "3", "--n", "2"), EXIT_OK, "predicted SK1 = (C3)^2"),
+        ),
+        (
+            (("basis", "--prime", "3", "--orders", "3,3"), EXIT_OK, "index 1  tuple 0,0"),
+            (("basis", "--prime", "3", "--n", "4"), EXIT_OK, "index 1  quotient 1  G"),
+        ),
+        (
+            (("abelian", "--prime", "3", "--orders", "9,9", "--strategy", "exhaustive"),
+             EXIT_OK, "SK1 = (C3)^2"),
+            # Order 2187: refused by the exhaustive guard, answered by default.
+            (("abelian", "--prime", "3", "--orders", "27,27,3"), EXIT_OK, "SK1 = (C3)^45"),
+        ),
+        (
+            (("abelian", "--prime", "3"), EXIT_USAGE, ""),
+            (("rank", "--family", "abelian", "--prime", "3", "--n", "2"), EXIT_OK, "24"),
+        ),
+        (
+            (("metacyclic", "--prime", "3", "--n", "4", "--format", "tsv"), EXIT_OK, "3\t4"),
+            (("abelian", "--help"), EXIT_OK, "usage: sk1 abelian"),
+        ),
+    ],
+    ids=["verify-predict", "orders-n", "exhaustive-default", "error-valid", "help-after-calls"],
+)
+def test_shared_parser_matches_a_fresh_process(capsys, monkeypatch, calls):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, rc, head in calls:
+        got = in_process(capsys, argv)
+        assert got == fresh_process(argv), argv
+        assert got[0] == rc and got[1].startswith(head), argv
+
+
+def test_shared_parser_looks_up_the_solver_per_call(capsys, monkeypatch):
+    # The parser is built before the solver is replaced; the replacement
+    # must still answer, and see each call's own strategy.
+    main(["rank", "--family", "abelian", "--prime", "3", "--n", "1"])
+    strategies = []
+
+    def spy(G, strategy=None, max_order=None):
+        strategies.append(strategy)
+        return CyclicDecomposition(())
+
+    monkeypatch.setattr(cli, "sk1", spy)
+    argv = ["abelian", "--prime", "3", "--orders", "9,9"]
+    assert main([*argv, "--strategy", "exhaustive"]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert strategies == ["exhaustive", "representatives"]
+    assert capsys.readouterr().out.splitlines()[-2:] == ["SK1 = 0", "SK1 = 0"]
+
+
+def test_main_builds_at_most_one_parser(capsys, monkeypatch):
+    build_parser = cli.build_parser
+    assert build_parser() is not build_parser()
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        main(["rank", "--family", "abelian", "--prime", "3", "--n", "2"])
+        main(["rank", "--family", "metacyclic", "--prime", "3", "--n", "4"])
+    finally:
+        cli._parser.cache_clear()
+    assert capsys.readouterr().out == "24\n8\n"
+    assert len(built) <= 1

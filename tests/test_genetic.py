@@ -73,10 +73,19 @@ def test_count_formula_matches_enumeration(p, n, m, expected):
     assert cyclic_quotient_count(p, n, m) == expected
 
 
-@pytest.mark.parametrize("args", [(2, 1, 1), (3, 0, 1), (3, 2, 1), (9, 1, 1), (3, -1, 2), (3.5, 1, 1)])
+@pytest.mark.parametrize(
+    "args",
+    [(2, 1, 1), (3, 0, 1), (3, 2, 1), (9, 1, 1), (3, -1, 2), (3.5, 1, 1), (3, 1.5, 2), (3, 1, 2.5)],
+)
 def test_count_formula_rejects_bad_params(args):
     with pytest.raises(BadParams):
         cyclic_quotient_count(*args)
+
+
+def test_count_formula_takes_integral_floats_as_ints():
+    count = cyclic_quotient_count(3.0, 1.0, 2.0)
+    assert count == cyclic_quotient_count(3, 1, 2) == 8
+    assert type(count) is int
 
 
 @pytest.mark.parametrize("orders", [[3, 3], [9, 3], [9, 9], [3, 3, 3]])

@@ -25,10 +25,24 @@ from sk1.metacyclic import (
     relation_component,
     sk1_metacyclic,
 )
+from sk1.snf import distinct_rows
 
 
 def conjugate(G, g, x):
     return mul(G, mul(G, g, x), inverse(G, g))
+
+
+def conjugacy_class(G, S):
+    # The orbit of the subgroup S under conjugation by a and b.
+    orbit, todo = {S}, [S]
+    while todo:
+        T = todo.pop()
+        for x in (G.gen_a(), G.gen_b()):
+            U = frozenset(conjugate(G, x, s) for s in T)
+            if U not in orbit:
+                orbit.add(U)
+                todo.append(U)
+    return orbit
 
 
 def brute_normalizer(G, members):
@@ -444,19 +458,52 @@ def test_int64_refusal_starts_at_m21_3():
     "p,n", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 3), (7, 4)]
 )
 def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
-    # The h of _row_pairs generate every cyclic subgroup of <a^p, b>
-    # exactly once, each paired with the generators of its centralizer.
+    # The h of _row_pairs generate one cyclic subgroup of <a^p, b> from
+    # each conjugacy class, each paired with the generators of its
+    # centralizer.
     G = make_metacyclic(p, n)
     h, g = _row_pairs(G)
-    assert len(h) == len(g) == 2 * (2 + (n - 2) * p)
+    assert len(h) == len(g) == 2 * (3 + (n - 3) * p)
     refs = [tuple(x) for x in h[0::2].tolist()]
     assert refs == [tuple(x) for x in h[1::2].tolist()]
 
     A = _closure(G, [(p, 0), G.gen_b()])
-    generated = [_closure(G, [x]) for x in refs]
     assert all(x in A for x in refs)
-    assert len(set(generated)) == len(generated)
-    assert set(generated) == {_closure(G, [x]) for x in A}
+    listed = [_closure(G, [x]) for x in refs]
+    classes = [conjugacy_class(G, S) for S in listed]
+    for i, S in enumerate(listed):
+        assert not any(S in c for c in classes[i + 1 :])
+    for C in {_closure(G, [x]) for x in A}:
+        assert sum(C in c for c in classes) == 1
     for k, x in enumerate(refs):
         gens = [tuple(y) for y in g[2 * k : 2 * k + 2].tolist()]
         assert _closure(G, gens) == centralizer(G, x)
+
+
+def one_generator_per_cyclic_subgroup_pairs(G):
+    # One generator of every cyclic subgroup of <a^p, b>, conjugates of <b>
+    # included: 1, b and a^(p^(n-1-k)) b^y for k = 1..n-2, y = 0..p-1,
+    # each with the generators of its centralizer.
+    p, n = G.prime, G.n
+    refs = [(0, 0), (0, 1)]
+    refs += [(p ** (n - 1 - k), y) for k in range(1, n - 1) for y in range(p)]
+    h = np.repeat(np.array(refs, dtype=np.int64), 2, axis=0)
+    g = np.zeros_like(h)
+    g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
+    g[1::2, 1] = 1
+    return h, g
+
+
+@pytest.mark.parametrize("p,n", ROW_GROUPS)
+def test_rows_match_one_generator_per_cyclic_subgroup(p, n):
+    # Dropping the p - 1 conjugates <a^(p^(n-2)) b^y> of <b> drops only
+    # repeats of the rows of b: the lattice is byte for byte the one
+    # built from a generator of every cyclic subgroup of <a^p, b>.
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    got = _relation_rows(G, cols)
+    orders = [S.quotient_order for S in cols]
+    want = distinct_rows(orders, _entries(G, cols, *one_generator_per_cyclic_subgroup_pairs(G)))
+    assert got.shape == want.shape
+    for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

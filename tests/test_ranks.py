@@ -126,3 +126,29 @@ def test_exact_division_guard():
     assert _exact_div(12, 4) == 3
     with pytest.raises(ArithmeticError):
         _exact_div(7, 2)
+
+
+# Bass, "The Dirichlet unit theorem, induced characters, and Whitehead
+# groups of finite groups", Topology 4 (1966): the rank of Wh(G) is the
+# number of irreducible real representations of G minus the number of
+# irreducible rational ones.  For G of odd order only the trivial complex
+# character is real valued, so the real count is (classes + 1)/2, and the
+# rational count is the number of conjugacy classes of cyclic subgroups,
+# which is the size of the genetic basis.  The closed forms must agree
+# with that generic identity.
+@pytest.mark.parametrize(
+    "p,n", [(3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (11, 2), (13, 3)]
+)
+def test_abelian_rank_is_real_irreps_minus_basis(p, n):
+    G = make_group(p, [p**n, p**n])
+    real = _exact_div(p ** (2 * n) + 1, 2)
+    assert rank_square_abelian(p, n) == real - len(genetic_basis_abelian(G))
+
+
+@pytest.mark.parametrize(
+    "p,n", [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (5, 3), (5, 4), (5, 5), (7, 4), (11, 4)]
+)
+def test_metacyclic_rank_is_real_irreps_minus_basis(p, n):
+    G = make_metacyclic(p, n)
+    real = _exact_div(irrep_counts_metacyclic(p, n).complex + 1, 2)
+    assert rank_metacyclic(p, n) == real - len(genetic_basis_metacyclic(G))
