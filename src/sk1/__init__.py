@@ -31,12 +31,10 @@ from .errors import (
     TooLarge,
 )
 from .genetic import (
-    CyclicHom,
     GeneticSubgroupA,
     cyclic_quotient_count,
     enumerate_cyclic_homs,
     genetic_basis_abelian,
-    quotient_dlog,
 )
 from .metacyclic import (
     MetacyclicGroup,
@@ -60,7 +58,6 @@ from .sk1_abelian import (
     RelationSet,
     TargetProduct,
     relation_matrix,
-    relation_row,
     sk1,
     target_product,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .abelian import DEFAULT_MAX_ORDER, make_group
@@ -27,10 +26,6 @@ EXIT_MISMATCH = 3
 EXIT_GUARD = 4
 
 
-class UsageError(Exception):
-    """Invalid input detected outside argparse's own checks."""
-
-
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
         orders = tuple(int(tok) for tok in text.split(",") if tok)
@@ -41,17 +36,14 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
-def _thread_cap() -> None:
-    """Validate SK1_THREADS; all pipelines run single-threaded, so any
-    positive cap is honoured trivially."""
-    raw = os.environ.get("SK1_THREADS")
-    if raw is None:
-        return
+def _positive_int(text: str) -> int:
     try:
-        if int(raw) < 1:
-            raise ValueError
+        value = int(text)
     except ValueError:
-        raise UsageError(f"SK1_THREADS must be a positive integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit_decomposition(dec: CyclicDecomposition, fmt: str, prefix: str = "SK1") -> None:
@@ -105,7 +97,7 @@ def _cmd_basis(args) -> int:
     if args.orders is not None:
         G = make_group(args.prime, args.orders)
         for S in genetic_basis_abelian(G):
-            coeffs = ",".join(str(c) for c in S.hom.coeffs)
+            coeffs = ",".join(str(c) for c in S.coeffs)
             if args.format == "tsv":
                 print(f"{S.index}\t{coeffs}")
             else:
@@ -129,7 +121,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 def _add_guard(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_ORDER,
         help="largest group order accepted (default %(default)s): every metacyclic "
         "call, and abelian or conjecture with --strategy exhaustive",
@@ -213,14 +205,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (Sk1Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

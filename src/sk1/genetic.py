@@ -6,16 +6,17 @@ Kernels come from a restricted family of coefficient tuples (first
 coordinate ranges over powers of p modulo eg, the rest are free).  One
 numpy pass over all tuples keys each kernel by its linear form up to a
 unit, keeps the first tuple of each key, and sorts the members by
-(quotient order, defining tuple); no group element is listed.  The
-guard bounds that pass, tuples times generators, not the group order,
-and the arithmetic is refused when it could overflow int64.
+(quotient order, defining tuple); no group element is listed.  Each
+member keeps its form onto Z/index, which the relation rows read as the
+member's column.  The guard bounds that pass, tuples times generators,
+not the group order, and the arithmetic is refused when it could
+overflow int64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -23,7 +24,6 @@ import numpy as np
 from .abelian import (
     ENUMERATION_LIMIT,
     AbelianPGroup,
-    Element,
     _is_odd_prime,
     _p_power_exponent,
 )
@@ -31,39 +31,22 @@ from .errors import BadParams, TooLarge
 
 
 @dataclass(frozen=True)
-class CyclicHom:
-    """Homomorphism G -> Z/eg sending generator i to (eg/o_i)*coeffs[i]."""
+class GeneticSubgroupA:
+    """A subgroup whose quotient is cyclic of order ``index``.
+
+    It is the kernel of the homomorphism G -> Z/eg sending generator i to
+    (eg/o_i)*coeffs[i].  ``form[i]`` is the class of generator i in the
+    quotient Z/index, so x lies in the subgroup exactly when
+    sum(form[i]*x[i]) = 0 mod index.
+    """
 
     group: AbelianPGroup
     coeffs: tuple[int, ...]
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        eg = self.group.exponent
-        return tuple((eg // o) * s % eg for o, s in zip(self.group.orders, self.coeffs))
-
-    def __call__(self, x: Element) -> int:
-        return sum(w * c for w, c in zip(self.weights, x)) % self.group.exponent
-
-
-@dataclass(frozen=True)
-class GeneticSubgroupA:
-    """Kernel of ``hom``: a subgroup whose quotient is cyclic of order ``index``.
-
-    ``step`` generates the image of ``hom`` inside Z/eg, so
-    ``index * step == eg`` and every value of ``hom`` is a multiple of
-    ``step``.
-    """
-
-    hom: CyclicHom
     index: int
-    step: int
-
-    def contains(self, x: Element) -> bool:
-        return self.hom(x) == 0
+    form: tuple[int, ...]
 
 
-def enumerate_cyclic_homs(G: AbelianPGroup) -> list[CyclicHom]:
+def enumerate_cyclic_homs(G: AbelianPGroup) -> list[tuple[int, ...]]:
     """Coefficient tuples in odometer order.
 
     The first coordinate runs over {p**x mod eg : 0 <= x <= log_p eg};
@@ -74,7 +57,7 @@ def enumerate_cyclic_homs(G: AbelianPGroup) -> list[CyclicHom]:
     e = _p_power_exponent(eg, G.prime) or 0
     first = [pow(G.prime, x, eg) for x in range(e + 1)]
     rest = [range(o) for o in G.orders[1:]]
-    return [CyclicHom(G, t) for t in product(first, *rest)]
+    return list(product(first, *rest))
 
 
 def guard_int64(G: AbelianPGroup) -> None:
@@ -107,11 +90,12 @@ def _unit_inverse(a: np.ndarray, p: int, eg: int) -> np.ndarray:
 def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     """One subgroup per distinct kernel, sorted by (index, defining tuple).
 
-    Divided by its step, a homomorphism is a linear form onto Z/index,
-    and two such surjections share a kernel exactly when they differ by a
-    unit.  So the key is (index, the form scaled to make its first unit
-    coordinate 1).  All tuples are keyed in one array pass, and the first
-    tuple in enumeration order wins.
+    Divided by its step eg/index, the gcd of its values and eg, a
+    homomorphism is a linear form onto Z/index, and two such surjections
+    share a kernel exactly when they differ by a unit.  So the key is
+    (index, the form scaled to make its first unit coordinate 1).  All
+    tuples are keyed in one array pass, the first tuple in enumeration
+    order wins, and its member keeps the unscaled form.
 
     Refuses with TooLarge when the tuples times the generators, the
     entries of that pass, exceed ``ENUMERATION_LIMIT``, and when
@@ -144,17 +128,11 @@ def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     _, first = np.unique(key.view(np.dtype((np.void, key.strides[0]))), return_index=True)
     first = first[np.lexsort((*coeffs[::-1, first], index[first]))]
     return tuple(
-        GeneticSubgroupA(CyclicHom(G, tuple(c)), index=i, step=s)
-        for c, i, s in zip(
-            coeffs[:, first].T.tolist(), index[first].tolist(), step[first].tolist()
+        GeneticSubgroupA(G, tuple(c), i, tuple(f))
+        for c, i, f in zip(
+            coeffs[:, first].T.tolist(), index[first].tolist(), form[:, first].T.tolist()
         )
     )
-
-
-def quotient_dlog(S: GeneticSubgroupA, x: Element) -> int:
-    """Position of x's class in the cyclic quotient, relative to the
-    generator that maps to ``step``."""
-    return S.hom(x) // S.step
 
 
 def cyclic_quotient_count(p: int, n: int, m: int) -> int:

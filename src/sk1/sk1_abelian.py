@@ -1,11 +1,13 @@
 """SK1 of the integral group ring of a finite abelian p-group, p odd.
 
 The target is the product of the nontrivial cyclic quotients attached to
-the genetic basis, one column per subgroup.  Relation rows come in two
+the genetic basis, one column per subgroup, and each column is its
+member's linear form onto that quotient.  Relation rows come in two
 flavours: diagonal seeds recording the column orders, and rows
 recording, for a reference element h, the classes of the distinguished
-generators in every quotient whose subgroup contains h.  The cokernel of
-the combined rows is the computed decomposition.
+generators (the entries of the forms) in every quotient whose subgroup
+contains h.  The cokernel of the combined rows is the computed
+decomposition.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import (
-    DEFAULT_MAX_ORDER,
-    AbelianPGroup,
-    Element,
-    enumerate_elements,
-    guard_order,
-)
-from .genetic import GeneticSubgroupA, genetic_basis_abelian, quotient_dlog
+from .abelian import DEFAULT_MAX_ORDER, AbelianPGroup, enumerate_elements, guard_order
+from .genetic import GeneticSubgroupA, genetic_basis_abelian
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
@@ -59,16 +55,6 @@ def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
     return TargetProduct(tuple((S, S.index) for S in basis if S.index > 1))
 
 
-def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]:
-    """Entry per nontrivial column: class of gen in G/S when h lies in S, else 0."""
-    row = []
-    for S in basis:
-        if S.index == 1:
-            continue
-        row.append(quotient_dlog(S, gen) if S.contains(h) else 0)
-    return row
-
-
 def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -91,18 +77,14 @@ def relation_matrix(
     _check_strategy(G, strategy, max_order)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    coeffs = np.array([S.hom.coeffs for S in basis], dtype=np.int64)
     if strategy == EXHAUSTIVE:
         refs = np.array(enumerate_elements(G), dtype=np.int64)
     else:
-        refs = coeffs
-    # Column c is the form F[c] = weights // step onto Z/q[c], step = eg / q,
-    # with weights (eg / o_i) * coeffs_i mod eg: F[c, i] is the class of e_i,
-    # and h is in the kernel iff F[c].h = 0 mod q[c].
-    eg = G.exponent
+        refs = np.array([S.coeffs for S in basis], dtype=np.int64)
+    # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
+    # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
     q = np.array(target.orders, dtype=np.int64)
-    nontrivial = np.array([S.index > 1 for S in basis])
-    F = (eg // np.array(G.orders)) * coeffs[nontrivial] % eg // (eg // q)[:, None]
+    F = np.array([S.form for S, _ in target.columns], dtype=np.int64)
     n_gens = len(G.orders)
     # Candidate row r * n_gens + i is (reference r, generator i): its entry in
     # column c is F[c, i] where refs[r] is in the kernel of column c.

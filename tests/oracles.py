@@ -181,30 +181,44 @@ def cokernel_by_dense_elimination(rows, p: int, e: int) -> list[int]:
     return orders
 
 
+def hom_weights(G: AbelianPGroup, coeffs) -> tuple[int, ...]:
+    """Values in Z/eg of the generators under the homomorphism of a
+    coefficient tuple: generator i goes to (eg/o_i)*coeffs[i]."""
+    eg = G.exponent
+    return tuple((eg // o) * c % eg for o, c in zip(G.orders, coeffs))
+
+
+def hom_value(G: AbelianPGroup, coeffs, x: Element) -> int:
+    """Image of x in Z/eg under the homomorphism of a coefficient tuple."""
+    return sum(w * c for w, c in zip(hom_weights(G, coeffs), x)) % G.exponent
+
+
 def genetic_basis_by_kernel_masks(G: AbelianPGroup) -> list[tuple]:
-    """(coeffs, index, step) per genetic basis member, deduplicated by kernel.
+    """(coeffs, index, form) per genetic basis member, deduplicated by kernel.
 
     Every homomorphism's kernel is packed as a bitmask over all |G|
     elements; the first tuple in enumeration order wins, and members are
-    sorted by (index, coeffs).
+    sorted by (index, coeffs).  The form is the weights divided by the
+    step, the gcd of the weights and eg.
     """
     k = len(G.orders)
     coords = np.indices(G.orders, dtype=np.int64).reshape(k, -1).T
     eg = G.exponent
     chosen = {}
-    for hom in enumerate_cyclic_homs(G):
-        w = np.asarray(hom.weights, dtype=np.int64)
+    for coeffs in enumerate_cyclic_homs(G):
+        w = np.asarray(hom_weights(G, coeffs), dtype=np.int64)
         key = np.packbits((coords @ w) % eg == 0).tobytes()
-        chosen.setdefault(key, hom)
+        chosen.setdefault(key, coeffs)
     out = []
-    for hom in chosen.values():
-        step = math.gcd(eg, *hom.weights)
-        out.append((hom.coeffs, eg // step, step))
+    for coeffs in chosen.values():
+        weights = hom_weights(G, coeffs)
+        step = math.gcd(eg, *weights)
+        out.append((coeffs, eg // step, tuple(w // step for w in weights)))
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
 def genetic_basis_by_unit_forms(G: AbelianPGroup) -> list[tuple]:
-    """(coeffs, index, step) per genetic basis member, one homomorphism at
+    """(coeffs, index, form) per genetic basis member, one homomorphism at
     a time: the kernel is keyed by the form weights // step scaled to make
     its first unit coordinate 1.
 
@@ -214,16 +228,36 @@ def genetic_basis_by_unit_forms(G: AbelianPGroup) -> list[tuple]:
     """
     eg = G.exponent
     chosen = {}
-    for hom in enumerate_cyclic_homs(G):
-        step = math.gcd(eg, *hom.weights)
+    for coeffs in enumerate_cyclic_homs(G):
+        weights = hom_weights(G, coeffs)
+        step = math.gcd(eg, *weights)
         index = eg // step
-        v = [w // step for w in hom.weights]
+        v = tuple(w // step for w in weights)
         # A unit coordinate exists: the coordinates are coprime to the
         # prime power index (and in Z/1 every value is a unit).
         u = pow(next(c for c in v if math.gcd(c, index) == 1), -1, index)
         key = (index, tuple(c * u % index for c in v))
-        chosen.setdefault(key, (hom.coeffs, index, step))
+        chosen.setdefault(key, (coeffs, index, v))
     return sorted(chosen.values(), key=lambda t: (t[1], t[0]))
+
+
+def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]:
+    """Entry per nontrivial column: class of gen in G/S when h lies in S,
+    else 0.
+
+    Membership and classes come from each member's coefficient tuple
+    through its homomorphism into Z/eg, not from the member's stored
+    form: h lies in S when it maps to 0, and the class of gen is its
+    image divided by eg/index.
+    """
+    eg = G.exponent
+    row = []
+    for S in basis:
+        if S.index == 1:
+            continue
+        inside = hom_value(G, S.coeffs, h) == 0
+        row.append(hom_value(G, S.coeffs, gen) // (eg // S.index) if inside else 0)
+    return row
 
 
 def quotient_exponents_by_cosets(G, S) -> dict:

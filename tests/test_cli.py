@@ -202,17 +202,24 @@ def test_metacyclic_guard_and_override(capsys):
     assert out == "SK1 = (C3)^10\n"
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("SK1_THREADS", "2")
-    rc, out, _ = run(capsys, "abelian", "--prime", "3", "--orders", "3,3")
-    assert rc == EXIT_OK
-    monkeypatch.setenv("SK1_THREADS", "0")
-    rc, _, err = run(capsys, "abelian", "--prime", "3", "--orders", "3,3")
-    assert rc == EXIT_USAGE
-    assert "SK1_THREADS" in err
-    monkeypatch.setenv("SK1_THREADS", "many")
-    rc, _, err = run(capsys, "abelian", "--prime", "3", "--orders", "3,3")
-    assert rc == EXIT_USAGE
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metacyclic", "--prime", "3", "--n", "4", "--max-order", "0"],
+        ["abelian", "--prime", "3", "--orders", "3,3", "--max-order", "-1",
+         "--strategy", "exhaustive"],
+        ["conjecture", "--prime", "3", "--n", "2", "--verify", "--max-order", "0",
+         "--strategy", "exhaustive"],
+        ["metacyclic", "--prime", "3", "--n", "4", "--max-order", "many"],
+    ],
+)
+def test_max_order_below_one_is_invalid_input(argv, capsys):
+    # A guard no group can pass is a bad argument (exit 2), not a tripped
+    # guard (exit 4).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "--max-order" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_via_argparse():

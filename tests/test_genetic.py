@@ -1,25 +1,25 @@
 """Tests for the enumeration of subgroups with cyclic quotient."""
 
+import math
+
 import pytest
 
 from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
 from sk1.errors import BadParams, TooLarge
-from sk1.genetic import (
-    cyclic_quotient_count,
-    enumerate_cyclic_homs,
-    genetic_basis_abelian,
-    quotient_dlog,
-)
+from sk1.genetic import cyclic_quotient_count, enumerate_cyclic_homs, genetic_basis_abelian
 
 import oracles
 
 
+def form_class(S, x):
+    """Class of x in the cyclic quotient of S, read off the stored form."""
+    return sum(f * c for f, c in zip(S.form, x)) % S.index
+
+
 def test_hom_tuples_for_c3xc3():
     G = make_group(3, [3, 3])
-    homs = enumerate_cyclic_homs(G)
     # First coordinate runs over [3^0 mod 3, 3^1 mod 3] = [1, 0], second is free.
-    tuples = [h.coeffs for h in homs]
-    assert tuples == [
+    assert enumerate_cyclic_homs(G) == [
         (1, 0), (1, 1), (1, 2),
         (0, 0), (0, 1), (0, 2),
     ]
@@ -27,17 +27,41 @@ def test_hom_tuples_for_c3xc3():
 
 def test_hom_tuples_for_single_factor():
     G = make_group(3, [3])
-    assert [h.coeffs for h in enumerate_cyclic_homs(G)] == [(1,), (0,)]
+    assert enumerate_cyclic_homs(G) == [(1,), (0,)]
 
 
 def test_hom_tuples_for_c9xc9_first_coordinates():
     G = make_group(3, [9, 9])
     homs = enumerate_cyclic_homs(G)
     assert len(homs) == 3 * 9
-    firsts = [h.coeffs[0] for h in homs]
+    firsts = [h[0] for h in homs]
     assert sorted(set(firsts)) == [0, 1, 3]
     # Blocks appear in the order 3^0, 3^1, 3^2 mod 9 = 1, 3, 0.
     assert firsts[0] == 1 and firsts[9] == 3 and firsts[18] == 0
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [(3, [3, 3]), (3, [27, 9, 3]), (3, [3] * 5), (17, [289, 289]), (3, [3**15])],
+)
+def test_hom_tuples_count_and_odometer_order(p, orders):
+    # (e+1) * prod_{i>0} o_i plain tuples, p^e the exponent: entry t is the
+    # mixed-radix expansion of t, its first digit x read as p^x mod eg.
+    G = make_group(p, orders)
+    eg, e = G.exponent, 0
+    while p**e < eg:
+        e += 1
+    homs = enumerate_cyclic_homs(G)
+    radices = [e + 1, *orders[1:]]
+    assert len(homs) == (e + 1) * math.prod(orders[1:])
+    for t, h in enumerate(homs):
+        assert type(h) is tuple
+        digits = []
+        for r in reversed(radices):
+            t, d = divmod(t, r)
+            digits.append(d)
+        x, *rest = reversed(digits)
+        assert h == (pow(p, x, eg), *rest)
 
 
 COUNT_CASES = [
@@ -95,7 +119,7 @@ def test_basis_members_are_exactly_subgroups_with_cyclic_quotient(orders):
     els = enumerate_elements(G)
     found = set()
     for S in basis:
-        members = frozenset(x for x in els if S.contains(x))
+        members = frozenset(x for x in els if form_class(S, x) == 0)
         assert len(els) == len(members) * S.index
         assert members not in found
         found.add(members)
@@ -117,62 +141,65 @@ def test_duality_with_cyclic_subgroup_count(orders):
 def test_basis_is_sorted_and_unique():
     G = make_group(3, [9, 9])
     basis = genetic_basis_abelian(G)
-    keys = [(S.index, S.hom.coeffs) for S in basis]
+    keys = [(S.index, S.coeffs) for S in basis]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert basis[0].index == 1  # whole group comes first
 
 
-def test_quotient_dlog_c3xc3():
+def test_form_c3xc3():
     G = make_group(3, [3, 3])
     basis = genetic_basis_abelian(G)
-    by_tuple = {S.hom.coeffs: S for S in basis}
+    by_tuple = {S.coeffs: S for S in basis}
     S = by_tuple[(1, 1)]  # kernel {(0,0),(1,2),(2,1)}, quotient C3
-    assert S.index == 3
-    assert quotient_dlog(S, (0, 0)) == 0
-    assert quotient_dlog(S, (1, 2)) == 0
-    assert quotient_dlog(S, (0, 1)) == 1
-    assert quotient_dlog(S, (0, 2)) == 2
-    assert quotient_dlog(S, (1, 0)) == 1
+    assert (S.index, S.form) == (3, (1, 1))
+    assert form_class(S, (0, 0)) == 0
+    assert form_class(S, (1, 2)) == 0
+    assert form_class(S, (0, 1)) == 1
+    assert form_class(S, (0, 2)) == 2
+    assert form_class(S, (1, 0)) == 1
     Sb = by_tuple[(1, 0)]  # kernel = second factor
-    assert quotient_dlog(Sb, (1, 0)) == 1
-    assert quotient_dlog(Sb, (0, 1)) == 0
+    assert Sb.form == (1, 0)
+    assert form_class(Sb, (1, 0)) == 1
+    assert form_class(Sb, (0, 1)) == 0
     Sab = by_tuple[(1, 2)]  # kernel {(0,0),(1,1),(2,2)}
-    assert quotient_dlog(Sab, (0, 1)) == 2
+    assert Sab.form == (1, 2)
+    assert form_class(Sab, (0, 1)) == 2
+    assert by_tuple[(0, 0)].form == (0, 0)  # the whole group, index 1
 
 
-def test_quotient_dlog_is_a_homomorphism():
+def test_form_is_surjective():
+    # The form maps G onto Z/index, and each class is the homomorphism's
+    # value divided by its step, eg/index.
     G = make_group(3, [9, 3])
-    from sk1.abelian import mul
-
+    els = enumerate_elements(G)
     for S in genetic_basis_abelian(G):
-        q = S.index
-        for x in enumerate_elements(G):
-            for y in ((1, 0), (0, 1), (4, 2)):
-                lhs = quotient_dlog(S, mul(G, x, y))
-                rhs = (quotient_dlog(S, x) + quotient_dlog(S, y)) % q
-                assert lhs == rhs
+        step = G.exponent // S.index
+        classes = [form_class(S, x) for x in els]
+        assert set(classes) == set(range(S.index))
+        for x, c in zip(els, classes):
+            assert c == oracles.hom_value(G, S.coeffs, x) // step
 
 
 def test_kernel_size_matches_index():
     G = make_group(3, [27, 3])
     els = enumerate_elements(G)
     for S in genetic_basis_abelian(G):
-        size = sum(1 for x in els if S.contains(x))
-        assert size * S.index == G.order
-        # Members are exactly the elements whose dlog vanishes.
-        for x in els[:20]:
-            assert S.contains(x) == (quotient_dlog(S, x) == 0)
+        kernel = frozenset(x for x in els if form_class(S, x) == 0)
+        assert len(kernel) * S.index == G.order
+        # The kernel of the form is the kernel of the homomorphism.
+        assert kernel == frozenset(x for x in els if oracles.hom_value(G, S.coeffs, x) == 0)
 
 
-def test_weights_definition():
+def test_form_definition():
     G = make_group(3, [9, 3])
-    for h in enumerate_cyclic_homs(G):
-        eg = G.exponent
-        expected = tuple((eg // o) * s % eg for o, s in zip(G.orders, h.coeffs))
-        assert h.weights == expected
-        x = (2, 1)
-        assert h(x) == (expected[0] * 2 + expected[1] * 1) % eg
+    eg = G.exponent
+    for S in genetic_basis_abelian(G):
+        weights = tuple((eg // o) * s % eg for o, s in zip(G.orders, S.coeffs))
+        step = eg // S.index
+        assert all(w % step == 0 for w in weights)
+        assert S.form == tuple(w // step for w in weights)
+        assert all(0 <= f < S.index for f in S.form)
 
 
 @pytest.mark.parametrize(
@@ -186,7 +213,7 @@ def test_basis_matches_kernel_mask_oracle(p, orders):
     # Deduping by normalized forms must keep the same members, the same
     # first-wins tuples and the same order as comparing explicit kernels.
     G = make_group(p, orders)
-    got = [(S.hom.coeffs, S.index, S.step) for S in genetic_basis_abelian(G)]
+    got = [(S.coeffs, S.index, S.form) for S in genetic_basis_abelian(G)]
     assert got == oracles.genetic_basis_by_kernel_masks(G)
 
 
@@ -201,9 +228,9 @@ def test_basis_matches_kernel_mask_oracle(p, orders):
 )
 def test_basis_matches_unit_form_oracle(p, orders):
     # The array pass must keep the members, the first-wins tuples, the
-    # steps and the order of the per-homomorphism loop.
+    # forms and the order of the per-homomorphism loop.
     G = make_group(p, orders)
-    got = [(S.hom.coeffs, S.index, S.step) for S in genetic_basis_abelian(G)]
+    got = [(S.coeffs, S.index, S.form) for S in genetic_basis_abelian(G)]
     assert got == oracles.genetic_basis_by_unit_forms(G)
 
 

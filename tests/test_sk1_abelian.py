@@ -16,7 +16,6 @@ from sk1.sk1_abelian import (
     REPRESENTATIVES,
     STRATEGIES,
     relation_matrix,
-    relation_row,
     sk1,
     target_product,
 )
@@ -25,7 +24,7 @@ from sk1.snf import cokernel_decomposition
 
 def columns_by_tuple(G):
     target = target_product(G)
-    return {S.hom.coeffs: i for i, (S, _) in enumerate(target.columns)}
+    return {S.coeffs: i for i, (S, _) in enumerate(target.columns)}
 
 
 def test_target_product_c3xc3():
@@ -38,15 +37,16 @@ def test_target_product_c3xc3():
 
 def test_relation_row_identity_reference():
     # h = identity lies in every subgroup, so every column reports the
-    # class of the generator.
+    # class of the generator: the reference row and the matrix agree.
     G = make_group(3, [3, 3])
     basis = genetic_basis_abelian(G)
     pos = columns_by_tuple(G)
-    row = relation_row(G, basis, (0, 0), (0, 1))
+    row = oracles.relation_row(G, basis, (0, 0), (0, 1))
     assert row[pos[(0, 1)]] == 1
     assert row[pos[(1, 0)]] == 0
     assert row[pos[(1, 1)]] == 1
     assert row[pos[(1, 2)]] == 2
+    assert row in np.asarray(relation_matrix(G).rows).tolist()
 
 
 def test_relation_row_nonidentity_references():
@@ -54,13 +54,13 @@ def test_relation_row_nonidentity_references():
     basis = genetic_basis_abelian(G)
     pos = columns_by_tuple(G)
     # h = (0,1) lies only in the kernel of the (1,0) map.
-    row = relation_row(G, basis, (0, 1), (1, 0))
+    row = oracles.relation_row(G, basis, (0, 1), (1, 0))
     want = [0, 0, 0, 0]
     want[pos[(1, 0)]] = 1
     assert row == want
     # h = (1,0) lies only in the kernel of the (0,1) map, where the class
     # of (1,0) is zero: the whole row vanishes.
-    assert relation_row(G, basis, (1, 0), (1, 0)) == [0, 0, 0, 0]
+    assert oracles.relation_row(G, basis, (1, 0), (1, 0)) == [0, 0, 0, 0]
 
 
 def test_relation_matrix_starts_with_seed_block():
@@ -94,20 +94,21 @@ def test_relation_matrix_starts_with_seed_block():
     ],
 )
 def test_matrix_rows_match_reference_rows(p, orders, strategy):
-    # The array builder must agree with the per-element reference
-    # implementation, duplicates removed in the same first-wins order.
+    # The array builder, which reads the members' forms, must agree with
+    # the per-element reference rows, which read their coefficient tuples,
+    # duplicates removed in the same first-wins order.
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
     if strategy == EXHAUSTIVE:
         refs = enumerate_elements(G)
     else:
-        refs = [S.hom.coeffs for S in basis]
+        refs = [S.coeffs for S in basis]
     rows = [list(r) for r in np.diag(np.array(target.orders, dtype=np.int64))]
     seen = {tuple(r) for r in rows}
     for h in refs:
         for gen in G.generators():
-            row = relation_row(G, basis, h, gen)
+            row = oracles.relation_row(G, basis, h, gen)
             if tuple(row) not in seen:
                 seen.add(tuple(row))
                 rows.append(row)
@@ -270,7 +271,7 @@ def test_extra_reference_rows_change_nothing():
         for _ in range(10):
             h = rng.choice(els)
             for gen in G.generators():
-                extra.append(relation_row(G, basis, h, gen))
+                extra.append(oracles.relation_row(G, basis, h, gen))
         assert cokernel_decomposition(extra) == base
 
 
@@ -295,7 +296,7 @@ def test_representatives_take_one_generator_per_cyclic_subgroup(p, orders):
     # every cyclic subgroup of G exactly once.
     G = make_group(p, orders)
     refs = [
-        tuple(c % o for c, o in zip(S.hom.coeffs, G.orders))
+        tuple(c % o for c, o in zip(S.coeffs, G.orders))
         for S in genetic_basis_abelian(G)
     ]
     generated = [oracles.cyclic_subgroup(G, h) for h in refs]
