@@ -9,7 +9,6 @@ decompositions for squares of cyclic groups.
 from .abelian import (
     AbelianPGroup,
     Element,
-    element_order,
     enumerate_elements,
     make_group,
 )
@@ -22,7 +21,6 @@ from .conjecture import (
 )
 from .errors import (
     BadParams,
-    DimensionMismatch,
     DomainViolation,
     InfiniteCokernel,
     NonOddPrime,
@@ -39,7 +37,6 @@ from .genetic import (
 from .metacyclic import (
     MetacyclicGroup,
     MetaGeneticSubgroup,
-    centralizer,
     genetic_basis_metacyclic,
     make_metacyclic,
     relation_component,

@@ -1,4 +1,4 @@
-"""Exact arithmetic for finite abelian p-groups with p odd.
+"""Finite abelian p-groups with p odd: construction, guards, element enumeration.
 
 A group is a direct product of cyclic factors of p-power order, stored
 as a descending tuple of factor orders.  Elements are exponent tuples,
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatch, NonOddPrime, NotPPower, TooLarge
+from .errors import NonOddPrime, NotPPower, TooLarge
 
 # Hard ceiling on brute-force element enumeration: fail fast instead of
 # thrashing on groups sized beyond desk scale.
@@ -98,20 +98,6 @@ def make_group(p: int, orders) -> AbelianPGroup:
         if int(o) != o or _p_power_exponent(int(o), p) is None:
             raise NotPPower(f"{o} is not a positive power of {p}")
     return AbelianPGroup(p, tuple(sorted(map(int, orders), reverse=True)))
-
-
-def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:
-    """Componentwise sum modulo the factor orders."""
-    if len(x) != len(G.orders) or len(y) != len(G.orders):
-        raise DimensionMismatch(
-            f"elements of {G} need {len(G.orders)} coordinates, got {len(x)} and {len(y)}"
-        )
-    return tuple((a + b) % o for a, b, o in zip(x, y, G.orders))
-
-
-def element_order(G: AbelianPGroup, x: Element) -> int:
-    """Least t >= 1 with t*x = 0, via the factor orders."""
-    return math.lcm(*(o // math.gcd(c % o, o) for c, o in zip(x, G.orders)))
 
 
 def enumerate_elements(G: AbelianPGroup) -> list[Element]:

@@ -13,10 +13,6 @@ class NotPPower(Sk1Error):
     """A cyclic factor order is not a positive power of the prime."""
 
 
-class DimensionMismatch(Sk1Error):
-    """An element's coordinate vector does not match the group's factor count."""
-
-
 class TooLarge(Sk1Error):
     """A resource guard tripped before an exhaustive computation."""
 

@@ -83,66 +83,6 @@ def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
     return MetacyclicGroup(int(p), int(n))
 
 
-def mul(G: MetacyclicGroup, x: MElement, y: MElement) -> MElement:
-    i1, j1 = x
-    i2, j2 = y
-    return (
-        (i1 + i2 * G._twist_powers[j1 % G.prime]) % G.a_order,
-        (j1 + j2) % G.prime,
-    )
-
-
-def inverse(G: MetacyclicGroup, x: MElement) -> MElement:
-    i, j = x
-    jn = (-j) % G.prime
-    return ((-i * G._twist_powers[jn]) % G.a_order, jn)
-
-
-def power(G: MetacyclicGroup, x: MElement, t: int) -> MElement:
-    result = G.identity()
-    base = x if t >= 0 else inverse(G, x)
-    t = abs(t)
-    while t:
-        if t & 1:
-            result = mul(G, result, base)
-        base = mul(G, base, base)
-        t >>= 1
-    return result
-
-
-def element_order(G: MetacyclicGroup, x: MElement) -> int:
-    t, y = 1, x
-    while y != G.identity():
-        y = mul(G, y, x)
-        t += 1
-    return t
-
-
-def elements(G: MetacyclicGroup) -> list[MElement]:
-    """All p^n elements in lexicographic (i, j) order."""
-    return [(i, j) for i in range(G.a_order) for j in range(G.prime)]
-
-
-def centralizer(G: MetacyclicGroup, h: MElement) -> frozenset[MElement]:
-    """Brute-force set of elements commuting with h."""
-    return frozenset(g for g in elements(G) if mul(G, g, h) == mul(G, h, g))
-
-
-def _closure(G: MetacyclicGroup, gens) -> frozenset[MElement]:
-    seen = {G.identity()}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mul(G, x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
-
-
 @dataclass(frozen=True)
 class MetaGeneticSubgroup:
     """Basis member given by its generators, with its cyclic section order.
@@ -164,11 +104,6 @@ class MetaGeneticSubgroup:
     @property
     def normal(self) -> bool:
         return self.form is not None
-
-    @cached_property
-    def members(self) -> frozenset[MElement]:
-        """Explicit member set, closed from the generators on first use."""
-        return _closure(self.group, self.gens)
 
 
 def _power_label(exponent: int) -> str:

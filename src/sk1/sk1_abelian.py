@@ -34,11 +34,11 @@ class TargetProduct:
     """Columns of the relation lattice: one cyclic quotient per basis
     member with nontrivial quotient."""
 
-    columns: tuple[tuple[GeneticSubgroupA, int], ...]
+    columns: tuple[GeneticSubgroupA, ...]
 
     @property
     def orders(self) -> tuple[int, ...]:
-        return tuple(o for _, o in self.columns)
+        return tuple(S.index for S in self.columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +52,7 @@ class RelationSet:
 def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
     if basis is None:
         basis = genetic_basis_abelian(G)
-    return TargetProduct(tuple((S, S.index) for S in basis if S.index > 1))
+    return TargetProduct(tuple(S for S in basis if S.index > 1))
 
 
 def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
@@ -84,7 +84,7 @@ def relation_matrix(
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
     # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
     q = np.array(target.orders, dtype=np.int64)
-    F = np.array([S.form for S, _ in target.columns], dtype=np.int64)
+    F = np.array([S.form for S in target.columns], dtype=np.int64)
     n_gens = len(G.orders)
     # Candidate row r * n_gens + i is (reference r, generator i): its entry in
     # column c is F[c, i] where refs[r] is in the kernel of column c.

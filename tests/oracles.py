@@ -8,13 +8,19 @@ code paths it is used to check.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from sk1 import metacyclic
-from sk1.abelian import AbelianPGroup, Element, enumerate_elements, mul
+from sk1.abelian import AbelianPGroup, Element, enumerate_elements
 from sk1.genetic import enumerate_cyclic_homs
+from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
+
+
+def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:
+    """Componentwise sum modulo the factor orders."""
+    return tuple((a + b) % o for a, b, o in zip(x, y, G.orders))
 
 
 def order_by_iteration(G: AbelianPGroup, x: Element) -> int:
@@ -260,17 +266,90 @@ def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]
     return row
 
 
+def meta_mul(G: MetacyclicGroup, x: MElement, y: MElement) -> MElement:
+    """(a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*twist^j1) b^(j1 + j2), since
+    b^j a b^-j = a^(twist^j), and twist has order p modulo |a|."""
+    i1, j1 = x
+    i2, j2 = y
+    q = G.a_order
+    return ((i1 + i2 * pow(G.twist, j1, q)) % q, (j1 + j2) % G.prime)
+
+
+def meta_inverse(G: MetacyclicGroup, x: MElement) -> MElement:
+    """(a^i b^j)^-1 = b^-j a^-i = a^(-i*twist^-j) b^-j."""
+    i, j = x
+    q = G.a_order
+    return ((-i * pow(G.twist, -j, q)) % q, -j % G.prime)
+
+
+def meta_power(G: MetacyclicGroup, x: MElement, t: int) -> MElement:
+    """x^t by square and multiply; negative t uses the inverse."""
+    result = G.identity()
+    base = x if t >= 0 else meta_inverse(G, x)
+    t = abs(t)
+    while t:
+        if t & 1:
+            result = meta_mul(G, result, base)
+        base = meta_mul(G, base, base)
+        t >>= 1
+    return result
+
+
+def meta_element_order(G: MetacyclicGroup, x: MElement) -> int:
+    """Multiply x by itself until the identity comes back."""
+    t, y = 1, x
+    while y != G.identity():
+        y = meta_mul(G, y, x)
+        t += 1
+    return t
+
+
+def meta_elements(G: MetacyclicGroup) -> list[MElement]:
+    """All p^n elements in lexicographic (i, j) order."""
+    return [(i, j) for i in range(G.a_order) for j in range(G.prime)]
+
+
+def meta_centralizer(G: MetacyclicGroup, h: MElement) -> frozenset[MElement]:
+    """Set of the elements commuting with h."""
+    return frozenset(
+        g for g in meta_elements(G) if meta_mul(G, g, h) == meta_mul(G, h, g)
+    )
+
+
+def meta_closure(G: MetacyclicGroup, gens) -> frozenset[MElement]:
+    """Subgroup generated by gens, closed breadth first."""
+    seen = {G.identity()}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = meta_mul(G, x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
+
+
+@cache
+def meta_members(S: MetaGeneticSubgroup) -> frozenset[MElement]:
+    """Member set of a basis member, closed from its generators once per
+    member: the tests ask for the same member's set again and again."""
+    return meta_closure(S.group, S.gens)
+
+
 def quotient_exponents_by_cosets(G, S) -> dict:
     """For a normal metacyclic basis member S: class exponent of every
     element in G/S, relative to the coset of maximal order whose least
     member is smallest.  Walks every coset of the explicit member set.
     """
-    members = S.members
+    members = meta_members(S)
     rep = {}
-    for x in metacyclic.elements(G):
+    for x in meta_elements(G):
         if x in rep:
             continue
-        coset = [metacyclic.mul(G, x, s) for s in members]
+        coset = [meta_mul(G, x, s) for s in members]
         r = min(coset)
         for y in coset:
             rep[y] = r
@@ -279,7 +358,7 @@ def quotient_exponents_by_cosets(G, S) -> dict:
     def coset_order(r):
         t, y = 1, r
         while y not in members:
-            y = metacyclic.mul(G, y, r)
+            y = meta_mul(G, y, r)
             t += 1
         return t
 
@@ -288,7 +367,7 @@ def quotient_exponents_by_cosets(G, S) -> dict:
     cur = rep[G.identity()]
     for t in range(q):
         by_rep[cur] = t
-        cur = rep[metacyclic.mul(G, cur, gen)]
+        cur = rep[meta_mul(G, cur, gen)]
     assert len(by_rep) == q
     return {x: by_rep[r] for x, r in rep.items()}
 
@@ -307,11 +386,11 @@ def metacyclic_rows_by_elements(G, cols) -> list[tuple[int, ...]]:
     p, n = G.prime, G.n
     section = p ** (n - 2)
 
-    def entry(S, h, g):
+    def entry(S, members, h, g):
         (hi, hj), (gi, gj) = h, g
         if S.normal:
             alpha, beta = S.form
-            return (alpha * gi + beta * gj) % S.quotient_order if h in S.members else 0
+            return (alpha * gi + beta * gj) % S.quotient_order if h in members else 0
         if h == G.identity():
             return (gi + gj * (p - 1) * p ** (n - 3)) % section
         if hj != 0 and hi % section == 0:
@@ -324,7 +403,8 @@ def metacyclic_rows_by_elements(G, cols) -> list[tuple[int, ...]]:
         seed[c] = S.quotient_order
         rows.append(tuple(seed))
     seen = set(rows)
-    for h in metacyclic.elements(G):
+    member_sets = [meta_members(S) if S.normal else None for S in cols]
+    for h in meta_elements(G):
         hi, hj = h
         if hi % p == 0 and hj == 0:
             gens = (G.gen_a(), G.gen_b())
@@ -333,7 +413,7 @@ def metacyclic_rows_by_elements(G, cols) -> list[tuple[int, ...]]:
         else:
             gens = (h,)
         for g in gens:
-            row = tuple(entry(S, h, g) for S in cols)
+            row = tuple(entry(S, M, h, g) for S, M in zip(cols, member_sets))
             if row not in seen:
                 seen.add(row)
                 rows.append(row)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import oracles
 from sk1 import cli
 from sk1.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from sk1.metacyclic import genetic_basis_metacyclic, make_metacyclic
@@ -86,7 +87,7 @@ def test_basis_metacyclic_index_matches_member_sets(capsys, p, n):
     assert rc == EXIT_OK
     G = make_metacyclic(p, n)
     want = [
-        f"{S.label}\t{G.order // len(S.members)}\t{S.quotient_order}"
+        f"{S.label}\t{G.order // len(oracles.meta_members(S))}\t{S.quotient_order}"
         for S in genetic_basis_metacyclic(G)
     ]
     assert out.splitlines() == want

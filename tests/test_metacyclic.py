@@ -7,21 +7,24 @@ import pytest
 
 import oracles
 from sk1.errors import BadParams, DomainViolation, TooLarge
+from oracles import (
+    meta_centralizer,
+    meta_closure,
+    meta_element_order,
+    meta_elements,
+    meta_inverse,
+    meta_members,
+    meta_mul,
+    meta_power,
+)
 from sk1.metacyclic import (
     DEFAULT_MAX_ORDER,
     MetaGeneticSubgroup,
-    _closure,
     _entries,
     _relation_rows,
     _row_pairs,
-    centralizer,
-    element_order,
-    elements,
     genetic_basis_metacyclic,
-    inverse,
     make_metacyclic,
-    mul,
-    power,
     relation_component,
     sk1_metacyclic,
 )
@@ -29,7 +32,7 @@ from sk1.snf import distinct_rows
 
 
 def conjugate(G, g, x):
-    return mul(G, mul(G, g, x), inverse(G, g))
+    return meta_mul(G, meta_mul(G, g, x), meta_inverse(G, g))
 
 
 def conjugacy_class(G, S):
@@ -47,7 +50,7 @@ def conjugacy_class(G, S):
 
 def brute_normalizer(G, members):
     out = []
-    for g in elements(G):
+    for g in meta_elements(G):
         if all(conjugate(G, g, s) in members for s in members):
             out.append(g)
     return frozenset(out)
@@ -82,19 +85,19 @@ def test_make_rejects_bad_params(p, n):
 def test_presentation_relations(p, n):
     G = make_metacyclic(p, n)
     a, b = G.gen_a(), G.gen_b()
-    assert power(G, a, G.a_order) == G.identity()
-    assert power(G, b, p) == G.identity()
-    assert element_order(G, a) == G.a_order
-    assert element_order(G, b) == p
+    assert meta_power(G, a, G.a_order) == G.identity()
+    assert meta_power(G, b, p) == G.identity()
+    assert meta_element_order(G, a) == G.a_order
+    assert meta_element_order(G, b) == p
     # b a b^-1 = a^twist
-    lhs = mul(G, mul(G, b, a), inverse(G, b))
+    lhs = meta_mul(G, meta_mul(G, b, a), meta_inverse(G, b))
     assert lhs == (G.twist % G.a_order, 0)
-    assert mul(G, a, b) != mul(G, b, a)  # the group is not abelian
+    assert meta_mul(G, a, b) != meta_mul(G, b, a)  # the group is not abelian
 
 
 def test_elements_enumeration():
     G = make_metacyclic(3, 3)
-    els = elements(G)
+    els = meta_elements(G)
     assert len(els) == 27
     assert els[0] == (0, 0)
     assert els[1] == (0, 1)
@@ -106,35 +109,35 @@ def test_group_axioms_random():
     rng = random.Random(31)
     for p, n in ((3, 4), (5, 3)):
         G = make_metacyclic(p, n)
-        els = elements(G)
+        els = meta_elements(G)
         e = G.identity()
         for _ in range(300):
             x, y, z = (rng.choice(els) for _ in range(3))
-            assert mul(G, mul(G, x, y), z) == mul(G, x, mul(G, y, z))
-            assert mul(G, x, inverse(G, x)) == e
-            assert mul(G, e, x) == x
+            assert meta_mul(G, meta_mul(G, x, y), z) == meta_mul(G, x, meta_mul(G, y, z))
+            assert meta_mul(G, x, meta_inverse(G, x)) == e
+            assert meta_mul(G, e, x) == x
             t = rng.randint(-8, 8)
             acc = e
-            step = x if t >= 0 else inverse(G, x)
+            step = x if t >= 0 else meta_inverse(G, x)
             for _ in range(abs(t)):
-                acc = mul(G, acc, step)
-            assert power(G, x, t) == acc
+                acc = meta_mul(G, acc, step)
+            assert meta_power(G, x, t) == acc
 
 
 def test_element_orders_divide_group_order():
     G = make_metacyclic(3, 4)
-    for x in elements(G):
-        o = element_order(G, x)
+    for x in meta_elements(G):
+        o = meta_element_order(G, x)
         assert G.order % o == 0
-        assert power(G, x, o) == G.identity()
+        assert meta_power(G, x, o) == G.identity()
 
 
 def test_centralizer_sizes():
     G = make_metacyclic(3, 4)
-    assert len(centralizer(G, (3, 0))) == 81  # central element
-    assert len(centralizer(G, (0, 1))) == 27  # b-type element
-    assert len(centralizer(G, (3, 1))) == 27
-    assert len(centralizer(G, (1, 0))) == 27  # generates <a>
+    assert len(meta_centralizer(G, (3, 0))) == 81  # central element
+    assert len(meta_centralizer(G, (0, 1))) == 27  # b-type element
+    assert len(meta_centralizer(G, (3, 1))) == 27
+    assert len(meta_centralizer(G, (1, 0))) == 27  # generates <a>
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4)])
@@ -142,17 +145,17 @@ def test_centralizer_classification(p, n):
     # The three-way split used to pick row generators must match the
     # brute-force centralizer for every element.
     G = make_metacyclic(p, n)
-    whole = frozenset(elements(G))
-    middle = _closure(G, [(p, 0), G.gen_b()])
-    for h in elements(G):
+    whole = frozenset(meta_elements(G))
+    middle = meta_closure(G, [(p, 0), G.gen_b()])
+    for h in meta_elements(G):
         hi, hj = h
         if hi % p == 0 and hj == 0:
             want = whole
         elif hi % p == 0:
             want = middle
         else:
-            want = _closure(G, [h])
-        assert centralizer(G, h) == want
+            want = meta_closure(G, [h])
+        assert meta_centralizer(G, h) == want
 
 
 @pytest.mark.parametrize(
@@ -187,12 +190,12 @@ def test_basis_labels_and_orders_m5_3():
 def test_basis_member_sets_m4_3():
     G = make_metacyclic(3, 4)
     by_label = {S.label: S for S in genetic_basis_metacyclic(G)}
-    assert by_label["<b>"].members == frozenset({(0, 0), (0, 1), (0, 2)})
-    assert by_label["<a>"].members == frozenset((i, 0) for i in range(27))
-    assert by_label["<a^3,b>"].members == frozenset(
+    assert meta_members(by_label["<b>"]) == frozenset({(0, 0), (0, 1), (0, 2)})
+    assert meta_members(by_label["<a>"]) == frozenset((i, 0) for i in range(27))
+    assert meta_members(by_label["<a^3,b>"]) == frozenset(
         (i, j) for i in range(0, 27, 3) for j in range(3)
     )
-    ab = by_label["<a*b>"].members
+    ab = meta_members(by_label["<a*b>"])
     assert (1, 1) in ab and len(ab) == 27
 
 
@@ -201,12 +204,12 @@ def test_normality_flags_and_section_orders(p, n):
     # quotient_order must equal |N(S)| / |S| for every member: the full
     # quotient when S is normal, the cyclic section otherwise.
     G = make_metacyclic(p, n)
-    middle = _closure(G, [(p, 0), G.gen_b()])
+    middle = meta_closure(G, [(p, 0), G.gen_b()])
     for S in genetic_basis_metacyclic(G):
-        N = brute_normalizer(G, S.members)
+        N = brute_normalizer(G, meta_members(S))
         is_normal = len(N) == G.order
         assert S.normal == is_normal
-        assert S.quotient_order == len(N) // len(S.members)
+        assert S.quotient_order == len(N) // len(meta_members(S))
         if not is_normal:
             # the only non-normal member is <b>; its normalizer is <a^p, b>
             assert N == middle
@@ -218,16 +221,16 @@ def test_conjugates_of_the_nonnormal_member(p, n):
     # pairs (i, j) with j != 0 and i divisible by p^(n-2).
     G = make_metacyclic(p, n)
     basis = genetic_basis_metacyclic(G)
-    B = basis[-1]
-    conjugates = {frozenset(conjugate(G, g, s) for s in B.members) for g in elements(G)}
+    B = meta_members(basis[-1])
+    conjugates = {frozenset(conjugate(G, g, s) for s in B) for g in meta_elements(G)}
     assert len(conjugates) == p
-    middle = _closure(G, [(p, 0), G.gen_b()])
+    middle = meta_closure(G, [(p, 0), G.gen_b()])
     for c in conjugates:
         assert c <= middle
     seen = set().union(*conjugates) - {G.identity()}
     want = {
         (i, j)
-        for i, j in elements(G)
+        for i, j in meta_elements(G)
         if j != 0 and i % p ** (n - 2) == 0
     }
     assert seen == want
@@ -277,9 +280,9 @@ def test_relation_component_rejects_uncentralized_pairs():
         G = make_metacyclic(p, n)
         basis = genetic_basis_metacyclic(G)
         columns = (basis[1], basis[-1])
-        for h in elements(G):
-            C = centralizer(G, h)
-            for k, g in enumerate(elements(G)):
+        for h in meta_elements(G):
+            C = meta_centralizer(G, h)
+            for k, g in enumerate(meta_elements(G)):
                 S = columns[k % 2]
                 if g in C:
                     relation_component(G, S, h, g)
@@ -320,12 +323,12 @@ def test_identity_rows_are_additive(p, n):
     # cyclic group, so entries must add under multiplication.
     G = make_metacyclic(p, n)
     rng = random.Random(p * 100 + n)
-    els = elements(G)
+    els = meta_elements(G)
     e = G.identity()
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
     for _ in range(60):
         g1, g2 = rng.choice(els), rng.choice(els)
-        g12 = mul(G, g1, g2)
+        g12 = meta_mul(G, g1, g2)
         for S in cols:
             lhs = relation_component(G, S, e, g12)
             rhs = relation_component(G, S, e, g1) + relation_component(G, S, e, g2)
@@ -339,11 +342,11 @@ def test_nonnormal_column_is_additive_on_the_centralizer(p, n):
     G = make_metacyclic(p, n)
     rng = random.Random(p * 10 + n)
     b = G.gen_b()
-    dom = sorted(_closure(G, [(p, 0), b]))
+    dom = sorted(meta_closure(G, [(p, 0), b]))
     B = genetic_basis_metacyclic(G)[-1]
     for _ in range(60):
         g1, g2 = rng.choice(dom), rng.choice(dom)
-        g12 = mul(G, g1, g2)
+        g12 = meta_mul(G, g1, g2)
         lhs = relation_component(G, B, b, g12)
         rhs = relation_component(G, B, b, g1) + relation_component(G, B, b, g2)
         assert lhs == (rhs % B.quotient_order)
@@ -360,10 +363,10 @@ def test_normal_column_classes_are_balanced(p, n):
             continue
         q = S.quotient_order
         tally = {}
-        for g in elements(G):
+        for g in meta_elements(G):
             v = relation_component(G, S, e, g)
             tally[v] = tally.get(v, 0) + 1
-            assert (v == 0) == (g in S.members)
+            assert (v == 0) == (g in meta_members(S))
         assert tally == {t: G.order // q for t in range(q)}
 
 
@@ -379,15 +382,16 @@ def test_normal_columns_match_coset_oracle(p, n):
     G = make_metacyclic(p, n)
     a, b, e = G.gen_a(), G.gen_b(), G.identity()
     cols = [S for S in genetic_basis_metacyclic(G) if S.normal and S.quotient_order > 1]
-    pairs = [(e, g) for g in elements(G)]
-    for h in elements(G):
+    pairs = [(e, g) for g in meta_elements(G)]
+    for h in meta_elements(G):
         if h[0] % p == 0:
             pairs += [(h, g) for g in ((a, b) if h[1] == 0 else ((p, 0), b))]
     h_arr, g_arr = (np.array(x, dtype=np.int64) for x in zip(*pairs))
     got = _entries(G, cols, h_arr, g_arr)
     for c, S in enumerate(cols):
         want = oracles.quotient_exponents_by_cosets(G, S)
-        expected = [want[g] if h in S.members else 0 for h, g in pairs]
+        members = meta_members(S)
+        expected = [want[g] if h in members else 0 for h, g in pairs]
         assert got[:, c].tolist() == expected
 
 
@@ -467,17 +471,17 @@ def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
     refs = [tuple(x) for x in h[0::2].tolist()]
     assert refs == [tuple(x) for x in h[1::2].tolist()]
 
-    A = _closure(G, [(p, 0), G.gen_b()])
+    A = meta_closure(G, [(p, 0), G.gen_b()])
     assert all(x in A for x in refs)
-    listed = [_closure(G, [x]) for x in refs]
+    listed = [meta_closure(G, [x]) for x in refs]
     classes = [conjugacy_class(G, S) for S in listed]
     for i, S in enumerate(listed):
         assert not any(S in c for c in classes[i + 1 :])
-    for C in {_closure(G, [x]) for x in A}:
+    for C in {meta_closure(G, [x]) for x in A}:
         assert sum(C in c for c in classes) == 1
     for k, x in enumerate(refs):
         gens = [tuple(y) for y in g[2 * k : 2 * k + 2].tolist()]
-        assert _closure(G, gens) == centralizer(G, x)
+        assert meta_closure(G, gens) == meta_centralizer(G, x)
 
 
 def one_generator_per_cyclic_subgroup_pairs(G):

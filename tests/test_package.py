@@ -6,11 +6,11 @@ import sk1
 # each must still resolve as an attribute.
 IMPORTABLE = """
 AbelianPGroup BadParams ConjecturePrediction CyclicDecomposition
-DimensionMismatch DomainViolation EXHAUSTIVE Element GeneticSubgroupA
+DomainViolation EXHAUSTIVE Element GeneticSubgroupA
 InfiniteCokernel IrrepCounts MetaGeneticSubgroup MetacyclicGroup NonOddPrime
 NotPPower REPRESENTATIVES RelationSet Sk1Error TargetProduct TooLarge
-VerifyReport centralizer cokernel_decomposition cyclic_quotient_count
-element_order enumerate_cyclic_homs enumerate_elements genetic_basis_abelian
+VerifyReport cokernel_decomposition cyclic_quotient_count
+enumerate_cyclic_homs enumerate_elements genetic_basis_abelian
 genetic_basis_metacyclic irrep_counts_metacyclic irrep_counts_square_abelian
 make_group make_metacyclic predicted_decomposition predicted_multiplicity
 rank_metacyclic rank_square_abelian relation_component relation_matrix sk1
@@ -18,8 +18,16 @@ sk1_metacyclic smith_divisors target_product verify
 """.split()
 
 # Retired on purpose: an abelian basis member is its linear form, and the
-# per-element reference rows live in tests/oracles.py.
-RETIRED = ["CyclicHom", "quotient_dlog", "relation_row"]
+# per-element reference rows and the element-level group arithmetic of
+# both families live in tests/oracles.py.
+RETIRED = [
+    "CyclicHom", "quotient_dlog", "relation_row",
+    "centralizer", "element_order", "DimensionMismatch",
+]
+RETIRED_METACYCLIC = [
+    "mul", "inverse", "power", "element_order", "elements", "centralizer", "_closure",
+]
+RETIRED_ABELIAN = ["mul", "element_order"]
 
 
 def test_public_api_is_a_subset_of_importable_names():
@@ -29,6 +37,15 @@ def test_public_api_is_a_subset_of_importable_names():
         assert hasattr(sk1, name), name
     for name in RETIRED:
         assert not hasattr(sk1, name), name
+
+
+def test_element_arithmetic_is_retired():
+    for name in RETIRED_METACYCLIC:
+        assert not hasattr(sk1.metacyclic, name), name
+    for name in RETIRED_ABELIAN:
+        assert not hasattr(sk1.abelian, name), name
+    assert not hasattr(sk1.errors, "DimensionMismatch")
+    assert not hasattr(sk1.MetaGeneticSubgroup, "members")
 
 
 def test_star_import_gives_the_public_api():

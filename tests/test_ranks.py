@@ -5,7 +5,7 @@ import pytest
 from sk1.abelian import make_group
 from sk1.errors import BadParams
 from sk1.genetic import genetic_basis_abelian
-from sk1.metacyclic import elements, genetic_basis_metacyclic, inverse, make_metacyclic, mul
+from sk1.metacyclic import genetic_basis_metacyclic, make_metacyclic
 from sk1.ranks import (
     IrrepCounts,
     _exact_div,
@@ -19,7 +19,7 @@ import oracles
 
 
 def conjugacy_class_count(G) -> int:
-    els = elements(G)
+    els = oracles.meta_elements(G)
     seen = set()
     classes = 0
     for x in els:
@@ -27,7 +27,7 @@ def conjugacy_class_count(G) -> int:
             continue
         classes += 1
         for g in els:
-            seen.add(mul(G, mul(G, g, x), inverse(G, g)))
+            seen.add(oracles.meta_mul(G, oracles.meta_mul(G, g, x), oracles.meta_inverse(G, g)))
     return classes
 
 

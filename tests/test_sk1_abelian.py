@@ -24,13 +24,14 @@ from sk1.snf import cokernel_decomposition
 
 def columns_by_tuple(G):
     target = target_product(G)
-    return {S.coeffs: i for i, (S, _) in enumerate(target.columns)}
+    return {S.coeffs: i for i, S in enumerate(target.columns)}
 
 
 def test_target_product_c3xc3():
     G = make_group(3, [3, 3])
     target = target_product(G)
     assert len(target.columns) == 4
+    assert target.columns == tuple(S for S in genetic_basis_abelian(G) if S.index > 1)
     assert target.orders == (3, 3, 3, 3)
     assert set(columns_by_tuple(G)) == {(0, 1), (1, 0), (1, 1), (1, 2)}
 
