@@ -22,7 +22,6 @@ from .conjecture import (
 from .errors import (
     BadParams,
     DomainViolation,
-    InfiniteCokernel,
     NonOddPrime,
     NotPPower,
     Sk1Error,
@@ -58,7 +57,7 @@ from .sk1_abelian import (
     sk1,
     target_product,
 )
-from .snf import CyclicDecomposition, cokernel_decomposition, smith_divisors
+from .snf import CyclicDecomposition, cokernel_decomposition
 
 __version__ = "0.1.0"
 
@@ -71,7 +70,6 @@ __all__ = [
     "CyclicDecomposition",
     "EXHAUSTIVE",
     "GeneticSubgroupA",
-    "InfiniteCokernel",
     "IrrepCounts",
     "MetaGeneticSubgroup",
     "MetacyclicGroup",
@@ -95,6 +93,5 @@ __all__ = [
     "rank_square_abelian",
     "sk1",
     "sk1_metacyclic",
-    "smith_divisors",
     "verify",
 ]

@@ -21,9 +21,5 @@ class BadParams(Sk1Error):
     """Parameters lie outside the domain of a closed-form formula."""
 
 
-class InfiniteCokernel(Sk1Error):
-    """The relation rows do not span a finite-index sublattice."""
-
-
 class DomainViolation(Sk1Error):
     """An element lies outside the centralizer it was required to belong to."""

@@ -13,6 +13,7 @@ decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,10 +103,8 @@ def relation_matrix(
     return RelationSet(target, distinct_rows(q, candidates))
 
 
-# Results of sk1 per (group, strategy), least recently used first; the
-# oldest is dropped once SK1_CACHE_SIZE are held.
+# The most recent results of sk1, keyed by (group, strategy).
 SK1_CACHE_SIZE = 128
-_SK1_CACHE: dict = {}
 
 
 def sk1(
@@ -121,13 +120,11 @@ def sk1(
     the guard refuses.
     """
     _check_strategy(G, strategy, max_order)
-    key = (G, strategy)
-    dec = _SK1_CACHE.pop(key, None)
-    if dec is None:
-        rel = relation_matrix(G, strategy=strategy, max_order=max_order)
-        dec = cokernel_decomposition(rel.rows)
-        if len(_SK1_CACHE) >= SK1_CACHE_SIZE:
-            del _SK1_CACHE[next(iter(_SK1_CACHE))]
-    # Insertion order is recency order: a hit moves to the end.
-    _SK1_CACHE[key] = dec
-    return dec
+    return _solve(G, strategy)
+
+
+@lru_cache(maxsize=SK1_CACHE_SIZE)
+def _solve(G: AbelianPGroup, strategy: str) -> CyclicDecomposition:
+    # ``sk1`` has checked the guard already.
+    rel = relation_matrix(G, strategy=strategy, max_order=G.order)
+    return cokernel_decomposition(rel.rows)

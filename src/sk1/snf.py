@@ -32,11 +32,16 @@ sparse elimination computes it:
 - after phase e-1 no entry is left, and each column without a pivot
   is a C_q.
 
-The precondition is read off the seed rows of the triples, in the same
-pass that gives each column's modulus g: every column has a seed row,
-the lcm q of the per-column gcds of the seed entries is a prime power,
-and q**2 < 2**63.  Any other input, and every ``smith_divisors`` call,
-goes through an exact elimination on unbounded Python integers instead.
+This is the only elimination.  Its precondition is read off the seed
+rows of the triples, in the same pass that gives each column's modulus
+g: every column has a seed row, the lcm q of the per-column gcds of the
+seed entries is a prime power, and q**2 < 2**63.  A lattice that fails
+one raises ValueError naming it.  The bound on q keeps the entries
+reduced mod g inside int64 and the trial division that finds p short;
+the elimination itself runs on Python integers.  When q = 1 every column
+has a unit seed, the rows span Z^cols, and the trivial decomposition is
+returned without an elimination.  A seed row in every column gives full
+rank, so the cokernel is always finite.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteCokernel
 
 @dataclass(frozen=True)
 class CyclicDecomposition:
@@ -206,38 +210,23 @@ def distinct_rows(orders, rows) -> Lattice:
     return Lattice(row[keep], col[keep], val[keep], (len(first), k))
 
 
-def smith_divisors(mat) -> list[int]:
-    """Diagonal invariants d_1 | d_2 | ... of an integer matrix.
-
-    The list has length min(rows, cols); zeros (rank deficiency) appear
-    last.  Accepts any rectangular nest of integers or a 2-d integer
-    ndarray.
-    """
-    rows = _int_array(mat).tolist()
-    return _divisor_chain(_diagonalize_exact(rows), min(len(rows), len(rows[0])))
-
-
 def cokernel_decomposition(mat) -> CyclicDecomposition:
     """Z^cols modulo the row span, as a cyclic decomposition.
 
     ``mat`` is a Lattice or a dense integer matrix, which is converted to
-    one once.  Raises InfiniteCokernel unless the rows have full column
-    rank.
+    one once.  Raises ValueError, naming the condition, when the seed
+    rows do not meet the precondition of ``_local_lattice``.
     """
-    lat = _as_lattice(mat)
-    local = _local_lattice(lat)
-    if local is not None:
-        return CyclicDecomposition(_cokernel_mod_prime_power(*local))
-    divisors = smith_divisors(np.asarray(lat))
-    if lat.shape[0] < lat.shape[1] or 0 in divisors:
-        raise InfiniteCokernel("relation rows do not have full column rank")
-    return CyclicDecomposition(tuple(d for d in divisors if d > 1))
+    p, e, rows, cols, mods = _local_lattice(_as_lattice(mat))
+    if e == 0:
+        return CyclicDecomposition()
+    return CyclicDecomposition(_cokernel_mod_prime_power(p, e, rows, cols, mods))
 
 
 def _local_lattice(lat: Lattice):
-    """(p, e, rows, cols, mods) when the row span contains q*Z^cols for
-    q = p^e, read off the seed rows (one nonzero entry), and q**2 < 2**63;
-    else None.
+    """(p, e, rows, cols, mods) for a lattice whose row span contains
+    q*Z^cols for q = p^e, read off the seed rows (one nonzero entry);
+    (1, 0, [], [], mods) when q = 1.
 
     Column c's seed entries put their gcd g_c times e_c into the span, so
     q = lcm(g_c) works once every column has a seed, and g_c divides q.
@@ -245,6 +234,11 @@ def _local_lattice(lat: Lattice):
     entry}, cols[c] is the set of rows with an entry in column c, and
     column c's entries are reduced mod mods[c] = g_c.  One seed row
     {c: g_c} (none when g_c = q) stands in for the seed rows of column c.
+
+    Raises ValueError when a column has no seed row, when q is not a
+    prime power, or when q**2 >= 2**63.  That bound keeps the reduced
+    entries inside int64 and the trial division that finds p below 2**16
+    steps.
     """
     n_rows, n_cols = lat.shape
     single = np.bincount(lat.row, minlength=n_rows)[lat.row] == 1
@@ -252,17 +246,20 @@ def _local_lattice(lat: Lattice):
     np.gcd.at(gcds, lat.col[single], lat.val[single])
     mods = gcds.tolist()
     if 0 in mods:
-        return None
+        raise ValueError(f"column {mods.index(0)} has no seed row (a row with one nonzero entry)")
     q = math.lcm(*mods)
-    if q == 1 or q * q >= 2**63:
-        return None
+    if q == 1:
+        # A unit seed in every column: the rows span Z^cols.
+        return 1, 0, [], [], mods
+    if q * q >= 2**63:
+        raise ValueError(f"the seed rows give q = {q}, and q**2 >= 2**63")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e, rest = 0, q
     while rest % p == 0:
         rest //= p
         e += 1
     if rest != 1:
-        return None
+        raise ValueError(f"the seed rows give q = {q}, which is not a prime power")
     r, c = lat.row[~single], lat.col[~single]
     vals = (lat.val[~single] % gcds[c]).astype(np.int64)
     keep = vals != 0
@@ -340,82 +337,3 @@ def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
                 orders.append(pk)
     # No entry is left: each column without a pivot is a C_q.
     return orders + [q] * (len(cols) - pivots)
-
-
-def _divisor_chain(diagonal: list[int], slots: int) -> list[int]:
-    """Rebalance a diagonal multiset into the invariant-factor chain."""
-    vals = [abs(v) for v in diagonal if v]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals) - 1):
-            a, b = vals[i], vals[i + 1]
-            if b % a:
-                g = math.gcd(a, b)
-                vals[i], vals[i + 1] = g, a // g * b
-                changed = True
-    return vals + [0] * (slots - len(vals))
-
-
-def _diagonalize_exact(rows: list[list[int]]) -> list[int]:
-    """Reduce rows to diagonal form over Z; return the diagonal entries.
-
-    Pivots on the smallest nonzero entry of the remaining block and
-    clears its row and column by Euclidean steps, on unbounded integers.
-    """
-    M = [list(r) for r in rows]
-    n_rows, n_cols = len(M), len(M[0])
-    diagonal: list[int] = []
-    t = 0
-    while t < n_rows and t < n_cols:
-        best = None
-        bi = bj = -1
-        for i in range(t, n_rows):
-            Mi = M[i]
-            for j in range(t, n_cols):
-                v = Mi[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best:
-                        best, bi, bj = a, i, j
-        if best is None:
-            break
-        M[t], M[bi] = M[bi], M[t]
-        if bj != t:
-            for r in M:
-                r[t], r[bj] = r[bj], r[t]
-        if M[t][t] < 0:
-            M[t] = [-v for v in M[t]]
-        while True:
-            pivot = M[t][t]
-            Mt = M[t]
-            dirty = -1
-            for i in range(t + 1, n_rows):
-                Mi = M[i]
-                v = Mi[t]
-                if v:
-                    q = v // pivot
-                    if q:
-                        for j in range(t, n_cols):
-                            Mi[j] -= q * Mt[j]
-                    if Mi[t] and (dirty < 0 or Mi[t] < M[dirty][t]):
-                        dirty = i
-            if dirty >= 0:
-                M[t], M[dirty] = M[dirty], M[t]
-                continue
-            rowdirty = -1
-            for j in range(t + 1, n_cols):
-                v = Mt[j]
-                if v:
-                    v %= pivot
-                    Mt[j] = v
-                    if v and (rowdirty < 0 or v < Mt[rowdirty]):
-                        rowdirty = j
-            if rowdirty >= 0:
-                for r in M:
-                    r[t], r[rowdirty] = r[rowdirty], r[t]
-                continue
-            break
-        diagonal.append(M[t][t])
-        t += 1
-    return diagonal

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to pin derived expectations.
 
 Everything here works from first principles (repeated multiplication,
-set closure, cofactor determinants) and deliberately avoids the library
-code paths it is used to check.
+set closure, cofactor determinants, Euclidean elimination over Z) and
+deliberately avoids the library code paths it is used to check.
 """
 
 from __future__ import annotations
@@ -185,6 +185,105 @@ def cokernel_by_dense_elimination(rows, p: int, e: int) -> list[int]:
         if pk > 1:
             orders.append(pk)
     return orders
+
+
+def smith_divisors(mat) -> list[int]:
+    """Diagonal invariants d_1 | d_2 | ... of an integer matrix, by an
+    exact elimination on unbounded Python integers.
+
+    The list has length min(rows, cols); zeros (rank deficiency) come
+    last.  Accepts a rectangular nest of integers or a 2-d integer
+    ndarray.
+    """
+    if isinstance(mat, np.ndarray):
+        mat = mat.tolist()
+    rows = [[int(v) for v in r] for r in mat]
+    return _divisor_chain(_diagonalize_exact(rows), min(len(rows), len(rows[0])))
+
+
+def exact_cokernel(rows) -> tuple[int, ...]:
+    """Nontrivial invariants of Z^cols / rowspan, ascending, from
+    ``smith_divisors``."""
+    return tuple(sorted(d for d in smith_divisors(rows) if d > 1))
+
+
+def _divisor_chain(diagonal: list[int], slots: int) -> list[int]:
+    """Rebalance a diagonal multiset into the invariant-factor chain."""
+    vals = [abs(v) for v in diagonal if v]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vals) - 1):
+            a, b = vals[i], vals[i + 1]
+            if b % a:
+                g = math.gcd(a, b)
+                vals[i], vals[i + 1] = g, a // g * b
+                changed = True
+    return vals + [0] * (slots - len(vals))
+
+
+def _diagonalize_exact(rows: list[list[int]]) -> list[int]:
+    """Reduce rows to diagonal form over Z; return the diagonal entries.
+
+    Pivots on the smallest nonzero entry of the remaining block and
+    clears its row and column by Euclidean steps, on unbounded integers.
+    """
+    M = [list(r) for r in rows]
+    n_rows, n_cols = len(M), len(M[0])
+    diagonal: list[int] = []
+    t = 0
+    while t < n_rows and t < n_cols:
+        best = None
+        bi = bj = -1
+        for i in range(t, n_rows):
+            Mi = M[i]
+            for j in range(t, n_cols):
+                v = Mi[j]
+                if v:
+                    a = -v if v < 0 else v
+                    if best is None or a < best:
+                        best, bi, bj = a, i, j
+        if best is None:
+            break
+        M[t], M[bi] = M[bi], M[t]
+        if bj != t:
+            for r in M:
+                r[t], r[bj] = r[bj], r[t]
+        if M[t][t] < 0:
+            M[t] = [-v for v in M[t]]
+        while True:
+            pivot = M[t][t]
+            Mt = M[t]
+            dirty = -1
+            for i in range(t + 1, n_rows):
+                Mi = M[i]
+                v = Mi[t]
+                if v:
+                    q = v // pivot
+                    if q:
+                        for j in range(t, n_cols):
+                            Mi[j] -= q * Mt[j]
+                    if Mi[t] and (dirty < 0 or Mi[t] < M[dirty][t]):
+                        dirty = i
+            if dirty >= 0:
+                M[t], M[dirty] = M[dirty], M[t]
+                continue
+            rowdirty = -1
+            for j in range(t + 1, n_cols):
+                v = Mt[j]
+                if v:
+                    v %= pivot
+                    Mt[j] = v
+                    if v and (rowdirty < 0 or v < Mt[rowdirty]):
+                        rowdirty = j
+            if rowdirty >= 0:
+                for r in M:
+                    r[t], r[rowdirty] = r[rowdirty], r[t]
+                continue
+            break
+        diagonal.append(M[t][t])
+        t += 1
+    return diagonal
 
 
 def hom_weights(G: AbelianPGroup, coeffs) -> tuple[int, ...]:

@@ -7,22 +7,25 @@ import sk1
 IMPORTABLE = """
 AbelianPGroup BadParams ConjecturePrediction CyclicDecomposition
 DomainViolation EXHAUSTIVE Element GeneticSubgroupA
-InfiniteCokernel IrrepCounts MetaGeneticSubgroup MetacyclicGroup NonOddPrime
+IrrepCounts MetaGeneticSubgroup MetacyclicGroup NonOddPrime
 NotPPower REPRESENTATIVES RelationSet Sk1Error TargetProduct TooLarge
 VerifyReport cokernel_decomposition cyclic_quotient_count
 enumerate_cyclic_homs enumerate_elements genetic_basis_abelian
 genetic_basis_metacyclic irrep_counts_metacyclic irrep_counts_square_abelian
 make_group make_metacyclic predicted_decomposition predicted_multiplicity
 rank_metacyclic rank_square_abelian relation_component relation_matrix sk1
-sk1_metacyclic smith_divisors target_product verify
+sk1_metacyclic target_product verify
 """.split()
 
 # Retired on purpose: an abelian basis member is its linear form, and the
-# per-element reference rows and the element-level group arithmetic of
-# both families live in tests/oracles.py.
+# per-element reference rows, the element-level group arithmetic of both
+# families and the exact Smith form over Z live in tests/oracles.py.  A
+# lattice with a seed row in every column has full rank, so no cokernel
+# is infinite.
 RETIRED = [
     "CyclicHom", "quotient_dlog", "relation_row",
     "centralizer", "element_order", "DimensionMismatch",
+    "smith_divisors", "InfiniteCokernel",
 ]
 RETIRED_METACYCLIC = [
     "mul", "inverse", "power", "element_order", "elements", "centralizer", "_closure",
@@ -53,3 +56,9 @@ def test_star_import_gives_the_public_api():
     exec("from sk1 import *", ns)
     assert set(ns) - {"__builtins__"} == set(sk1.__all__)
     assert "relation_matrix" not in ns
+
+
+def test_exact_smith_form_is_retired():
+    for name in ("smith_divisors", "_diagonalize_exact", "_divisor_chain"):
+        assert not hasattr(sk1.snf, name), name
+    assert not hasattr(sk1.errors, "InfiniteCokernel")

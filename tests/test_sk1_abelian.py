@@ -1,6 +1,7 @@
 """Tests for the abelian relation-matrix pipeline."""
 
 import tracemalloc
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -205,18 +206,30 @@ def test_sk1_cache_drops_the_least_recently_used(monkeypatch):
 
     # The default holds every distinct solve of a long mixed session, such
     # as the 48 of the perfbench sweep.
-    assert sk1_abelian.SK1_CACHE_SIZE >= 48
-    monkeypatch.setattr(sk1_abelian, "_SK1_CACHE", {})
-    monkeypatch.setattr(sk1_abelian, "SK1_CACHE_SIZE", 2)
+    assert sk1_abelian._solve.cache_info().maxsize == sk1_abelian.SK1_CACHE_SIZE >= 48
+    solve = lru_cache(maxsize=2)(sk1_abelian._solve.__wrapped__)
+    monkeypatch.setattr(sk1_abelian, "_solve", solve)
+
+    def hits_and_misses():
+        info = solve.cache_info()
+        return info.hits, info.misses
+
     A, B, C = (make_group(3, orders) for orders in ([3, 3], [9, 3], [9, 9]))
     a, b = sk1(A), sk1(B)
     assert sk1(A) is a  # the hit makes A the most recent
     c = sk1(C)  # so B is dropped
-    assert list(sk1_abelian._SK1_CACHE) == [(A, REPRESENTATIVES), (C, REPRESENTATIVES)]
+    assert hits_and_misses() == (1, 3)
     assert sk1(A) is a and sk1(C) is c
+    assert hits_and_misses() == (3, 3)
     again = sk1(B)  # solved anew, dropping A
     assert again == b and again is not b
-    assert list(sk1_abelian._SK1_CACHE) == [(C, REPRESENTATIVES), (B, REPRESENTATIVES)]
+    assert hits_and_misses() == (3, 4)
+    assert sk1(C) is c  # C and B are held
+    assert sk1(B) is again
+    assert hits_and_misses() == (5, 4) and solve.cache_info().currsize == 2
+    fresh = sk1(A)  # A was dropped
+    assert fresh == a and fresh is not a
+    assert hits_and_misses() == (5, 5)
     # A full cache still checks the guard before the lookup.
     sk1(B, strategy=EXHAUSTIVE, max_order=10**4)
     with pytest.raises(TooLarge):
@@ -227,14 +240,14 @@ def test_sk1_cache_drops_the_least_recently_used(monkeypatch):
     "n,expected",
     [(5, {1: 60, 2: 42, 3: 12, 4: 2}), (6, {1: 170, 2: 120, 3: 54, 4: 12, 5: 2})],
 )
-def test_sk1_peak_memory_stays_below_one_dense_matrix(n, expected, monkeypatch):
+def test_sk1_peak_memory_stays_below_one_dense_matrix(n, expected):
     # The lattice stays sparse from the rows to the Smith form, so a cold
     # solve of C_{3^n}^2 allocates less than one int64 copy of its dense
     # relation matrix (1452 x 484 for n = 5, 4368 x 1456 for n = 6).
     from sk1 import sk1_abelian
 
     G = make_group(3, [3**n, 3**n])
-    monkeypatch.setattr(sk1_abelian, "_SK1_CACHE", {})
+    sk1_abelian._solve.cache_clear()
     tracemalloc.start()
     try:
         dec = sk1(G)

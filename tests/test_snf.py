@@ -1,9 +1,12 @@
-"""Tests for exact Smith normal form and cokernel decompositions.
+"""Tests for Smith normal forms and cokernel decompositions.
 
-Derived expectations are pinned against first-principles oracles:
-gcds of k x k cofactor minors and additive-closure lattice indices.
-The modular route of ``cokernel_decomposition`` is checked against the
-exact elimination and, where installed, against sympy.
+``cokernel_decomposition`` runs one sparse elimination over Z/p^e.  It
+is checked against the exact elimination over Z of ``oracles``
+(``smith_divisors``), which is itself pinned against gcds of k x k
+cofactor minors, additive-closure lattice indices and unimodular
+invariance, and, where installed, against sympy.  Lattices outside the
+elimination's precondition are refused with a ValueError naming the
+condition; a unit seed row in every column gives the trivial answer.
 """
 
 import math
@@ -12,15 +15,10 @@ import random
 import numpy as np
 import pytest
 
-from sk1.errors import InfiniteCokernel
-from sk1.snf import (
-    CyclicDecomposition,
-    cokernel_decomposition,
-    distinct_rows,
-    smith_divisors,
-)
+from sk1.snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
 
 import oracles
+from oracles import exact_cokernel, smith_divisors
 
 
 def test_pinned_small_matrices():
@@ -35,14 +33,15 @@ def test_pinned_small_matrices():
 
 
 def test_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        smith_divisors([])
-    with pytest.raises(ValueError):
-        smith_divisors([[]])
-    with pytest.raises(ValueError):
-        smith_divisors([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        smith_divisors(np.array([1, 2, 3]))
+    # Each input would be a seeded lattice but for its shape.
+    with pytest.raises(ValueError, match="non-empty"):
+        cokernel_decomposition([])
+    with pytest.raises(ValueError, match="non-empty"):
+        cokernel_decomposition([[]])
+    with pytest.raises(ValueError, match="same length"):
+        cokernel_decomposition([[3, 0], [0, 3], [1]])
+    with pytest.raises(ValueError, match="2-d"):
+        cokernel_decomposition(np.array([3, 0, 3]))
 
 
 def test_cokernel_pinned():
@@ -65,11 +64,13 @@ def test_cokernel_matches_lattice_index_pinned():
 
 
 def test_infinite_cokernel():
-    with pytest.raises(InfiniteCokernel):
+    # A seed row in every column gives full rank, so a lattice with an
+    # infinite cokernel lacks one and is refused.
+    with pytest.raises(ValueError, match="column 1 has no seed row"):
         cokernel_decomposition([[1, 0]])  # fewer rows than columns
-    with pytest.raises(InfiniteCokernel):
+    with pytest.raises(ValueError, match="column 1 has no seed row"):
         cokernel_decomposition([[1, 0], [2, 0]])  # rank deficient
-    with pytest.raises(InfiniteCokernel):
+    with pytest.raises(ValueError, match="column 0 has no seed row"):
         cokernel_decomposition([[0, 0], [0, 0]])
 
 
@@ -158,15 +159,6 @@ def test_divisor_chain_shape_random_wide_range():
             assert b % a == 0
 
 
-def _exact_cokernel(rows) -> tuple[int, ...]:
-    """Nontrivial invariants of Z^cols / rowspan on the exact route."""
-    from sk1.snf import _diagonalize_exact, _divisor_chain
-
-    slots = min(len(rows), len(rows[0]))
-    divs = _divisor_chain(_diagonalize_exact([list(r) for r in rows]), slots)
-    return tuple(sorted(d for d in divs if d > 1))
-
-
 def _random_local_lattice(rng, p, c):
     """Seed rows +-p^(e_c) in random places among rows with two or more
     nonzero entries of either sign, some at least the largest seed."""
@@ -191,35 +183,63 @@ def test_fast_and_exact_paths_agree():
     for _ in range(150):
         p = rng.choice((3, 5, 7))
         rows = _random_local_lattice(rng, p, rng.randint(1, 6))
-        assert _local_lattice(_as_lattice(rows))[0] == p  # the modular route
-        assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
+        assert _local_lattice(_as_lattice(rows))[0] == p  # the seeds give q = p^e
+        assert cokernel_decomposition(rows).divisors == exact_cokernel(rows)
         arr = np.array(rows, dtype=np.int64)
-        assert cokernel_decomposition(arr).divisors == _exact_cokernel(rows)
+        assert cokernel_decomposition(arr).divisors == exact_cokernel(rows)
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows,condition",
     [
-        [[2, 0], [0, 3], [1, 1]],  # seeds give q = 6, not a prime power
-        [[4, 0], [0, 6], [2, 2], [2, 4]],  # q = 4 * 3
-        [[9, 0], [1, 3], [2, -3]],  # the second column has no seed row
-        [[27, 0, 0], [0, 9, 0], [3, 3, 3], [0, 3, 6]],  # ditto, the third
-        [[3**20, 0], [0, 3**20], [3**7, 3**12]],  # q**2 >= 2**63
-        [[3**40, 0], [0, 3**40], [3**20, 3**39]],  # q beyond int64
-        [[1, 0], [0, 1]],  # q = 1
+        ([[2, 0], [0, 3], [1, 1]], "q = 6, which is not a prime power"),
+        ([[4, 0], [0, 6], [2, 2], [2, 4]], "q = 12, which is not a prime power"),
+        ([[9, 0], [1, 3], [2, -3]], "column 1 has no seed row"),
+        ([[27, 0, 0], [0, 9, 0], [3, 3, 3], [0, 3, 6]], "column 2 has no seed row"),
+        ([[3**20, 0], [0, 3**20], [3**7, 3**12]], r"q\*\*2 >= 2\*\*63"),
+        ([[3**40, 0], [0, 3**40], [3**20, 3**39]], r"q\*\*2 >= 2\*\*63"),  # q beyond int64
     ],
+    ids=[f"rows{i}" for i in range(6)],
 )
-def test_inputs_outside_the_precondition_take_the_exact_route(rows, monkeypatch):
+def test_inputs_outside_the_precondition_are_refused(rows, condition, monkeypatch):
     import sk1.snf
 
     def refuse(*args):
-        raise AssertionError("the modular route ran outside its precondition")
+        raise AssertionError("the elimination ran outside its precondition")
 
     monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
-    assert sk1.snf._local_lattice(sk1.snf._as_lattice(rows)) is None
-    dec = cokernel_decomposition(rows)
-    assert dec.divisors == _exact_cokernel(rows)
-    assert dec.order == oracles.minor_gcd(rows, len(rows[0]))
+    with pytest.raises(ValueError, match=condition):
+        cokernel_decomposition(rows)
+    # The refusal is a contract, not a missing answer: the exact cokernel
+    # of each input is finite.
+    assert oracles.minor_gcd(rows, len(rows[0])) != 0
+
+
+def _trivial_relation_rows():
+    """Relation lattices whose seed rows give q = 1: C_3 and C_5, and
+    C_p^2 for p up to 13 with both strategies."""
+    from sk1.abelian import make_group
+    from sk1.sk1_abelian import EXHAUSTIVE, REPRESENTATIVES, relation_matrix
+
+    groups = [(p, [p]) for p in (3, 5)] + [(p, [p, p]) for p in (3, 5, 7, 11, 13)]
+    for p, orders in groups:
+        for strategy in (REPRESENTATIVES, EXHAUSTIVE):
+            yield relation_matrix(make_group(p, orders), strategy=strategy).rows
+    yield [[1, 0], [0, 1]]
+
+
+def test_unit_seeds_in_every_column_give_the_trivial_cokernel(monkeypatch):
+    import sk1.snf
+    from sk1.snf import _as_lattice, _local_lattice
+
+    def refuse(*args):
+        raise AssertionError("an elimination ran with q = 1")
+
+    monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
+    for rows in _trivial_relation_rows():
+        assert _local_lattice(_as_lattice(rows))[:2] == (1, 0)  # q = 1^0
+        assert cokernel_decomposition(rows).is_trivial
+        assert exact_cokernel(np.asarray(rows).tolist()) == ()
 
 
 def test_largest_modulus_inside_int64_takes_the_modular_route():
@@ -228,7 +248,7 @@ def test_largest_modulus_inside_int64_takes_the_modular_route():
     q = 3**19  # q**2 < 2**63 <= (3 * q)**2
     rows = [[q, 0], [0, q], [3**7, q - 1], [-(q + 5), 3**12]]
     assert _local_lattice(_as_lattice(rows))[:2] == (3, 19)
-    assert cokernel_decomposition(rows).divisors == _exact_cokernel(rows)
+    assert cokernel_decomposition(rows).divisors == exact_cokernel(rows)
 
 
 def _relation_rows_of(family, p, size):
@@ -271,7 +291,7 @@ def test_sparse_elimination_matches_dense_oracle(family, p, size):
 
     rows = _relation_rows_of(family, p, size)
     local = _local_lattice(rows)
-    assert local is not None and local[0] == p  # the modular route
+    assert local[0] == p  # the seeds give q = p^e
     want = sorted(oracles.cokernel_by_dense_elimination(rows, *local[:2]))
     assert sorted(_cokernel_mod_prime_power(*local)) == want
     assert cokernel_decomposition(rows).divisors == tuple(want)
@@ -299,31 +319,21 @@ def test_sympy_smith_form_agrees_on_relation_matrices():
         assert cokernel_decomposition(rows).divisors == tuple(d for d in want if d > 1)
 
 
-def test_default_pipelines_never_take_the_exact_route(monkeypatch):
-    import sk1.sk1_abelian
-    import sk1.snf
-    from sk1.abelian import make_group
-    from sk1.metacyclic import make_metacyclic, sk1_metacyclic
-
-    def refuse(rows):
-        raise AssertionError("exact Smith form reached from a default pipeline")
-
-    monkeypatch.setattr(sk1.snf, "_diagonalize_exact", refuse)
-    monkeypatch.setattr(sk1.sk1_abelian, "_SK1_CACHE", {})
-    dec = sk1.sk1_abelian.sk1(make_group(3, [243, 243]))
-    assert dec.prime_power_multiplicities(3) == {1: 60, 2: 42, 3: 12, 4: 2}
-    assert sk1_metacyclic(make_metacyclic(3, 5)).divisors == (3,) * 6
-
-
 def test_int64_overflow_falls_back_to_exact():
     mat = [[3, 2**61], [2, 2**61]]
     want = [1, 2**61]
     assert smith_divisors(mat) == want
     assert smith_divisors(np.array(mat, dtype=np.int64)) == want
-    # Unsigned entries above 2**63 - 1 take the exact route too; a cast to
-    # int64 would wrap 2**63 + 2 to -(2**63 - 2).
-    assert smith_divisors(np.array([[2**63 + 2]], dtype=np.uint64)) == [2**63 + 2]
-    assert smith_divisors(np.array([[3, 1], [0, 5]], dtype=np.uint64)) == [1, 15]
+    # Unsigned entries above 2**63 - 1 are read as Python integers; a cast
+    # to int64 would wrap 2**63 + 2 (1 mod 3) to -(2**63 - 2) (0 mod 3) and
+    # give C_3 x C_3 instead of C_3.
+    rows = [[3, 0], [0, 3], [2**63 + 2, 0]]
+    assert cokernel_decomposition(np.array(rows, dtype=np.uint64)).divisors == (3,)
+    assert exact_cokernel(rows) == (3,)
+    rows = [[9, 0], [0, 3], [3, 1]]
+    want = cokernel_decomposition(rows).divisors
+    assert cokernel_decomposition(np.array(rows, dtype=np.uint64)).divisors == want
+    assert want == exact_cokernel(rows) == (9,)
 
 
 def test_non_integral_entries_are_rejected():

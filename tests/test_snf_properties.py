@@ -1,9 +1,11 @@
 """Property tests of ``cokernel_decomposition`` on random sparse local lattices.
 
 A local lattice here has a seed row +-p^(e_c) e_c for every column c, so
-it contains q*Z^cols for q = p^max(e_c) and takes the modular route.
-Unimodular row and column operations leave the cokernel unchanged up to
-isomorphism, and the exact elimination must give the same divisors.
+it contains q*Z^cols for q = p^max(e_c) and meets the precondition of
+the sparse elimination over Z/q.  Unimodular row and column operations
+leave the cokernel unchanged up to isomorphism, and the exact
+elimination over Z of ``oracles.smith_divisors`` must give the same
+divisors.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sk1.snf import _as_lattice, _local_lattice, cokernel_decomposition  # noqa: E402
-from test_snf import _exact_cokernel  # noqa: E402
+from oracles import exact_cokernel  # noqa: E402
 
 
 @st.composite
@@ -80,15 +82,15 @@ def _apply(rows, ops):
 @given(local_lattices(), unimodular_ops)
 def test_cokernel_is_invariant_under_unimodular_operations(lattice, ops):
     p, q, rows = lattice
-    assert _local_lattice(_as_lattice(rows))[0] == p  # the modular route
+    assert _local_lattice(_as_lattice(rows))[0] == p  # the seeds give q = p^e
     want = cokernel_decomposition(rows).divisors
-    assert want == _exact_cokernel(rows)
+    assert want == exact_cokernel(rows)
     # Column operations mix the seed rows; q*e_c lies in every lattice
     # that contains q*Z^cols, so appending it keeps the span and the
-    # modular route.
+    # precondition.
     work = _apply(rows, ops)
     n_cols = len(work[0])
     work += [[q if j == c else 0 for j in range(n_cols)] for c in range(n_cols)]
-    assert _local_lattice(_as_lattice(work)) is not None
+    assert _local_lattice(_as_lattice(work))[0] == p
     assert cokernel_decomposition(work).divisors == want
     assert cokernel_decomposition(np.array(work, dtype=np.int64)).divisors == want
