@@ -20,9 +20,13 @@ Only h in A = <a^p, b> = {a^i b^j : p | i} can give a nonzero row:
 every other h generates its own centralizer, so its only pair is
 (h, h), and its row is zero.  Inside A a row depends on h only through
 the subgroup <h>, up to conjugacy, so one generator of each conjugacy
-class of cyclic subgroups of A is visited, 3 + (n-3)p elements and
-2(3 + (n-3)p) pairs (see ``_row_pairs``).  The abelian family, where
-conjugacy is equality, takes its reference elements by the same rule.
+class of cyclic subgroups of A is visited, 3 + (n-3)p elements.  Each
+pairs with the generators of its centralizer, but an h with b-exponent
+y != 0 skips b: row(h, h) = 0, and the rows are linear in g on A, so
+y*row(h, b) lies in the span of row(h, a^p) and the seeds.  That leaves
+5 + (n-3)(p+1) pairs (see ``_row_pairs``).  The abelian family, where
+conjugacy is equality, takes its reference elements by the same rule
+and drops its rows by the same identity.
 """
 
 from __future__ import annotations
@@ -226,8 +230,9 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
     a^(p^(n-2)), then a^(p^(n-1-k)) b^y for k = 2..n-2 and y = 0..p-1,
     in that order, 3 + (n-3)p of them.
 
-    Each h pairs with the two generators of its centralizer: a and b for
-    central h (b-exponent 0), a^p and b on the middle layer.
+    Each h pairs with the generators of its centralizer, a and b for
+    central h (b-exponent 0), a^p and b on the middle layer, except that
+    an h with b-exponent != 0 skips b: 5 + (n-3)(p+1) pairs.
     """
     # Any h outside A (p does not divide i) generates its own centralizer,
     # so its only pair is g = h, and its row is zero.  In a normal column
@@ -256,6 +261,16 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
     # passes the same tests of the column of <b>, and here it also has the
     # same centralizer <a^p, b>, so it gives the rows of b.  The distinct
     # rows are those of the whole of A in another order.
+    #
+    # An h with b-exponent y != 0 drops its pair (h, b).  For h = b that row
+    # is zero: b has class 0 in every normal member that contains it, and
+    # the column of <b> reads 0 off the a-exponent of b.  Every other such
+    # h is a^(m*p) b^y on the middle layer, with centralizer A, and its
+    # column of <b> is 0 for every g, since its a-exponent p^(n-1-k), k >=
+    # 2, is not divisible by p^(n-2).  A normal column is a form on A,
+    # linear in g, that kills h when h lies in its member, so row(h, h) =
+    # m*row(h, a^p) + y*row(h, b) = 0 modulo the seed rows.  y is a unit
+    # mod p, so row(h, b) = -m/y * row(h, a^p) is already in the span.
     p, n = G.prime, G.n
     refs = [(0, 0), (0, 1), (p ** (n - 2), 0)]
     refs += [(p ** (n - 1 - k), y) for k in range(2, n - 1) for y in range(p)]
@@ -263,7 +278,8 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
     g = np.zeros_like(h)
     g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
     g[1::2, 1] = 1
-    return h, g
+    keep = (h[:, 1] == 0) | (g[:, 1] == 0)
+    return h[keep], g[keep]
 
 
 def _relation_rows(G: MetacyclicGroup, cols) -> Lattice:
@@ -280,8 +296,10 @@ def sk1_metacyclic(
     Rows come from one reference element h per conjugacy class of cyclic
     subgroups of <a^p, b>, 3 + (n-3)p of them, one row per generator of
     the centralizer of h ({a, b} for central h, {a^p, b} on the middle
-    layer).  Every other h gives a zero row or repeats the rows of the
-    reference element whose subgroup is conjugate to <h>.
+    layer), but none for b when the b-exponent of h is nonzero, since
+    row(h, h) = 0 puts that row in the span of the others.  Every other h
+    gives a zero row or repeats the rows of the reference element whose
+    subgroup is conjugate to <h>.
     """
     guard_order(G, max_order, "order guard")
     if _int_dtype(G) is not np.int64:

@@ -8,6 +8,13 @@ recording, for a reference element h, the classes of the distinguished
 generators (the entries of the forms) in every quotient whose subgroup
 contains h.  The cokernel of the combined rows is the computed
 decomposition.
+
+The row of h is a homomorphism g -> row(h, g) into the target that
+kills h, since h has class 0 in every quotient whose subgroup contains
+it.  So sum_i h_i * row(h, e_i) = 0 modulo the seed rows, and when some
+coordinate h_j is prime to p, row(h, e_j) is already in the span of the
+others: every reference element with such a coordinate skips the
+generator of the first one.
 """
 
 from __future__ import annotations
@@ -68,7 +75,13 @@ def relation_matrix(
     strategy: str = REPRESENTATIVES,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> RelationSet:
-    """Seed rows plus one relation row per (reference element, generator) pair.
+    """Seed rows plus one relation row per (reference element h, generator
+    e_i) pair, except the pair of the first coordinate of h prime to p.
+
+    That row is -h_j^-1 * sum_{i != j} h_i * row(h, e_i) modulo the seed
+    rows (see the module docstring), so skipping it leaves the row span,
+    and every cokernel, as it is.  An h with every coordinate divisible
+    by p, the identity among them, keeps all its rows.
 
     ``representatives`` uses one reference element per basis member, the
     element whose coordinates equal the member's defining tuple (the
@@ -87,19 +100,29 @@ def relation_matrix(
     q = np.array(target.orders, dtype=np.int64)
     F = np.array([S.form for S in target.columns], dtype=np.int64)
     n_gens = len(G.orders)
-    # Candidate row r * n_gens + i is (reference r, generator i): its entry in
-    # column c is F[c, i] where refs[r] is in the kernel of column c.
+    # Slot r * n_gens + i is (reference r, generator i): its entry in column
+    # c is F[c, i] where refs[r] is in the kernel of column c.  The slot of
+    # the first coordinate of refs[r] prime to p, which argmax finds, is
+    # dropped (a reference with no such coordinate keeps every slot), and
+    # the kept slots are renumbered in order.
+    unit = refs % G.prime != 0
+    kept = np.ones((len(refs), n_gens), dtype=bool)
+    kept[np.arange(len(refs)), unit.argmax(axis=1)] = ~unit.any(axis=1)
+    kept = kept.ravel()
+    renumber = np.cumsum(kept) - 1
     parts = []
     for lo in range(0, len(q), COLUMN_CHUNK):
         hi = lo + COLUMN_CHUNK
         ref, col = np.nonzero(refs @ F[lo:hi].T % q[lo:hi] == 0)
         col += lo
         at, gen = np.nonzero(F[col])
-        col = col[at]
-        parts.append((ref[at] * n_gens + gen, col, F[col, gen]))
+        slot = ref[at] * n_gens + gen
+        keep = kept[slot]
+        col, gen = col[at[keep]], gen[keep]
+        parts.append((renumber[slot[keep]], col, F[col, gen]))
     row, col, val = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(row * len(q) + col)
-    candidates = Lattice(row[order], col[order], val[order], (len(refs) * n_gens, len(q)))
+    candidates = Lattice(row[order], col[order], val[order], (int(kept.sum()), len(q)))
     return RelationSet(target, distinct_rows(q, candidates))
 
 

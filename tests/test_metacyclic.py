@@ -28,7 +28,7 @@ from sk1.metacyclic import (
     relation_component,
     sk1_metacyclic,
 )
-from sk1.snf import distinct_rows
+from sk1.snf import cokernel_decomposition, distinct_rows
 
 
 def conjugate(G, g, x):
@@ -430,9 +430,10 @@ ROW_GROUPS = (
 @pytest.mark.parametrize("p,n", ROW_GROUPS)
 def test_rows_match_element_loop_oracle(p, n):
     # The vectorised rows, whose reference elements ``_row_pairs`` takes
-    # as one generator per cyclic subgroup of <a^p, b>, must give the same
-    # nonzero rows as the entry-by-entry loop over the whole group, with
-    # the seeds first and no row twice.
+    # as one generator per cyclic subgroup of <a^p, b>, and which skip the
+    # pairs (h, b) that row(h, h) = 0 makes redundant, must be rows of the
+    # entry-by-entry loop over every (h, g) of the whole group, with the
+    # seeds first, no row twice and the same cokernel.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
     rows = [tuple(r) for r in np.asarray(_relation_rows(G, cols)).tolist()]
@@ -440,7 +441,8 @@ def test_rows_match_element_loop_oracle(p, n):
     c = len(cols)
     assert rows[:c] == want[:c]
     assert len(set(rows)) == len(rows)
-    assert {r for r in rows if any(r)} == {r for r in want if any(r)}
+    assert set(rows) <= set(want)
+    assert cokernel_decomposition(rows) == cokernel_decomposition(want)
 
 
 def test_sk1_guard():
@@ -463,13 +465,14 @@ def test_int64_refusal_starts_at_m21_3():
 )
 def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
     # The h of _row_pairs generate one cyclic subgroup of <a^p, b> from
-    # each conjugacy class, each paired with the generators of its
-    # centralizer.
+    # each conjugacy class.  Each is paired with the generators of its
+    # centralizer, except that an h with b-exponent != 0 skips b: its
+    # other generator and h itself still generate the centralizer.
     G = make_metacyclic(p, n)
     h, g = _row_pairs(G)
-    assert len(h) == len(g) == 2 * (3 + (n - 3) * p)
-    refs = [tuple(x) for x in h[0::2].tolist()]
-    assert refs == [tuple(x) for x in h[1::2].tolist()]
+    assert len(h) == len(g) == 5 + (n - 3) * (p + 1)
+    refs = list(dict.fromkeys(tuple(x) for x in h.tolist()))
+    assert len(refs) == 3 + (n - 3) * p
 
     A = meta_closure(G, [(p, 0), G.gen_b()])
     assert all(x in A for x in refs)
@@ -479,15 +482,17 @@ def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
         assert not any(S in c for c in classes[i + 1 :])
     for C in {meta_closure(G, [x]) for x in A}:
         assert sum(C in c for c in classes) == 1
-    for k, x in enumerate(refs):
-        gens = [tuple(y) for y in g[2 * k : 2 * k + 2].tolist()]
-        assert meta_closure(G, gens) == meta_centralizer(G, x)
+    for x in refs:
+        gens = [tuple(y) for y, z in zip(g.tolist(), h.tolist()) if tuple(z) == x]
+        assert (G.gen_b() in gens) == (x[1] == 0)
+        assert meta_closure(G, gens + [x]) == meta_centralizer(G, x)
 
 
 def one_generator_per_cyclic_subgroup_pairs(G):
     # One generator of every cyclic subgroup of <a^p, b>, conjugates of <b>
     # included: 1, b and a^(p^(n-1-k)) b^y for k = 1..n-2, y = 0..p-1,
-    # each with the generators of its centralizer.
+    # each with the generators of its centralizer, b skipped where the
+    # b-exponent of h is nonzero.
     p, n = G.prime, G.n
     refs = [(0, 0), (0, 1)]
     refs += [(p ** (n - 1 - k), y) for k in range(1, n - 1) for y in range(p)]
@@ -495,14 +500,16 @@ def one_generator_per_cyclic_subgroup_pairs(G):
     g = np.zeros_like(h)
     g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
     g[1::2, 1] = 1
-    return h, g
+    keep = (h[:, 1] == 0) | (g[:, 1] == 0)
+    return h[keep], g[keep]
 
 
 @pytest.mark.parametrize("p,n", ROW_GROUPS)
 def test_rows_match_one_generator_per_cyclic_subgroup(p, n):
     # Dropping the p - 1 conjugates <a^(p^(n-2)) b^y> of <b> drops only
-    # repeats of the rows of b: the lattice is byte for byte the one
-    # built from a generator of every cyclic subgroup of <a^p, b>.
+    # repeats of the row (b, a^p): with the same pairs (h, b) skipped, the
+    # lattice is byte for byte the one built from a generator of every
+    # cyclic subgroup of <a^p, b>.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
     got = _relation_rows(G, cols)

@@ -98,24 +98,83 @@ def test_relation_matrix_starts_with_seed_block():
 def test_matrix_rows_match_reference_rows(p, orders, strategy):
     # The array builder, which reads the members' forms, must agree with
     # the per-element reference rows, which read their coefficient tuples,
-    # duplicates removed in the same first-wins order.
+    # with the generator at each h's first coordinate prime to p skipped
+    # and duplicates removed in the same first-wins order.
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    if strategy == EXHAUSTIVE:
-        refs = enumerate_elements(G)
-    else:
-        refs = [S.coeffs for S in basis]
     rows = [list(r) for r in np.diag(np.array(target.orders, dtype=np.int64))]
     seen = {tuple(r) for r in rows}
-    for h in refs:
-        for gen in G.generators():
+    for h in reference_elements(G, basis, strategy):
+        for i, gen in enumerate(G.generators()):
+            if i == first_unit(p, h):
+                continue
             row = oracles.relation_row(G, basis, h, gen)
             if tuple(row) not in seen:
                 seen.add(tuple(row))
                 rows.append(row)
     rel = relation_matrix(G, strategy=strategy)
     assert np.asarray(rel.rows).tolist() == rows
+
+
+def reference_elements(G, basis, strategy):
+    if strategy == EXHAUSTIVE:
+        return enumerate_elements(G)
+    return [S.coeffs for S in basis]
+
+
+def first_unit(p, h):
+    """Index of the first coordinate of h prime to p, or None."""
+    return next((i for i, c in enumerate(h) if c % p), None)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "p,orders", [(3, [9, 3]), (3, [3, 3, 3]), (3, [27, 9, 3]), (5, [25, 5]), (7, [49, 49])]
+)
+def test_skipped_rows_lie_in_the_span(p, orders, strategy):
+    # row(h, .) is a homomorphism that kills h, so sum_i h_i * row(h, e_i)
+    # vanishes modulo the column orders; that identity puts the skipped
+    # row of h's first unit coordinate in the span of the kept rows, and
+    # stacking every skipped row on must not move the cokernel.
+    G = make_group(p, orders)
+    basis = genetic_basis_abelian(G)
+    q = np.array(target_product(G, basis).orders, dtype=np.int64)
+    rel = relation_matrix(G, strategy=strategy, max_order=G.order)
+    skipped = []
+    for h in reference_elements(G, basis, strategy):
+        rows = [oracles.relation_row(G, basis, h, gen) for gen in G.generators()]
+        assert not np.any(np.array(h, dtype=np.int64) @ np.array(rows, dtype=np.int64) % q)
+        j = first_unit(p, h)
+        if j is not None:
+            skipped.append(rows[j])
+    assert skipped
+    stacked = np.asarray(rel.rows).tolist() + skipped
+    assert cokernel_decomposition(stacked) == cokernel_decomposition(rel.rows)
+
+
+@pytest.mark.parametrize(
+    "p,orders", [(3, [243, 243]), (3, [27, 27, 3]), (5, [125, 125]), (3, [81, 27, 3])]
+)
+def test_sk1_is_the_cokernel_of_the_unpruned_reference_rows(p, orders):
+    # Every (reference element, generator) row, none skipped, as the
+    # per-element oracle builds it: the same cokernel as the pruned lattice.
+    G = make_group(p, orders)
+    basis = genetic_basis_abelian(G)
+    target = target_product(G, basis)
+    rows = np.diag(np.array(target.orders, dtype=np.int64)).tolist()
+    for h in reference_elements(G, basis, REPRESENTATIVES):
+        rows += [oracles.relation_row(G, basis, h, gen) for gen in G.generators()]
+    assert cokernel_decomposition(rows) == sk1(G)
+
+
+@pytest.mark.parametrize(
+    "p,orders,shape",
+    [(3, [243, 243], (1130, 484)), (3, [27, 27, 3], (490, 157)), (17, [289, 289], (668, 324))],
+)
+def test_relation_lattice_shapes(p, orders, shape):
+    # Seed rows included.
+    assert relation_matrix(make_group(p, orders)).rows.shape == shape
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 75, 76, 1000])
