@@ -15,17 +15,47 @@ it.  So sum_i h_i * row(h, e_i) = 0 modulo the seed rows, and when some
 coordinate h_j is prime to p, row(h, e_j) is already in the span of the
 others: every reference element with such a coordinate skips the
 generator of the first one.
+
+The cokernel is split before its Smith form.  The diagonal torus T of
+Teichmuller units, diag(u_1, ..., u_k) with u_i^(p-1) = 1, acts on G and
+so on the columns: t maps the kernel of the form F to the kernel of
+F * u^-1, and its form to a unit multiple of F * u^-1.  The lattice is
+stable under every automorphism, since the reference elements generate
+every cyclic subgroup of G, and |T| is prime to p, so the cokernel is
+the direct sum of its components over the characters of T (Serre,
+Linear Representations of Finite Groups, GTM 42, for the idempotents).
+Scalars act on every column by their own value, so only characters
+a with sum(a) = 1 mod p - 1 occur, and they are read off the subtorus
+T' = {diag(1, u_2, ..., u_k)}.  A component has one coordinate per
+T'-orbit of columns on whose representative the stabiliser acts by the
+character; a row enters it through its entries, each weighted by the
+character, and the rows of one T'-orbit give one projected row up to a
+root of unity, so one row per orbit is projected.  A permutation of
+equal-order factors maps the a-component isomorphically onto the
+component of the permuted a, so one character per orbit of such
+permutations is solved and its divisors are repeated by the orbit's
+size.  For C_{p^n} x C_{p^n} no character is fixed by the swap (2a = 1
+has no solution mod the even p - 1), so half the components are
+eliminated, each about half the size of the lattice when p = 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from types import SimpleNamespace
 
 import numpy as np
 
-from .abelian import DEFAULT_MAX_ORDER, AbelianPGroup, enumerate_elements, guard_order
-from .genetic import GeneticSubgroupA, genetic_basis_abelian
+from .abelian import (
+    DEFAULT_MAX_ORDER,
+    AbelianPGroup,
+    _p_power_exponent,
+    enumerate_elements,
+    guard_order,
+)
+from .genetic import GeneticSubgroupA, _unit_inverse, genetic_basis_abelian
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
@@ -126,6 +156,247 @@ def relation_matrix(
     return RelationSet(target, distinct_rows(q, candidates))
 
 
+# Lattices with fewer nonzeros than this go to the Smith form unsplit: the
+# split has a fixed cost of about 0.5-1 ms that outweighs the smaller
+# eliminations below it.  Set at the measured crossover (README "Library").
+SPLIT_MIN_NNZ = 1000
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] * (n > 1)
+
+
+def _teichmuller_unit(p: int, eg: int) -> int:
+    """w = g^(eg/p) mod eg for the least primitive root g mod p, a
+    generator of the (p-1)-th roots of unity in Z/eg.
+
+    Raises ValueError unless w has order exactly p - 1 mod eg.
+    """
+    factors = _prime_factors(p - 1)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
+    w = pow(g, eg // p, eg)
+    if pow(w, p - 1, eg) != 1 or any(pow(w, (p - 1) // r, eg) == 1 for r in factors):
+        raise ValueError(f"{w} does not have order {p - 1} mod {eg}")
+    return w
+
+
+class _Torus(SimpleNamespace):
+    """The torus T' = {diag(1, w^m_2, ..., w^m_k)} acting on the columns,
+    built by ``_torus``; powers[j] is w^j mod eg.
+
+    Element s has exponents m[s] (m[s, 0] = 0).  Column c lies in the
+    orbit of its lowest column rep[c], which has size[c] columns; the
+    orbit representatives, in order, are ``reps``, and orbit[c] is the
+    position of rep[c] there.  elem[c] is an element s with
+    s . rep[c] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted by
+    fix_r, are the elements that fix each representative.
+
+    lead[c] is the first coordinate of column c's form prime to p, and
+    scale[c] the inverse of that coordinate's value.  In the frame that
+    scales column c by scale[c], element s maps basis vector c to
+    w^m[s, lead[c]] times basis vector s . c.
+    """
+
+
+def _torus(G: AbelianPGroup, target: TargetProduct) -> _Torus:
+    """The action of T' on the columns of ``target``.
+
+    t = diag(u) maps column S to the column keyed by the form
+    F[S] * u^-1 scaled to lead 1, the key the basis uses.  Raises
+    ValueError when that key is not a column.
+    """
+    p, eg, k = G.prime, G.exponent, len(G.orders)
+    w = _teichmuller_unit(p, eg)
+    q = np.array(target.orders, dtype=np.int64)
+    n = len(q)
+    F = np.array([S.form for S in target.columns], dtype=np.int64).reshape(n, k)
+    lead = (F % p != 0).argmax(axis=1)
+    scale = _unit_inverse(F[np.arange(n), lead], p, eg) % q
+    key = F * scale[:, None] % q[:, None]
+    # A key as one integer: its index exponent, then coordinate i as a
+    # digit below min(q, o_i) (o_i e_i = 0 makes it a multiple of
+    # q / min(q, o_i)).  The codes stay below (e + 1)|G| = (e + 1) o_2 ...
+    # o_k eg, which the basis guards (at most 10^7 tuples, eg^2 < 2^63)
+    # keep below 2^55.
+    o = np.array(G.orders, dtype=np.int64)
+    step = q[:, None] // np.minimum(q[:, None], o)
+    exps = np.searchsorted(p ** np.arange(_p_power_exponent(eg, p) + 1, dtype=np.int64), q)
+    radix = np.cumprod(o[::-1])[::-1] // o  # place value of digit i
+
+    def code(key):
+        return exps * G.order + (key // step) @ radix
+
+    codes = code(key)
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    P = np.arange(n)[None]
+    m = np.zeros((1, k), dtype=np.int64)
+    for j in range(1, k):
+        # t_j = diag(1, .., w, .., 1) scales coordinate j by w^-1; a key led
+        # at j is then rescaled by w to lead 1 again.
+        image = key.copy()
+        image[:, j] = image[:, j] * pow(w, -1, eg) % q
+        at = lead == j
+        image[at] = image[at] * w % q[at, None]
+        image = code(image)
+        pos = np.minimum(np.searchsorted(sorted_codes, image), n - 1)
+        if not np.array_equal(sorted_codes[pos], image):
+            raise ValueError(f"the torus maps a column of {G} outside the target")
+        perm = by_code[pos]
+        cycle = [np.arange(n)]
+        for _ in range(p - 2):
+            cycle.append(perm[cycle[-1]])
+        # Row a * len(P) + b of the new P is t_j^a s_b.
+        P = np.stack(cycle)[:, P].reshape(-1, n)
+        m = np.tile(m, (p - 1, 1))
+        m[:, j] = np.repeat(np.arange(p - 1), len(m) // (p - 1))
+    rep = P.min(axis=0)
+    reps = np.flatnonzero(rep == np.arange(n))
+    orbit = np.empty(n, dtype=np.int64)
+    orbit[reps] = np.arange(len(reps))
+    elem = np.empty(n, dtype=np.int64)
+    elem[P[:, reps]] = np.arange(len(P))[:, None]
+    fix_r, fix_s = np.nonzero((P[:, reps] == reps).T)
+    return _Torus(
+        p=p, q=q, powers=np.array([pow(w, j, eg) for j in range(p - 1)], dtype=np.int64),
+        m=m, rep=rep, reps=reps, orbit=orbit[rep], size=np.bincount(rep, minlength=n)[rep],
+        elem=elem, lead=lead, scale=scale, fix_s=fix_s, fix_r=fix_r,
+    )
+
+
+def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The characters a of the diagonal torus T with sum(a) = 1 mod p - 1,
+    as rows, and for each the size of its orbit under the permutations of
+    equal-order factors when a is that orbit's member sorted within each
+    run of equal orders, else 0.
+
+    Scalars act on every column by their own value, so only these
+    characters have nonzero components, and each is fixed by its values
+    on T'.  A permutation maps the a-component isomorphically onto the
+    component of the permuted a.
+    """
+    p, k = G.prime, len(G.orders)
+    rest = np.indices((p - 1,) * (k - 1), dtype=np.int64).reshape(k - 1, (p - 1) ** (k - 1)).T
+    chars = np.column_stack([(1 - rest.sum(axis=1)) % (p - 1), rest])
+    # Sort each run of equal orders; the orbit of a is the characters with
+    # its sorted form, read as a number in base p - 1.
+    canon = chars.copy()
+    lo = 0
+    for _, run in groupby(G.orders):
+        hi = lo + len(list(run))
+        canon[:, lo:hi].sort(axis=1)
+        lo = hi
+    code = canon @ (p - 1) ** np.arange(k, dtype=np.int64)
+    size = np.bincount(code)[code]
+    mult = np.where((canon == chars).all(axis=1), size, 0)
+    return chars, mult
+
+
+def _row_orbit_groups(torus: _Torus, rows: Lattice):
+    """The entries of ``rows`` grouped by (row, orbit of the column): the
+    order that sorts them so, and each group's start, row and orbit."""
+    n_orbits = len(torus.reps)
+    group = rows.row * n_orbits + torus.orbit[rows.col]
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    row, orb = np.divmod(group[starts], n_orbits)
+    return order, starts, row, orb
+
+
+def _orbit_rows(torus: _Torus, rows: Lattice) -> Lattice:
+    """The rows with an entry at the representative of their anchor: of
+    the orbits their entries meet, one where they have the fewest
+    entries, then the largest, then the lowest.
+
+    The anchor depends only on the row's T'-orbit, and an element maps
+    any entry in the anchor orbit onto its representative, so every
+    T'-orbit of rows keeps at least one row.
+    """
+    n_t, n_orbits = len(torus.m), len(torus.reps)
+    order, starts, row, orb = _row_orbit_groups(torus, rows)
+    col = rows.col[order]
+    entries = np.diff(starts, append=len(col))
+    size = torus.size[torus.reps[orb]]
+    score = ((n_t - entries) * (n_t + 1) + size) * n_orbits + n_orbits - 1 - orb
+    at_rep = np.logical_or.reduceat(col == torus.rep[col], starts)
+    row_starts = np.flatnonzero(np.diff(row, prepend=-1))
+    best = np.maximum.reduceat(score, row_starts)
+    anchor = score == np.repeat(best, np.diff(row_starts, append=len(row)))
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[row[at_rep & anchor]] = True
+    keep = keep[rows.row]
+    return Lattice(rows.row[keep], rows.col[keep], rows.val[keep], rows.shape)
+
+
+def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
+    """The relation lattice of the components of ``chars``, block-diagonal
+    with one block per character: rows projected by each character's
+    idempotent, then normalised and deduplicated by ``distinct_rows``.
+
+    Character a has one coordinate per orbit whose stabiliser acts on its
+    representative by a, and column c = s . rep[c] enters it with
+    coefficient a(s) w^-m[s, lead] times the frame scale of c.
+    """
+    p, q = torus.p, torus.q
+    # An orbit is in the component unless a stabiliser element acts on
+    # its representative by another value than a.
+    lead = torus.lead[torus.reps][torus.fix_r]
+    off = (torus.m[torus.fix_s] @ chars.T - torus.m[torus.fix_s, lead][:, None]) % (p - 1) != 0
+    valid = ~np.logical_or.reduceat(off, np.flatnonzero(np.diff(torus.fix_r, prepend=-1))).T
+    coord = (np.cumsum(valid) - 1).reshape(valid.shape)
+    n_coords = int(valid.sum())
+    q_coords = np.tile(q[torus.reps], len(chars))[valid.ravel()]
+    s = torus.elem
+    kappa = (torus.m[s] @ chars.T - torus.m[s, torus.lead][:, None]) % (p - 1)
+    coef = torus.powers[kappa] * torus.scale[:, None] % q[:, None]
+    # The entries of a row in one orbit sum into one coordinate per
+    # character.
+    order, starts, row, orb = _row_orbit_groups(torus, rows)
+    col = rows.col[order]
+    sums = np.add.reduceat(rows.val[order, None] * coef[col] % q[col, None], starts)
+    sums %= q[torus.reps[orb], None]
+    # Row a * len(rows) + r projects row r onto character a; nonzero walks
+    # the characters in turn, each in (row, orbit) order.
+    a, at = np.nonzero(valid[:, orb] & (sums != 0).T)
+    val = sums[at, a]
+    prow = a * len(rows) + row[at]
+    pcol = coord[a, orb[at]]
+    # Scale each row by the inverse Teichmuller lift of its first entry's
+    # unit part: rows that differ by a root of unity then coincide.
+    first = np.flatnonzero(np.diff(prow, prepend=-1))
+    unit = val[first]
+    while (div := unit % p == 0).any():
+        unit = np.where(div, unit // p, unit)
+    lift_inv = np.zeros(p, dtype=np.int64)
+    lift_inv[torus.powers % p] = torus.powers[-np.arange(p - 1)]
+    counts = np.diff(first, append=len(prow))
+    val = val * np.repeat(lift_inv[unit % p], counts) % q_coords[pcol]
+    prow = np.repeat(np.arange(len(first)), counts)
+    return distinct_rows(q_coords, Lattice(prow, pcol, val, (len(first), n_coords)))
+
+
+def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice]]:
+    """The relation lattice split over the characters of the diagonal
+    torus, as (multiplicity, block-diagonal lattice) pairs: one lattice
+    per orbit size of the equal-order factor permutations, holding one
+    character of each orbit of that size."""
+    torus = _torus(G, rel.target)
+    rows = _orbit_rows(torus, rel.rows)
+    chars, mult = _characters(G)
+    return [
+        (int(size), _project(torus, rows, chars[mult == size]))
+        for size in sorted(set(mult.tolist()) - {0})
+    ]
+
+
 # The most recent results of sk1, keyed by (group, strategy).
 SK1_CACHE_SIZE = 128
 
@@ -148,6 +419,18 @@ def sk1(
 
 @lru_cache(maxsize=SK1_CACHE_SIZE)
 def _solve(G: AbelianPGroup, strategy: str) -> CyclicDecomposition:
-    # ``sk1`` has checked the guard already.
+    """The cokernel of G's relation lattice; ``sk1`` has checked the guard.
+
+    A lattice with SPLIT_MIN_NNZ nonzeros or more is split over the torus
+    first (see the module docstring), and each block's divisors count once
+    per character of its orbit size.  ``relation_matrix`` and
+    ``cokernel_decomposition`` are looked up as module globals, where the
+    perfbench tracer wraps them.
+    """
     rel = relation_matrix(G, strategy=strategy, max_order=G.order)
-    return cokernel_decomposition(rel.rows)
+    if len(rel.rows.val) < SPLIT_MIN_NNZ:
+        return cokernel_decomposition(rel.rows)
+    divisors: list[int] = []
+    for size, block in _torus_blocks(G, rel):
+        divisors += cokernel_decomposition(block).divisors * size
+    return CyclicDecomposition(divisors)

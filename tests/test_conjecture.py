@@ -144,3 +144,17 @@ def test_verify_against_pipeline(p, n):
 
     report = verify(p, n, sk1(make_group(p, [p**n, p**n])))
     assert report.match
+
+
+def test_c6561_squared_is_pinned_as_observed():
+    # Past the paper's table the pipeline and the transcribed conjecture
+    # disagree: 324 copies of C_81 are predicted and 216 computed.  These
+    # are observed values (ROADMAP item 1 lists the independent checks).
+    from sk1 import sk1
+    from sk1.abelian import make_group
+
+    dec = sk1(make_group(3, [6561, 6561]))
+    assert dec.prime_power_multiplicities(3) == {
+        1: 1470, 2: 996, 3: 522, 4: 216, 5: 54, 6: 12, 7: 2,
+    }
+    assert verify(3, 8, dec).diffs == {4: (324, 216)}
