@@ -135,6 +135,18 @@ def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     )
 
 
+def cyclic_quotients(p: int, exponents) -> int:
+    """Number of nontrivial cyclic quotients of the product of the C_{p^a},
+    a in ``exponents``: of order p^j, the N_j - N_(j-1) surjections onto
+    Z/p^j up to their p^(j-1)(p-1) units, N_j = p^(sum_i min(a_i, j))."""
+    total, prev = 0, 1
+    for j in range(1, max(exponents, default=0) + 1):
+        homs = p ** sum(min(a, j) for a in exponents)
+        total += (homs - prev) // (p ** (j - 1) * (p - 1))
+        prev = homs
+    return total
+
+
 def cyclic_quotient_count(p: int, n: int, m: int) -> int:
     """Number of cyclic-quotient subgroups of C_{p^n} x C_{p^m} for n <= m.
 
@@ -142,5 +154,4 @@ def cyclic_quotient_count(p: int, n: int, m: int) -> int:
     """
     if not _is_odd_prime(p) or int(n) != n or int(m) != m or not 1 <= n <= m:
         raise BadParams(f"need an odd prime and integers 1 <= n <= m, got p={p}, n={n}, m={m}")
-    p, n, m = int(p), int(n), int(m)
-    return p**n * (m - n + 1) + 2 * (p**n - 1) // (p - 1)
+    return 1 + cyclic_quotients(int(p), (int(n), int(m)))

@@ -30,13 +30,17 @@ T' = {diag(1, u_2, ..., u_k)}.  A component has one coordinate per
 T'-orbit of columns on whose representative the stabiliser acts by the
 character; a row enters it through its entries, each weighted by the
 character, and the rows of one T'-orbit give one projected row up to a
-root of unity, so one row per orbit is projected.  A permutation of
-equal-order factors maps the a-component isomorphically onto the
-component of the permuted a, so one character per orbit of such
-permutations is solved and its divisors are repeated by the orbit's
-size.  For C_{p^n} x C_{p^n} no character is fixed by the swap (2a = 1
-has no solution mod the even p - 1), so half the components are
-eliminated, each about half the size of the lattice when p = 3.
+root of unity.  The rows of h depend only on <h>, and t<c(S)> =
+<c(t^-1 S)> for the reference c(S) of column S (its coefficient tuple):
+c(t^-1 S) and t c(S) define homomorphisms with one kernel, so they differ
+by a unit.  So the split needs the rows of the identity and of one
+column's reference per T'-orbit only.  A permutation of equal-order
+factors maps the a-component isomorphically onto the component of the
+permuted a, so one character per orbit of such permutations is solved
+and its divisors are repeated by the orbit's size.  For C_{p^n} x C_{p^n}
+no character is fixed by the swap (2a = 1 has no solution mod the even
+p - 1), so half the components are eliminated, each about half the size
+of the lattice when p = 3.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .abelian import (
     enumerate_elements,
     guard_order,
 )
-from .genetic import GeneticSubgroupA, _unit_inverse, genetic_basis_abelian
+from .genetic import GeneticSubgroupA, _unit_inverse, cyclic_quotients, genetic_basis_abelian
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
@@ -81,10 +85,12 @@ class TargetProduct:
 
 @dataclass(frozen=True, eq=False)
 class RelationSet:
-    """Relation rows over a target product: seeds first, duplicates removed."""
+    """Relation rows over a target product: the relation lattice, or with
+    ``torus`` the per-orbit rows that it projects (``relation_matrix``)."""
 
     target: TargetProduct
     rows: Lattice
+    torus: _Torus | None = None
 
 
 def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
@@ -100,31 +106,48 @@ def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
         guard_order(G, max_order, "exhaustive-strategy guard")
 
 
+def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarray:
+    """Every element under ``exhaustive``; else the coefficient tuples of
+    the basis members or, given ``torus``, of the identity basis[0] and of
+    the column-orbit representatives (the columns are basis[1:])."""
+    if strategy == EXHAUSTIVE:
+        return np.array(enumerate_elements(G), dtype=np.int64)
+    if torus is not None:
+        basis = [basis[0], *(basis[1 + r] for r in torus.reps)]
+    return np.array([S.coeffs for S in basis], dtype=np.int64)
+
+
 def relation_matrix(
     G: AbelianPGroup,
     strategy: str = REPRESENTATIVES,
     max_order: int = DEFAULT_MAX_ORDER,
+    *,
+    per_orbit: bool = False,
 ) -> RelationSet:
-    """Seed rows plus one relation row per (reference element h, generator
-    e_i) pair, except the pair of the first coordinate of h prime to p.
+    """One relation row per (reference element h, generator e_i) pair,
+    except the pair of the first coordinate of h prime to p.
 
-    That row is -h_j^-1 * sum_{i != j} h_i * row(h, e_i) modulo the seed
-    rows (see the module docstring), so skipping it leaves the row span,
-    and every cokernel, as it is.  An h with every coordinate divisible
-    by p, the identity among them, keeps all its rows.
+    Skipping it leaves the row span as it is (see the module docstring).
+    An h with every coordinate divisible by p, the identity among them,
+    keeps all its rows.
 
     ``representatives`` uses one reference element per basis member, the
     element whose coordinates equal the member's defining tuple (the
     identity for the zero tuple).  ``exhaustive`` runs every group
     element through, guarded by ``max_order``.
+
+    The default form is the relation lattice: seeds first, duplicates
+    removed.  ``per_orbit`` gives the input of ``_torus_blocks``: the
+    torus, and the rows without seeds in reversed (reference, generator)
+    order, which the blocks' Smith form favours (README "Library");
+    ``representatives`` then keeps the identity and one reference per
+    T'-orbit of cyclic subgroups (see the module docstring).
     """
     _check_strategy(G, strategy, max_order)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    if strategy == EXHAUSTIVE:
-        refs = np.array(enumerate_elements(G), dtype=np.int64)
-    else:
-        refs = np.array([S.coeffs for S in basis], dtype=np.int64)
+    torus = _torus(G, target) if per_orbit else None
+    refs = _references(G, strategy, basis, torus)
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
     # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
     q = np.array(target.orders, dtype=np.int64)
@@ -134,12 +157,14 @@ def relation_matrix(
     # c is F[c, i] where refs[r] is in the kernel of column c.  The slot of
     # the first coordinate of refs[r] prime to p, which argmax finds, is
     # dropped (a reference with no such coordinate keeps every slot), and
-    # the kept slots are renumbered in order.
+    # the kept slots are renumbered in order, or in reverse for the split.
     unit = refs % G.prime != 0
     kept = np.ones((len(refs), n_gens), dtype=bool)
     kept[np.arange(len(refs)), unit.argmax(axis=1)] = ~unit.any(axis=1)
     kept = kept.ravel()
     renumber = np.cumsum(kept) - 1
+    if per_orbit:
+        renumber = renumber[-1] - renumber
     parts = []
     for lo in range(0, len(q), COLUMN_CHUNK):
         hi = lo + COLUMN_CHUNK
@@ -153,13 +178,14 @@ def relation_matrix(
     row, col, val = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(row * len(q) + col)
     candidates = Lattice(row[order], col[order], val[order], (int(kept.sum()), len(q)))
+    if per_orbit:
+        return RelationSet(target, candidates, torus)
     return RelationSet(target, distinct_rows(q, candidates))
 
 
-# Lattices with fewer nonzeros than this go to the Smith form unsplit: the
-# split has a fixed cost of about 0.5-1 ms that outweighs the smaller
-# eliminations below it.  Set at the measured crossover (README "Library").
-SPLIT_MIN_NNZ = 1000
+# Below this many (column, generator) pairs, about the lattice's rows, the
+# split costs more than it saves: the measured crossover (README "Library").
+SPLIT_MIN_PAIRS = 140
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -192,11 +218,9 @@ class _Torus(SimpleNamespace):
     built by ``_torus``; powers[j] is w^j mod eg.
 
     Element s has exponents m[s] (m[s, 0] = 0).  Column c lies in the
-    orbit of its lowest column rep[c], which has size[c] columns; the
-    orbit representatives, in order, are ``reps``, and orbit[c] is the
-    position of rep[c] there.  elem[c] is an element s with
-    s . rep[c] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted by
-    fix_r, are the elements that fix each representative.
+    orbit of its lowest column, reps[orbit[c]], and elem[c] is an element
+    s with s . reps[orbit[c]] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted
+    by fix_r, are the elements that fix each representative.
 
     lead[c] is the first coordinate of column c's form prime to p, and
     scale[c] the inverse of that coordinate's value.  In the frame that
@@ -266,8 +290,8 @@ def _torus(G: AbelianPGroup, target: TargetProduct) -> _Torus:
     fix_r, fix_s = np.nonzero((P[:, reps] == reps).T)
     return _Torus(
         p=p, q=q, powers=np.array([pow(w, j, eg) for j in range(p - 1)], dtype=np.int64),
-        m=m, rep=rep, reps=reps, orbit=orbit[rep], size=np.bincount(rep, minlength=n)[rep],
-        elem=elem, lead=lead, scale=scale, fix_s=fix_s, fix_r=fix_r,
+        m=m, reps=reps, orbit=orbit[rep], elem=elem, lead=lead, scale=scale,
+        fix_s=fix_s, fix_r=fix_r,
     )
 
 
@@ -299,43 +323,6 @@ def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
     return chars, mult
 
 
-def _row_orbit_groups(torus: _Torus, rows: Lattice):
-    """The entries of ``rows`` grouped by (row, orbit of the column): the
-    order that sorts them so, and each group's start, row and orbit."""
-    n_orbits = len(torus.reps)
-    group = rows.row * n_orbits + torus.orbit[rows.col]
-    order = np.argsort(group, kind="stable")
-    group = group[order]
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    row, orb = np.divmod(group[starts], n_orbits)
-    return order, starts, row, orb
-
-
-def _orbit_rows(torus: _Torus, rows: Lattice) -> Lattice:
-    """The rows with an entry at the representative of their anchor: of
-    the orbits their entries meet, one where they have the fewest
-    entries, then the largest, then the lowest.
-
-    The anchor depends only on the row's T'-orbit, and an element maps
-    any entry in the anchor orbit onto its representative, so every
-    T'-orbit of rows keeps at least one row.
-    """
-    n_t, n_orbits = len(torus.m), len(torus.reps)
-    order, starts, row, orb = _row_orbit_groups(torus, rows)
-    col = rows.col[order]
-    entries = np.diff(starts, append=len(col))
-    size = torus.size[torus.reps[orb]]
-    score = ((n_t - entries) * (n_t + 1) + size) * n_orbits + n_orbits - 1 - orb
-    at_rep = np.logical_or.reduceat(col == torus.rep[col], starts)
-    row_starts = np.flatnonzero(np.diff(row, prepend=-1))
-    best = np.maximum.reduceat(score, row_starts)
-    anchor = score == np.repeat(best, np.diff(row_starts, append=len(row)))
-    keep = np.zeros(len(rows), dtype=bool)
-    keep[row[at_rep & anchor]] = True
-    keep = keep[rows.row]
-    return Lattice(rows.row[keep], rows.col[keep], rows.val[keep], rows.shape)
-
-
 def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     """The relation lattice of the components of ``chars``, block-diagonal
     with one block per character: rows projected by each character's
@@ -358,8 +345,13 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     kappa = (torus.m[s] @ chars.T - torus.m[s, torus.lead][:, None]) % (p - 1)
     coef = torus.powers[kappa] * torus.scale[:, None] % q[:, None]
     # The entries of a row in one orbit sum into one coordinate per
-    # character.
-    order, starts, row, orb = _row_orbit_groups(torus, rows)
+    # character: group them by (row, orbit of the column).
+    n_orbits = len(torus.reps)
+    group = rows.row * n_orbits + torus.orbit[rows.col]
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    row, orb = np.divmod(group[starts], n_orbits)
     col = rows.col[order]
     sums = np.add.reduceat(rows.val[order, None] * coef[col] % q[col, None], starts)
     sums %= q[torus.reps[orb], None]
@@ -384,15 +376,13 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
 
 
 def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice]]:
-    """The relation lattice split over the characters of the diagonal
-    torus, as (multiplicity, block-diagonal lattice) pairs: one lattice
-    per orbit size of the equal-order factor permutations, holding one
-    character of each orbit of that size."""
-    torus = _torus(G, rel.target)
-    rows = _orbit_rows(torus, rel.rows)
+    """The rows of ``relation_matrix(..., per_orbit=True)`` split over the
+    characters of the diagonal torus, as (multiplicity, block-diagonal
+    lattice) pairs: one lattice per orbit size of the equal-order factor
+    permutations, holding one character of each orbit of that size."""
     chars, mult = _characters(G)
     return [
-        (int(size), _project(torus, rows, chars[mult == size]))
+        (int(size), _project(rel.torus, rel.rows, chars[mult == size]))
         for size in sorted(set(mult.tolist()) - {0})
     ]
 
@@ -421,15 +411,19 @@ def sk1(
 def _solve(G: AbelianPGroup, strategy: str) -> CyclicDecomposition:
     """The cokernel of G's relation lattice; ``sk1`` has checked the guard.
 
-    A lattice with SPLIT_MIN_NNZ nonzeros or more is split over the torus
-    first (see the module docstring), and each block's divisors count once
-    per character of its orbit size.  ``relation_matrix`` and
+    Below SPLIT_MIN_PAIRS (column, generator) pairs, the columns counted
+    by ``cyclic_quotients`` before the basis, the relation lattice is
+    eliminated whole.  Above, the per-orbit rows are split over the torus
+    (see the module docstring), and each block's divisors count once per
+    character of its orbit size.  ``relation_matrix`` and
     ``cokernel_decomposition`` are looked up as module globals, where the
     perfbench tracer wraps them.
     """
-    rel = relation_matrix(G, strategy=strategy, max_order=G.order)
-    if len(rel.rows.val) < SPLIT_MIN_NNZ:
+    exponents = [_p_power_exponent(o, G.prime) for o in G.orders]
+    if cyclic_quotients(G.prime, exponents) * len(G.orders) < SPLIT_MIN_PAIRS:
+        rel = relation_matrix(G, strategy=strategy, max_order=G.order)
         return cokernel_decomposition(rel.rows)
+    rel = relation_matrix(G, strategy=strategy, max_order=G.order, per_orbit=True)
     divisors: list[int] = []
     for size, block in _torus_blocks(G, rel):
         divisors += cokernel_decomposition(block).divisors * size

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -49,6 +49,25 @@ def cyclic_subgroup(G: AbelianPGroup, x: Element) -> frozenset[Element]:
 
 def cyclic_subgroups(G: AbelianPGroup) -> set[frozenset[Element]]:
     return {cyclic_subgroup(G, x) for x in enumerate_elements(G)}
+
+
+def torus_orbits_of_cyclic_subgroups(G: AbelianPGroup) -> dict[Element, int]:
+    """Map each element h to a label of the orbit of <h> under the maps
+    diag(1, u_2, ..., u_k), every u_i a (p-1)-th root of unity modulo
+    the exponent, found by trial."""
+    p, eg = G.prime, G.exponent
+    roots = [u for u in range(1, eg) if pow(u, p - 1, eg) == 1]
+    assert len(roots) == p - 1
+    subgroup = {h: cyclic_subgroup(G, h) for h in enumerate_elements(G)}
+    label: dict[frozenset[Element], int] = {}
+    for S in subgroup.values():
+        if S in label:
+            continue
+        n = len(set(label.values()))
+        for us in product(roots, repeat=len(G.orders) - 1):
+            u = (1, *us)
+            label[frozenset(tuple(x * c % o for x, c, o in zip(y, u, G.orders)) for y in S)] = n
+    return {h: label[S] for h, S in subgroup.items()}
 
 
 def subgroup_closure(G: AbelianPGroup, gens) -> frozenset[Element]:

@@ -158,3 +158,23 @@ def test_c6561_squared_is_pinned_as_observed():
         1: 1470, 2: 996, 3: 522, 4: 216, 5: 54, 6: 12, 7: 2,
     }
     assert verify(3, 8, dec).diffs == {4: (324, 216)}
+
+
+def test_c15625_squared_is_pinned_as_observed():
+    # p = 5 disagrees at C_125: 500 copies are predicted and 300 computed.
+    from sk1 import sk1
+    from sk1.abelian import make_group
+
+    dec = sk1(make_group(5, [15625, 15625]))
+    assert dec.prime_power_multiplicities(5) == {1: 2516, 2: 1040, 3: 300, 4: 40, 5: 4}
+    assert verify(5, 6, dec).diffs == {3: (500, 300)}
+
+
+def test_c16807_squared_is_pinned_as_observed():
+    # p = 7, n = 5 matches the transcribed conjecture.
+    from sk1 import sk1
+    from sk1.abelian import make_group
+
+    dec = sk1(make_group(7, [16807, 16807]))
+    assert dec.prime_power_multiplicities(7) == {1: 2076, 2: 630, 3: 84, 4: 6}
+    assert verify(7, 5, dec).match

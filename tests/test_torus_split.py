@@ -1,18 +1,22 @@
 """Tests for the split of the abelian relation lattice over the diagonal
 torus of Aut(G)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from oracles import torus_orbits_of_cyclic_subgroups
 from sk1.abelian import make_group
+from sk1.genetic import cyclic_quotients, genetic_basis_abelian
 from sk1.sk1_abelian import (
     EXHAUSTIVE,
     REPRESENTATIVES,
-    SPLIT_MIN_NNZ,
+    SPLIT_MIN_PAIRS,
     TargetProduct,
     _characters,
-    _orbit_rows,
     _project,
+    _references,
     _teichmuller_unit,
     _torus,
     _torus_blocks,
@@ -25,16 +29,22 @@ from sk1.snf import cokernel_decomposition
 EXHAUSTIVE_UP_TO = 3125
 
 
-def split_divisors(G, rel):
+def split_divisors(G, strategy):
     """The cyclic orders of the split: each block's, repeated by its
     multiplicity."""
+    rel = relation_matrix(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO, per_orbit=True)
     divisors = []
     for size, block in _torus_blocks(G, rel):
         divisors += cokernel_decomposition(block).divisors * size
     return tuple(sorted(divisors))
 
 
-@pytest.mark.parametrize(
+def strategies(G):
+    return [REPRESENTATIVES] + [EXHAUSTIVE] * (G.order <= EXHAUSTIVE_UP_TO)
+
+
+# Groups with multi-block splits, deep and wide squares, and the swap.
+SPLIT_GROUPS = pytest.mark.parametrize(
     "p,orders",
     [
         (3, [3, 3, 3, 3]),
@@ -51,15 +61,38 @@ def split_divisors(G, rel):
     ],
     ids=lambda v: str(v),
 )
+
+
+@SPLIT_GROUPS
 def test_sk1_is_the_unsplit_cokernel(p, orders):
     G = make_group(p, orders)
-    strategies = [REPRESENTATIVES] + [EXHAUSTIVE] * (G.order <= EXHAUSTIVE_UP_TO)
-    for strategy in strategies:
+    for strategy in strategies(G):
         rel = relation_matrix(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO)
         want = cokernel_decomposition(rel.rows)
         assert sk1(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO) == want
         # Called directly, the split runs below the size gate too.
-        assert split_divisors(G, rel) == want.divisors
+        assert split_divisors(G, strategy) == want.divisors
+
+
+def row_set(lattice):
+    return {tuple(r) for r in np.asarray(lattice).tolist()}
+
+
+@SPLIT_GROUPS
+def test_per_orbit_blocks_have_the_rows_of_the_whole_lattice(p, orders):
+    # Every row of the relation lattice is, up to a root of unity, a torus
+    # image of a row of the per-orbit references, so projecting the whole
+    # lattice gives the same blocks, row for row.
+    G = make_group(p, orders)
+    for strategy in strategies(G):
+        whole = relation_matrix(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO)
+        rel = relation_matrix(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO, per_orbit=True)
+        assert rel.target == whole.target
+        chars, mult = _characters(G)
+        for size, block in _torus_blocks(G, rel):
+            want = _project(rel.torus, whole.rows, chars[mult == size])
+            assert block.shape == want.shape
+            assert row_set(block) == row_set(want)
 
 
 @pytest.mark.parametrize(
@@ -74,27 +107,23 @@ def test_split_below_the_gate(p, orders):
     G = make_group(p, orders)
     for strategy in (REPRESENTATIVES, EXHAUSTIVE):
         rel = relation_matrix(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO)
-        assert len(rel.rows.val) < SPLIT_MIN_NNZ
-        assert split_divisors(G, rel) == cokernel_decomposition(rel.rows).divisors
-
-
-def row_set(lattice):
-    return {tuple(r) for r in np.asarray(lattice).tolist()}
+        assert len(rel.target.columns) * len(orders) < SPLIT_MIN_PAIRS
+        assert split_divisors(G, strategy) == cokernel_decomposition(rel.rows).divisors
 
 
 @pytest.mark.parametrize("p,orders", [(3, [27, 27]), (5, [125, 125]), (3, [9, 9, 9])])
 def test_components_of_every_character(p, orders):
     G = make_group(p, orders)
     rel = relation_matrix(G)
-    torus = _torus(G, rel.target)
-    kept = _orbit_rows(torus, rel.rows)
-    assert len(np.unique(kept.row)) < len(rel.rows)
+    kept = relation_matrix(G, per_orbit=True)
+    torus = kept.torus
+    assert len(kept.rows) < len(rel.rows)
     chars, mult = _characters(G)
     per_char = {}
     for a in chars:
-        filtered = _project(torus, kept, a[None])
-        # Every row is a torus image of a kept row up to a root of unity,
-        # so projecting every row adds no new normalised row.
+        filtered = _project(torus, kept.rows, a[None])
+        # Every row is a torus image of a per-orbit row up to a root of
+        # unity, so projecting every row adds no new normalised row.
         assert row_set(_project(torus, rel.rows, a[None])) == row_set(filtered)
         per_char[tuple(a.tolist())] = cokernel_decomposition(filtered).divisors
     # Every factor has the same order here, so the characters a permutation
@@ -111,7 +140,42 @@ def test_components_of_every_character(p, orders):
     # the unsplit cokernel; so does one lattice holding every component.
     everything = tuple(sorted(d for divisors in per_char.values() for d in divisors))
     assert everything == cokernel_decomposition(rel.rows).divisors
-    assert everything == cokernel_decomposition(_project(torus, kept, chars)).divisors
+    assert everything == cokernel_decomposition(_project(torus, kept.rows, chars)).divisors
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [
+        (3, [9, 9]), (3, [27, 9]), (3, [9, 3, 3]), (3, [3, 3, 3]), (3, [27, 27]),
+        (5, [25, 5]), (5, [5, 5, 5]), (5, [25, 25]), (7, [49, 7]), (7, [7, 7]),
+    ],
+    ids=lambda v: str(v),
+)
+def test_references_meet_every_torus_orbit_once(p, orders):
+    G = make_group(p, orders)
+    basis = genetic_basis_abelian(G)
+    torus = relation_matrix(G, per_orbit=True).torus
+    refs = _references(G, REPRESENTATIVES, basis, torus)
+    assert tuple(refs[0]) == G.identity()
+    orbit_of = torus_orbits_of_cyclic_subgroups(G)
+    met = [orbit_of[tuple(int(c) for c in h)] for h in refs]
+    assert sorted(met) == sorted(set(orbit_of.values()))
+
+
+def test_column_count_closed_form():
+    # Every group of p <= 13 with up to three factors whose basis pass
+    # stays small: the closed form counts the nontrivial cyclic quotients.
+    groups = [
+        (p, exps)
+        for p in (3, 5, 7, 11, 13)
+        for k in (1, 2, 3)
+        for exps in itertools.combinations_with_replacement(range(6, 0, -1), k)
+        if (max(exps) + 1) * p ** (sum(exps) - max(exps)) <= 20000
+    ]
+    assert len(groups) >= 100
+    for p, exps in groups:
+        G = make_group(p, [p**a for a in exps])
+        assert cyclic_quotients(p, exps) == len(genetic_basis_abelian(G)) - 1
 
 
 def test_squares_pair_every_character_with_its_swap():
@@ -126,7 +190,10 @@ def test_squares_pair_every_character_with_its_swap():
 def test_a_target_missing_a_torus_image_is_refused():
     G = make_group(3, [27, 27])
     target = relation_matrix(G).target
-    c = int(np.flatnonzero(_torus(G, target).size > 1)[0])
+    torus = _torus(G, target)
+    # A column that is not its orbit's representative is the image of one
+    # that stays, so dropping it leaves an image outside the target.
+    c = int(np.flatnonzero(torus.reps[torus.orbit] != np.arange(len(target.columns)))[0])
     broken = TargetProduct(target.columns[:c] + target.columns[c + 1 :])
     with pytest.raises(ValueError, match="outside the target"):
         _torus(G, broken)
