@@ -32,12 +32,13 @@ and drops its rows by the same identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .abelian import DEFAULT_MAX_ORDER, _is_odd_prime, guard_order
 from .errors import BadParams, DomainViolation, TooLarge
+from .sk1_abelian import SK1_CACHE_SIZE
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 MElement = tuple[int, int]
@@ -125,8 +126,13 @@ def _class_form(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
     return (alpha * u % q, beta * u % q)
 
 
+@lru_cache(maxsize=SK1_CACHE_SIZE)
 def genetic_basis_metacyclic(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, ...]:
-    """The (n-2)p + 3 member family, labelled by generators, in canonical order."""
+    """The (n-2)p + 3 member family, labelled by generators, in canonical order.
+
+    The last SK1_CACHE_SIZE bases are cached per group; a basis is a
+    tuple of frozen members, so callers share it.
+    """
     p, n = G.prime, G.n
     a, b = G.gen_a(), G.gen_b()
 
@@ -300,10 +306,23 @@ def sk1_metacyclic(
     row(h, h) = 0 puts that row in the span of the others.  Every other h
     gives a zero row or repeats the rows of the reference element whose
     subgroup is conjugate to <h>.
+
+    The last SK1_CACHE_SIZE results are cached per basis, as ``sk1``
+    caches its own.  The order guard and the int64 refusal are checked
+    before the lookup, so a hit never answers a call they refuse.
     """
     guard_order(G, max_order, "order guard")
     if _int_dtype(G) is not np.int64:
         raise TooLarge(f"|G| = {G.order}: relation entries would overflow int64")
-    basis = genetic_basis_metacyclic(G)
+    return _solve(genetic_basis_metacyclic(G))
+
+
+@lru_cache(maxsize=SK1_CACHE_SIZE)
+def _solve(basis: tuple[MetaGeneticSubgroup, ...]) -> CyclicDecomposition:
+    """The cokernel of the relation lattice on ``basis``; ``sk1_metacyclic``
+    has checked the guards.  The basis is the key, rather than G, so that
+    every call still asks ``genetic_basis_metacyclic`` for it, through the
+    module global that the perfbench tracer wraps."""
+    G = basis[0].group
     cols = [S for S in basis if S.quotient_order > 1]
     return cokernel_decomposition(_relation_rows(G, cols))

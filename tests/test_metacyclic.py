@@ -1,6 +1,7 @@
 """Tests for modular metacyclic groups and their SK1 pipeline."""
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -458,6 +459,60 @@ def test_int64_refusal_starts_at_m21_3():
     G = make_metacyclic(3, 21)
     with pytest.raises(TooLarge, match="int64"):
         sk1_metacyclic(G, max_order=G.order)
+
+
+def test_sk1_metacyclic_is_cached():
+    G = make_metacyclic(3, 5)
+    assert sk1_metacyclic(G) is sk1_metacyclic(G)
+    assert genetic_basis_metacyclic(G) is genetic_basis_metacyclic(G)
+
+
+def test_cache_hit_does_not_skip_the_guards():
+    G = make_metacyclic(3, 5)
+    assert sk1_metacyclic(G).divisors == (3,) * 6
+    with pytest.raises(TooLarge):
+        sk1_metacyclic(G, max_order=100)
+    # The int64 refusal comes before the basis too, on every call.
+    G = make_metacyclic(3, 21)
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="int64"):
+            sk1_metacyclic(G, max_order=G.order)
+
+
+def test_sk1_metacyclic_cache_drops_the_least_recently_used(monkeypatch):
+    from sk1 import metacyclic
+
+    # The defaults hold the 7 distinct metacyclic groups of the perfbench
+    # sweep with room to spare.
+    for cached in (metacyclic._solve, genetic_basis_metacyclic):
+        assert cached.cache_info().maxsize == metacyclic.SK1_CACHE_SIZE >= 7
+    solve = lru_cache(maxsize=2)(metacyclic._solve.__wrapped__)
+    monkeypatch.setattr(metacyclic, "_solve", solve)
+
+    def hits_and_misses():
+        info = solve.cache_info()
+        return info.hits, info.misses
+
+    A, B, C = (make_metacyclic(p, n) for p, n in ((3, 3), (3, 4), (5, 3)))
+    a, b = sk1_metacyclic(A), sk1_metacyclic(B)
+    assert sk1_metacyclic(A) is a  # the hit makes A the most recent
+    c = sk1_metacyclic(C)  # so B is dropped
+    assert hits_and_misses() == (1, 3)
+    assert sk1_metacyclic(A) is a and sk1_metacyclic(C) is c
+    assert hits_and_misses() == (3, 3)
+    again = sk1_metacyclic(B)  # solved anew, dropping A
+    assert again == b and again is not b
+    assert hits_and_misses() == (3, 4)
+    assert sk1_metacyclic(C) is c  # C and B are held
+    assert sk1_metacyclic(B) is again
+    assert hits_and_misses() == (5, 4) and solve.cache_info().currsize == 2
+    fresh = sk1_metacyclic(A)  # A was dropped
+    assert fresh == a and fresh is not a
+    assert hits_and_misses() == (5, 5)
+    # A full cache still checks the guard before the lookup.
+    with pytest.raises(TooLarge):
+        sk1_metacyclic(B, max_order=10)
+    assert hits_and_misses() == (5, 5)
 
 
 @pytest.mark.parametrize(

@@ -263,8 +263,9 @@ def test_sk1_is_cached():
 def test_sk1_cache_drops_the_least_recently_used(monkeypatch):
     from sk1 import sk1_abelian
 
-    # The default holds every distinct solve of a long mixed session, such
-    # as the 48 of the perfbench sweep.
+    # The default holds every distinct solve of a long mixed session.  The
+    # perfbench sweep makes 48: 41 abelian ones, which this cache holds,
+    # and 7 metacyclic ones, which sk1_metacyclic's own cache holds.
     assert sk1_abelian._solve.cache_info().maxsize == sk1_abelian.SK1_CACHE_SIZE >= 48
     solve = lru_cache(maxsize=2)(sk1_abelian._solve.__wrapped__)
     monkeypatch.setattr(sk1_abelian, "_solve", solve)
