@@ -6,11 +6,10 @@ Kernels come from a restricted family of coefficient tuples (first
 coordinate ranges over powers of p modulo eg, the rest are free).  One
 numpy pass over all tuples keys each kernel by its linear form up to a
 unit, keeps the first tuple of each key, and sorts the members by
-(quotient order, defining tuple); no group element is listed.  Each
-member keeps its form onto Z/index, which the relation rows read as the
-member's column.  The guard bounds that pass, tuples times generators,
-not the group order, and the arithmetic is refused when it could
-overflow int64.
+(quotient order, defining tuple); no group element is listed.  The
+relation rows read the forms of the basis arrays as their columns.  The
+guard bounds that pass, tuples times generators, not the group order,
+and the arithmetic is refused when it could overflow int64.
 """
 
 from __future__ import annotations
@@ -46,12 +45,41 @@ class GeneticSubgroupA:
     form: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class GeneticBasis:
+    """The basis as read-only int64 arrays, one row per member; an integer
+    index or iteration builds a member, a slice or index array a sub-basis."""
+
+    group: AbelianPGroup
+    coeffs: np.ndarray
+    index: np.ndarray
+    form: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.coeffs, self.index, self.form):
+            a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            c, f = self.coeffs[i].tolist(), self.form[i].tolist()
+            return GeneticSubgroupA(self.group, tuple(c), int(self.index[i]), tuple(f))
+        return GeneticBasis(self.group, self.coeffs[i], self.index[i], self.form[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, GeneticBasis):
+            return NotImplemented
+        # coeffs fix index and form.
+        return self.group == other.group and np.array_equal(self.coeffs, other.coeffs)
+
+
 def enumerate_cyclic_homs(G: AbelianPGroup) -> list[tuple[int, ...]]:
     """Coefficient tuples in odometer order.
 
-    The first coordinate runs over {p**x mod eg : 0 <= x <= log_p eg};
-    unit rescaling of a tuple never changes the kernel, so this
-    restriction loses no subgroups while trimming the search space.
+    The first coordinate runs over {p**x mod eg : 0 <= x <= log_p eg}; a
+    unit multiple of a tuple has its kernel, so this loses no subgroup.
     """
     eg = G.exponent
     e = _p_power_exponent(eg, G.prime) or 0
@@ -87,7 +115,7 @@ def _unit_inverse(a: np.ndarray, p: int, eg: int) -> np.ndarray:
     return out
 
 
-def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
+def genetic_basis_abelian(G: AbelianPGroup) -> GeneticBasis:
     """One subgroup per distinct kernel, sorted by (index, defining tuple).
 
     Divided by its step eg/index, the gcd of its values and eg, a
@@ -95,7 +123,7 @@ def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     share a kernel exactly when they differ by a unit.  So the key is
     (index, the form scaled to make its first unit coordinate 1).  All
     tuples are keyed in one array pass, the first tuple in enumeration
-    order wins, and its member keeps the unscaled form.
+    order wins and keeps its unscaled form.
 
     Refuses with TooLarge when the tuples times the generators, the
     entries of that pass, exceed ``ENUMERATION_LIMIT``, and when
@@ -127,12 +155,7 @@ def genetic_basis_abelian(G: AbelianPGroup) -> tuple[GeneticSubgroupA, ...]:
     key[:, 1:] = (form * (_unit_inverse(lead, p, eg) % index) % index).T
     _, first = np.unique(key.view(np.dtype((np.void, key.strides[0]))), return_index=True)
     first = first[np.lexsort((*coeffs[::-1, first], index[first]))]
-    return tuple(
-        GeneticSubgroupA(G, tuple(c), i, tuple(f))
-        for c, i, f in zip(
-            coeffs[:, first].T.tolist(), index[first].tolist(), form[:, first].T.tolist()
-        )
-    )
+    return GeneticBasis(G, coeffs.T[first], index[first], form.T[first])
 
 
 def cyclic_quotients(p: int, exponents) -> int:

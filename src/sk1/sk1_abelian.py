@@ -1,46 +1,40 @@
 """SK1 of the integral group ring of a finite abelian p-group, p odd.
 
-The target is the product of the nontrivial cyclic quotients attached to
-the genetic basis, one column per subgroup, and each column is its
-member's linear form onto that quotient.  Relation rows come in two
-flavours: diagonal seeds recording the column orders, and rows
-recording, for a reference element h, the classes of the distinguished
-generators (the entries of the forms) in every quotient whose subgroup
-contains h.  The cokernel of the combined rows is the computed
-decomposition.
+The target has one column per nontrivial cyclic quotient of the genetic
+basis, its member's linear form onto that quotient.  The relation rows
+are diagonal seeds, the column orders, and for each reference element h
+the classes of the generators (the entries of the forms) in every
+quotient whose subgroup contains h.  Their cokernel is the result.
 
 The row of h is a homomorphism g -> row(h, g) into the target that
-kills h, since h has class 0 in every quotient whose subgroup contains
-it.  So sum_i h_i * row(h, e_i) = 0 modulo the seed rows, and when some
-coordinate h_j is prime to p, row(h, e_j) is already in the span of the
-others: every reference element with such a coordinate skips the
-generator of the first one.
+kills h, as h has class 0 in every quotient whose subgroup contains it.
+So sum_i h_i * row(h, e_i) = 0 modulo the seeds, and a reference
+element with a coordinate prime to p skips the generator of the first
+such coordinate: its row is in the span of the others.
 
 The cokernel is split before its Smith form.  The diagonal torus T of
 Teichmuller units, diag(u_1, ..., u_k) with u_i^(p-1) = 1, acts on G and
-so on the columns: t maps the kernel of the form F to the kernel of
-F * u^-1, and its form to a unit multiple of F * u^-1.  The lattice is
-stable under every automorphism, since the reference elements generate
-every cyclic subgroup of G, and |T| is prime to p, so the cokernel is
-the direct sum of its components over the characters of T (Serre,
-Linear Representations of Finite Groups, GTM 42, for the idempotents).
-Scalars act on every column by their own value, so only characters
-a with sum(a) = 1 mod p - 1 occur, and they are read off the subtorus
-T' = {diag(1, u_2, ..., u_k)}.  A component has one coordinate per
-T'-orbit of columns on whose representative the stabiliser acts by the
-character; a row enters it through its entries, each weighted by the
-character, and the rows of one T'-orbit give one projected row up to a
-root of unity.  The rows of h depend only on <h>, and t<c(S)> =
-<c(t^-1 S)> for the reference c(S) of column S (its coefficient tuple):
-c(t^-1 S) and t c(S) define homomorphisms with one kernel, so they differ
-by a unit.  So the split needs the rows of the identity and of one
-column's reference per T'-orbit only.  A permutation of equal-order
-factors maps the a-component isomorphically onto the component of the
-permuted a, so one character per orbit of such permutations is solved
-and its divisors are repeated by the orbit's size.  For C_{p^n} x C_{p^n}
-no character is fixed by the swap (2a = 1 has no solution mod the even
-p - 1), so half the components are eliminated, each about half the size
-of the lattice when p = 3.
+on the columns: t maps the kernel of the form F to that of F * u^-1,
+and its form to a unit multiple of F * u^-1.  The lattice is stable
+under every automorphism (the reference elements generate every cyclic
+subgroup) and |T| is prime to p, so the cokernel is the direct sum of
+its components over the characters of T (Serre, Linear Representations
+of Finite Groups, GTM 42, for the idempotents).  Scalars act on a column
+by their own value, so only characters a with sum(a) = 1 mod p - 1
+occur, read off the subtorus T' = {diag(1, u_2, ..., u_k)}.  A component has
+one coordinate per T'-orbit of columns on whose representative the
+stabiliser acts by the character; a row enters it through its entries
+weighted by the character, and the rows of one T'-orbit give one
+projected row up to a root of unity.  The rows of h depend only on <h>,
+and t<c(S)> = <c(t^-1 S)> for the reference c(S) of column S (its
+tuple): c(t^-1 S) and t c(S) define homomorphisms with one kernel, so
+differ by a unit.  So the split needs the rows of the identity and of
+one column's reference per T'-orbit.  A permutation of equal-order
+factors maps the a-component isomorphically onto that of the permuted
+a, so one character per orbit of such permutations is solved, its
+divisors repeated by the orbit's size.  For C_{p^n} x C_{p^n} no character is
+swap-fixed (2a = 1 has no solution mod the even p - 1), so half the
+components are eliminated, each about half the lattice when p = 3.
 """
 
 from __future__ import annotations
@@ -54,12 +48,12 @@ import numpy as np
 
 from .abelian import (
     DEFAULT_MAX_ORDER,
+    ENUMERATION_LIMIT,
     AbelianPGroup,
     _p_power_exponent,
-    enumerate_elements,
     guard_order,
 )
-from .genetic import GeneticSubgroupA, _unit_inverse, cyclic_quotients, genetic_basis_abelian
+from .genetic import GeneticBasis, _unit_inverse, cyclic_quotients, genetic_basis_abelian
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
@@ -76,11 +70,11 @@ class TargetProduct:
     """Columns of the relation lattice: one cyclic quotient per basis
     member with nontrivial quotient."""
 
-    columns: tuple[GeneticSubgroupA, ...]
+    columns: GeneticBasis
 
     @property
     def orders(self) -> tuple[int, ...]:
-        return tuple(S.index for S in self.columns)
+        return tuple(self.columns.index.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +90,7 @@ class RelationSet:
 def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
     if basis is None:
         basis = genetic_basis_abelian(G)
-    return TargetProduct(tuple(S for S in basis if S.index > 1))
+    return TargetProduct(basis[basis.index > 1])
 
 
 def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
@@ -107,14 +101,15 @@ def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
 
 
 def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarray:
-    """Every element under ``exhaustive``; else the coefficient tuples of
-    the basis members or, given ``torus``, of the identity basis[0] and of
-    the column-orbit representatives (the columns are basis[1:])."""
+    """Every element (as ``enumerate_elements``) under ``exhaustive``; else
+    the basis tuples or, given ``torus``, those of the identity basis[0]
+    and of the column-orbit representatives (the columns are basis[1:])."""
     if strategy == EXHAUSTIVE:
-        return np.array(enumerate_elements(G), dtype=np.int64)
+        guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
+        return np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), -1).T
     if torus is not None:
-        basis = [basis[0], *(basis[1 + r] for r in torus.reps)]
-    return np.array([S.coeffs for S in basis], dtype=np.int64)
+        return basis.coeffs[np.concatenate(([0], 1 + torus.reps))]
+    return basis.coeffs
 
 
 def relation_matrix(
@@ -125,23 +120,19 @@ def relation_matrix(
     per_orbit: bool = False,
 ) -> RelationSet:
     """One relation row per (reference element h, generator e_i) pair,
-    except the pair of the first coordinate of h prime to p.
+    except the pair of the first coordinate of h prime to p (see the
+    module docstring); an h with none, the identity among them, keeps all.
 
-    Skipping it leaves the row span as it is (see the module docstring).
-    An h with every coordinate divisible by p, the identity among them,
-    keeps all its rows.
+    ``representatives`` uses one reference element per basis member, its
+    defining tuple (the identity for the zero tuple).  ``exhaustive`` runs
+    every group element through, guarded by ``max_order``.
 
-    ``representatives`` uses one reference element per basis member, the
-    element whose coordinates equal the member's defining tuple (the
-    identity for the zero tuple).  ``exhaustive`` runs every group
-    element through, guarded by ``max_order``.
-
-    The default form is the relation lattice: seeds first, duplicates
-    removed.  ``per_orbit`` gives the input of ``_torus_blocks``: the
-    torus, and the rows without seeds in reversed (reference, generator)
-    order, which the blocks' Smith form favours (README "Library");
-    ``representatives`` then keeps the identity and one reference per
-    T'-orbit of cyclic subgroups (see the module docstring).
+    The default is the relation lattice, seeds first, duplicates removed.
+    ``per_orbit`` gives the input of ``_torus_blocks``: the torus and the
+    rows without seeds, in the reversed (reference, generator) order the
+    blocks' Smith form favours (README "Library"); ``representatives``
+    then keeps the identity and one reference per T'-orbit of cyclic
+    subgroups (see the module docstring).
     """
     _check_strategy(G, strategy, max_order)
     basis = genetic_basis_abelian(G)
@@ -150,8 +141,7 @@ def relation_matrix(
     refs = _references(G, strategy, basis, torus)
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
     # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
-    q = np.array(target.orders, dtype=np.int64)
-    F = np.array([S.form for S in target.columns], dtype=np.int64)
+    q, F = target.columns.index, target.columns.form
     n_gens = len(G.orders)
     # Slot r * n_gens + i is (reference r, generator i): its entry in column
     # c is F[c, i] where refs[r] is in the kernel of column c.  The slot of
@@ -201,10 +191,8 @@ def _prime_factors(n: int) -> list[int]:
 
 def _teichmuller_unit(p: int, eg: int) -> int:
     """w = g^(eg/p) mod eg for the least primitive root g mod p, a
-    generator of the (p-1)-th roots of unity in Z/eg.
-
-    Raises ValueError unless w has order exactly p - 1 mod eg.
-    """
+    generator of the (p-1)-th roots of unity in Z/eg.  Raises ValueError
+    unless w has order exactly p - 1 mod eg."""
     factors = _prime_factors(p - 1)
     g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
     w = pow(g, eg // p, eg)
@@ -214,18 +202,17 @@ def _teichmuller_unit(p: int, eg: int) -> int:
 
 
 class _Torus(SimpleNamespace):
-    """The torus T' = {diag(1, w^m_2, ..., w^m_k)} acting on the columns,
-    built by ``_torus``; powers[j] is w^j mod eg.
+    """The torus T' = {diag(1, w^m_2, ..., w^m_k)} on the columns, built by
+    ``_torus``; powers[j] is w^j mod eg.
 
-    Element s has exponents m[s] (m[s, 0] = 0).  Column c lies in the
-    orbit of its lowest column, reps[orbit[c]], and elem[c] is an element
-    s with s . reps[orbit[c]] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted
-    by fix_r, are the elements that fix each representative.
+    Element s has exponents m[s] (m[s, 0] = 0).  Column c is in the orbit
+    of its lowest column reps[orbit[c]], and s = elem[c] has
+    s . reps[orbit[c]] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted
+    by fix_r, are the elements fixing each representative.
 
     lead[c] is the first coordinate of column c's form prime to p, and
-    scale[c] the inverse of that coordinate's value.  In the frame that
-    scales column c by scale[c], element s maps basis vector c to
-    w^m[s, lead[c]] times basis vector s . c.
+    scale[c] the inverse of its value.  In the frame scaling column c by
+    scale[c], s maps basis vector c to w^m[s, lead[c]] times vector s . c.
     """
 
 
@@ -238,9 +225,8 @@ def _torus(G: AbelianPGroup, target: TargetProduct) -> _Torus:
     """
     p, eg, k = G.prime, G.exponent, len(G.orders)
     w = _teichmuller_unit(p, eg)
-    q = np.array(target.orders, dtype=np.int64)
+    q, F = target.columns.index, target.columns.form
     n = len(q)
-    F = np.array([S.form for S in target.columns], dtype=np.int64).reshape(n, k)
     lead = (F % p != 0).argmax(axis=1)
     scale = _unit_inverse(F[np.arange(n), lead], p, eg) % q
     key = F * scale[:, None] % q[:, None]
@@ -299,13 +285,7 @@ def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
     """The characters a of the diagonal torus T with sum(a) = 1 mod p - 1,
     as rows, and for each the size of its orbit under the permutations of
     equal-order factors when a is that orbit's member sorted within each
-    run of equal orders, else 0.
-
-    Scalars act on every column by their own value, so only these
-    characters have nonzero components, and each is fixed by its values
-    on T'.  A permutation maps the a-component isomorphically onto the
-    component of the permuted a.
-    """
+    run of equal orders, else 0 (see the module docstring)."""
     p, k = G.prime, len(G.orders)
     rest = np.indices((p - 1,) * (k - 1), dtype=np.int64).reshape(k - 1, (p - 1) ** (k - 1)).T
     chars = np.column_stack([(1 - rest.sum(axis=1)) % (p - 1), rest])
@@ -413,11 +393,10 @@ def _solve(G: AbelianPGroup, strategy: str) -> CyclicDecomposition:
 
     Below SPLIT_MIN_PAIRS (column, generator) pairs, the columns counted
     by ``cyclic_quotients`` before the basis, the relation lattice is
-    eliminated whole.  Above, the per-orbit rows are split over the torus
-    (see the module docstring), and each block's divisors count once per
-    character of its orbit size.  ``relation_matrix`` and
-    ``cokernel_decomposition`` are looked up as module globals, where the
-    perfbench tracer wraps them.
+    eliminated whole.  Above, the per-orbit rows are split over the torus,
+    and each block's divisors count once per character of its orbit size.
+    ``relation_matrix`` and ``cokernel_decomposition`` are looked up as
+    module globals, where the perfbench tracer wraps them.
     """
     exponents = [_p_power_exponent(o, G.prime) for o in G.orders]
     if cyclic_quotients(G.prime, exponents) * len(G.orders) < SPLIT_MIN_PAIRS:

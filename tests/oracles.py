@@ -164,6 +164,23 @@ def lattice_index(rows, modulus: int) -> int:
     return modulus**c // len(seen)
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, by dense Gaussian elimination."""
+    a = np.asarray(rows, dtype=np.int64) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, c])
+        if not len(nonzero):
+            continue
+        pivot = rank + nonzero[0]
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1 :, c])
+        a[below, c:] = (a[below, c:] - a[below, c, None] * a[rank, c:]) % p
+        rank += 1
+    return rank
+
+
 def cokernel_by_dense_elimination(rows, p: int, e: int) -> list[int]:
     """Cyclic orders > 1 of Z^cols modulo the row span of rows, which must
     contain q*Z^cols for q = p^e, by elimination over Z/q on a dense

@@ -2,11 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
 from sk1.errors import BadParams, TooLarge
-from sk1.genetic import cyclic_quotient_count, enumerate_cyclic_homs, genetic_basis_abelian
+from sk1.genetic import (
+    GeneticSubgroupA,
+    cyclic_quotient_count,
+    enumerate_cyclic_homs,
+    genetic_basis_abelian,
+)
 
 import oracles
 
@@ -246,3 +252,44 @@ def test_basis_guard_bounds_tuples_times_generators():
     assert G.order <= ENUMERATION_LIMIT
     with pytest.raises(TooLarge, match="enumeration guard"):
         genetic_basis_abelian(G)
+
+
+@pytest.mark.parametrize(
+    "p,orders", [(3, [9, 3]), (3, [27, 27]), (3, [27, 9, 3]), (17, [289, 289])]
+)
+def test_basis_arrays_build_the_members(p, orders):
+    # The basis is its arrays; iterating or indexing builds the members, with
+    # plain int fields, in (index, tuple) order.
+    G = make_group(p, orders)
+    basis = genetic_basis_abelian(G)
+    want = oracles.genetic_basis_by_unit_forms(G)
+    if orders == [9, 3]:
+        assert want == [
+            ((0, 0), 1, (0, 0)), ((0, 1), 3, (0, 1)), ((3, 0), 3, (1, 0)),
+            ((3, 1), 3, (1, 1)), ((3, 2), 3, (1, 2)), ((1, 0), 9, (1, 0)),
+            ((1, 1), 9, (1, 3)), ((1, 2), 9, (1, 6)),
+        ]
+    members = list(basis)
+    assert [(S.coeffs, S.index, S.form) for S in members] == want
+    assert all(type(S) is GeneticSubgroupA and S.group == G for S in members)
+    assert all(type(c) is int for S in members for c in (*S.coeffs, S.index, *S.form))
+    assert len(basis) == len(want)
+    assert basis[0].index == 1
+    assert [basis[i] for i in range(len(basis))] == members == list(basis)
+    assert basis[-1] == members[-1] and basis[np.int64(1)] == members[1]
+    k = len(orders)
+    assert basis.coeffs.shape == basis.form.shape == (len(want), k)
+    assert basis.coeffs.dtype == basis.index.dtype == basis.form.dtype == np.int64
+    # A slice or a mask gives a sub-basis of the same members.
+    assert list(basis[1:]) == members[1:]
+    assert list(basis[basis.index > 1]) == members[1:]
+    assert basis[1:] == basis[basis.index > 1] != basis
+
+
+def test_basis_arrays_are_read_only():
+    basis = genetic_basis_abelian(make_group(3, [27, 9]))
+    for sub in (basis, basis[1:], basis[basis.index > 3]):
+        for a in (sub.coeffs, sub.index, sub.form):
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert basis[1].index == 3

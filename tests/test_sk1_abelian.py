@@ -9,13 +9,14 @@ import pytest
 
 import oracles
 
-from sk1.abelian import enumerate_elements, make_group
+from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
 from sk1.errors import TooLarge
 from sk1.genetic import genetic_basis_abelian
 from sk1.sk1_abelian import (
     EXHAUSTIVE,
     REPRESENTATIVES,
     STRATEGIES,
+    _references,
     relation_matrix,
     sk1,
     target_product,
@@ -32,7 +33,7 @@ def test_target_product_c3xc3():
     G = make_group(3, [3, 3])
     target = target_product(G)
     assert len(target.columns) == 4
-    assert target.columns == tuple(S for S in genetic_basis_abelian(G) if S.index > 1)
+    assert tuple(target.columns) == tuple(S for S in genetic_basis_abelian(G) if S.index > 1)
     assert target.orders == (3, 3, 3, 3)
     assert set(columns_by_tuple(G)) == {(0, 1), (1, 0), (1, 1), (1, 2)}
 
@@ -175,6 +176,58 @@ def test_sk1_is_the_cokernel_of_the_unpruned_reference_rows(p, orders):
 def test_relation_lattice_shapes(p, orders, shape):
     # Seed rows included.
     assert relation_matrix(make_group(p, orders)).rows.shape == shape
+
+
+def test_rank_mod_p_oracle_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = np.random.default_rng(7)
+    for p in (3, 5, 7):
+        for n_rows, n_cols in [(4, 6), (7, 5), (6, 6), (9, 4)]:
+            rows = rng.integers(-20, 20, size=(n_rows, n_cols))
+            # Rank deficiency: a row that is a combination of two others, and
+            # a column that vanishes mod p.
+            rows[-1] = 2 * rows[0] - 3 * rows[1]
+            rows[:, 1] *= p
+            want = DomainMatrix.from_list(rows.tolist(), sympy.ZZ)
+            assert oracles.rank_mod_p(rows, p) == want.convert_to(sympy.GF(p)).rank()
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [(3, [81, 81]), (3, [243, 243]), (5, [125, 125]), (3, [27, 27, 3]), (3, [9, 9, 9]),
+     (5, [25, 25, 5])],
+)
+def test_factor_count_is_the_corank_mod_p(p, orders):
+    # The cokernel of a lattice L in Z^cols has cols - rank(L mod p) cyclic
+    # factors: its tensor with GF(p) is GF(p)^cols modulo L.  This counts
+    # the factors of sk1's split eliminations with no Smith form at all.
+    G = make_group(p, orders)
+    rows = relation_matrix(G).rows
+    assert len(sk1(G).divisors) == rows.shape[1] - oracles.rank_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("p,orders", [(3, [9, 3]), (3, [3, 3, 3]), (3, [27, 9, 3]), (5, [25, 5])])
+def test_references_of_each_strategy(p, orders, strategy):
+    G = make_group(p, orders)
+    basis = genetic_basis_abelian(G)
+    refs = _references(G, strategy, basis)
+    assert refs.dtype == np.int64
+    if strategy == EXHAUSTIVE:
+        assert refs.tolist() == [list(x) for x in enumerate_elements(G)]
+    else:
+        assert refs.tolist() == [list(S.coeffs) for S in basis]
+
+
+def test_exhaustive_references_keep_the_enumeration_guard():
+    # C_{3^15} passes the basis guard (16 tuples) and a raised max_order, but
+    # its 3^15 > 10^7 elements are not listed.
+    G = make_group(3, [3**15])
+    assert G.order > ENUMERATION_LIMIT
+    with pytest.raises(TooLarge, match="enumeration guard"):
+        relation_matrix(G, strategy=EXHAUSTIVE, max_order=G.order)
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 75, 76, 1000])
