@@ -4,12 +4,14 @@ A subgroup of an abelian p-group has cyclic quotient exactly when it is
 the kernel of a homomorphism into Z/eg, where eg is the group exponent.
 Kernels come from a restricted family of coefficient tuples (first
 coordinate ranges over powers of p modulo eg, the rest are free).  One
-numpy pass over all tuples keys each kernel by its linear form up to a
-unit, keeps the first tuple of each key, and sorts the members by
-(quotient order, defining tuple); no group element is listed.  The
-relation rows read the forms of the basis arrays as their columns.  The
-guard bounds that pass, tuples times generators, not the group order,
-and the arithmetic is refused when it could overflow int64.
+numpy pass over all tuples scales each linear form by the unit that
+makes its first coordinate prime to p equal to 1, keys the kernel by
+that normalised form, keeps the first tuple of each key, and sorts the
+members by (quotient order, defining tuple); no group element is listed.
+The relation rows and the torus split read the normalised forms of the
+basis arrays as their columns.  The guard bounds that pass, tuples times
+generators, not the group order, and the arithmetic is refused when it
+could overflow int64.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class GeneticSubgroupA:
     """A subgroup whose quotient is cyclic of order ``index``.
 
     It is the kernel of the homomorphism G -> Z/eg sending generator i to
-    (eg/o_i)*coeffs[i].  ``form[i]`` is the class of generator i in the
+    (eg/o_i)*coeffs[i].  ``form`` is that homomorphism divided by its step
+    eg/index and scaled by the unit that makes its first coordinate prime
+    to p equal to 1.  ``form[i]`` is the class of generator i in the
     quotient Z/index, so x lies in the subgroup exactly when
     sum(form[i]*x[i]) = 0 mod index.
     """
@@ -115,15 +119,31 @@ def _unit_inverse(a: np.ndarray, p: int, eg: int) -> np.ndarray:
     return out
 
 
+def _key_code(G: AbelianPGroup, index: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """One integer per kernel, from its index and its normalised form (one
+    row of ``form`` each): the index's exponent, then coordinate i as a
+    digit below min(index, o_i), since o_i e_i = 0 makes it a multiple of
+    index / min(index, o_i).  The codes stay below (e + 1)|G|, the tuples
+    of the basis pass times eg, which its guards (at most 10^7 tuples,
+    eg^2 < 2^63) keep below 2^55."""
+    p, eg = G.prime, G.exponent
+    o = np.array(G.orders, dtype=np.int64)
+    step = index[:, None] // np.minimum(index[:, None], o)
+    exps = np.searchsorted(p ** np.arange(_p_power_exponent(eg, p) + 1, dtype=np.int64), index)
+    radix = np.cumprod(o[::-1])[::-1] // o  # place value of digit i
+    return exps * G.order + (form // step) @ radix
+
+
 def genetic_basis_abelian(G: AbelianPGroup) -> GeneticBasis:
     """One subgroup per distinct kernel, sorted by (index, defining tuple).
 
     Divided by its step eg/index, the gcd of its values and eg, a
     homomorphism is a linear form onto Z/index, and two such surjections
-    share a kernel exactly when they differ by a unit.  So the key is
-    (index, the form scaled to make its first unit coordinate 1).  All
-    tuples are keyed in one array pass, the first tuple in enumeration
-    order wins and keeps its unscaled form.
+    share a kernel exactly when they differ by a unit.  So each form is
+    scaled to make its first unit coordinate 1, and ``_key_code`` of
+    (index, that form) keys the kernel.  All tuples are keyed in one array
+    pass; the first tuple in enumeration order wins, and its member keeps
+    the normalised form.
 
     Refuses with TooLarge when the tuples times the generators, the
     entries of that pass, exceed ``ENUMERATION_LIMIT``, and when
@@ -147,15 +167,13 @@ def genetic_basis_abelian(G: AbelianPGroup) -> GeneticBasis:
     form = weights // step
     # A unit coordinate exists when index > 1: the coordinates are coprime
     # to the prime power index.  A unit mod index is one mod eg, so its
-    # inverse mod eg serves.  (Only the zero tuple has index 1, and its key
-    # is 0 whatever its lead.)
+    # inverse mod eg serves.  (Only the zero tuple has index 1, and its
+    # form is 0 whatever its lead.)
     lead = form[(form % p != 0).argmax(axis=0), np.arange(n_tuples)]
-    key = np.empty((n_tuples, k + 1), dtype=np.int64)
-    key[:, 0] = index
-    key[:, 1:] = (form * (_unit_inverse(lead, p, eg) % index) % index).T
-    _, first = np.unique(key.view(np.dtype((np.void, key.strides[0]))), return_index=True)
+    form = (form * (_unit_inverse(lead, p, eg) % index) % index).T
+    _, first = np.unique(_key_code(G, index, form), return_index=True)
     first = first[np.lexsort((*coeffs[::-1, first], index[first]))]
-    return GeneticBasis(G, coeffs.T[first], index[first], form.T[first])
+    return GeneticBasis(G, coeffs.T[first], index[first], form[first])
 
 
 def cyclic_quotients(p: int, exponents) -> int:

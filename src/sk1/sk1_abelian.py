@@ -1,7 +1,8 @@
 """SK1 of the integral group ring of a finite abelian p-group, p odd.
 
 The target has one column per nontrivial cyclic quotient of the genetic
-basis, its member's linear form onto that quotient.  The relation rows
+basis, its member's normalised linear form onto that quotient (first
+coordinate prime to p equal to 1).  The relation rows
 are diagonal seeds, the column orders, and for each reference element h
 the classes of the generators (the entries of the forms) in every
 quotient whose subgroup contains h.  Their cokernel is the result.
@@ -15,17 +16,19 @@ such coordinate: its row is in the span of the others.
 The cokernel is split before its Smith form.  The diagonal torus T of
 Teichmuller units, diag(u_1, ..., u_k) with u_i^(p-1) = 1, acts on G and
 on the columns: t maps the kernel of the form F to that of F * u^-1,
-and its form to a unit multiple of F * u^-1.  The lattice is stable
-under every automorphism (the reference elements generate every cyclic
-subgroup) and |T| is prime to p, so the cokernel is the direct sum of
-its components over the characters of T (Serre, Linear Representations
-of Finite Groups, GTM 42, for the idempotents).  Scalars act on a column
-by their own value, so only characters a with sum(a) = 1 mod p - 1
-occur, read off the subtorus T' = {diag(1, u_2, ..., u_k)}.  A component has
-one coordinate per T'-orbit of columns on whose representative the
-stabiliser acts by the character; a row enters it through its entries
-weighted by the character, and the rows of one T'-orbit give one
-projected row up to a root of unity.  The rows of h depend only on <h>,
+and its normalised form to F * u^-1 times u_l, l the first coordinate
+of F prime to p.  So t maps column S to u_l times column tS.  The
+lattice is stable under every automorphism (the reference elements
+generate every cyclic subgroup) and |T| is prime to p, so the cokernel
+is the direct sum of its components over the characters of T (Serre,
+Linear Representations of Finite Groups, GTM 42, for the idempotents).
+Scalars act on a column by their own value, so only characters a with
+sum(a) = 1 mod p - 1 occur, read off the subtorus
+T' = {diag(1, u_2, ..., u_k)}.  A component has one coordinate per
+T'-orbit of columns on whose representative the stabiliser acts by the
+character; a row enters it through its entries weighted by the
+character, and the rows of one T'-orbit give one projected row up to a
+root of unity.  The rows of h depend only on <h>,
 and t<c(S)> = <c(t^-1 S)> for the reference c(S) of column S (its
 tuple): c(t^-1 S) and t c(S) define homomorphisms with one kernel, so
 differ by a unit.  So the split needs the rows of the identity and of
@@ -53,7 +56,7 @@ from .abelian import (
     _p_power_exponent,
     guard_order,
 )
-from .genetic import GeneticBasis, _unit_inverse, cyclic_quotients, genetic_basis_abelian
+from .genetic import GeneticBasis, _key_code, cyclic_quotients, genetic_basis_abelian
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
 
 REPRESENTATIVES = "representatives"
@@ -93,13 +96,6 @@ def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
     return TargetProduct(basis[basis.index > 1])
 
 
-def _check_strategy(G: AbelianPGroup, strategy: str, max_order: int) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == EXHAUSTIVE:
-        guard_order(G, max_order, "exhaustive-strategy guard")
-
-
 def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarray:
     """Every element (as ``enumerate_elements``) under ``exhaustive``; else
     the basis tuples or, given ``torus``, those of the identity basis[0]
@@ -107,17 +103,15 @@ def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarra
     if strategy == EXHAUSTIVE:
         guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
         return np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), -1).T
+    if strategy != REPRESENTATIVES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if torus is not None:
         return basis.coeffs[np.concatenate(([0], 1 + torus.reps))]
     return basis.coeffs
 
 
 def relation_matrix(
-    G: AbelianPGroup,
-    strategy: str = REPRESENTATIVES,
-    max_order: int = DEFAULT_MAX_ORDER,
-    *,
-    per_orbit: bool = False,
+    G: AbelianPGroup, strategy: str = REPRESENTATIVES, *, per_orbit: bool = False
 ) -> RelationSet:
     """One relation row per (reference element h, generator e_i) pair,
     except the pair of the first coordinate of h prime to p (see the
@@ -125,7 +119,8 @@ def relation_matrix(
 
     ``representatives`` uses one reference element per basis member, its
     defining tuple (the identity for the zero tuple).  ``exhaustive`` runs
-    every group element through, guarded by ``max_order``.
+    every group element through, up to ``ENUMERATION_LIMIT``; ``sk1``
+    holds the order guard of that strategy.
 
     The default is the relation lattice, seeds first, duplicates removed.
     ``per_orbit`` gives the input of ``_torus_blocks``: the torus and the
@@ -134,7 +129,6 @@ def relation_matrix(
     then keeps the identity and one reference per T'-orbit of cyclic
     subgroups (see the module docstring).
     """
-    _check_strategy(G, strategy, max_order)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
     torus = _torus(G, target) if per_orbit else None
@@ -210,52 +204,37 @@ class _Torus(SimpleNamespace):
     s . reps[orbit[c]] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted
     by fix_r, are the elements fixing each representative.
 
-    lead[c] is the first coordinate of column c's form prime to p, and
-    scale[c] the inverse of its value.  In the frame scaling column c by
-    scale[c], s maps basis vector c to w^m[s, lead[c]] times vector s . c.
+    lead[c] is the first coordinate of column c's form prime to p, where
+    the normalised form is 1.  So s maps basis vector c to w^m[s, lead[c]]
+    times vector s . c.
     """
 
 
 def _torus(G: AbelianPGroup, target: TargetProduct) -> _Torus:
     """The action of T' on the columns of ``target``.
 
-    t = diag(u) maps column S to the column keyed by the form
-    F[S] * u^-1 scaled to lead 1, the key the basis uses.  Raises
-    ValueError when that key is not a column.
+    t = diag(u) maps column S to the column whose normalised form is
+    F[S] * u^-1 scaled to lead 1, found by its ``_key_code``.  Raises
+    ValueError when that form is not a column.
     """
     p, eg, k = G.prime, G.exponent, len(G.orders)
     w = _teichmuller_unit(p, eg)
     q, F = target.columns.index, target.columns.form
     n = len(q)
     lead = (F % p != 0).argmax(axis=1)
-    scale = _unit_inverse(F[np.arange(n), lead], p, eg) % q
-    key = F * scale[:, None] % q[:, None]
-    # A key as one integer: its index exponent, then coordinate i as a
-    # digit below min(q, o_i) (o_i e_i = 0 makes it a multiple of
-    # q / min(q, o_i)).  The codes stay below (e + 1)|G| = (e + 1) o_2 ...
-    # o_k eg, which the basis guards (at most 10^7 tuples, eg^2 < 2^63)
-    # keep below 2^55.
-    o = np.array(G.orders, dtype=np.int64)
-    step = q[:, None] // np.minimum(q[:, None], o)
-    exps = np.searchsorted(p ** np.arange(_p_power_exponent(eg, p) + 1, dtype=np.int64), q)
-    radix = np.cumprod(o[::-1])[::-1] // o  # place value of digit i
-
-    def code(key):
-        return exps * G.order + (key // step) @ radix
-
-    codes = code(key)
+    codes = _key_code(G, q, F)
     by_code = np.argsort(codes)
     sorted_codes = codes[by_code]
     P = np.arange(n)[None]
     m = np.zeros((1, k), dtype=np.int64)
     for j in range(1, k):
-        # t_j = diag(1, .., w, .., 1) scales coordinate j by w^-1; a key led
-        # at j is then rescaled by w to lead 1 again.
-        image = key.copy()
+        # t_j = diag(1, .., w, .., 1) scales coordinate j by w^-1; a form
+        # led at j is then rescaled by w to lead 1 again.
+        image = F.copy()
         image[:, j] = image[:, j] * pow(w, -1, eg) % q
         at = lead == j
         image[at] = image[at] * w % q[at, None]
-        image = code(image)
+        image = _key_code(G, q, image)
         pos = np.minimum(np.searchsorted(sorted_codes, image), n - 1)
         if not np.array_equal(sorted_codes[pos], image):
             raise ValueError(f"the torus maps a column of {G} outside the target")
@@ -276,8 +255,7 @@ def _torus(G: AbelianPGroup, target: TargetProduct) -> _Torus:
     fix_r, fix_s = np.nonzero((P[:, reps] == reps).T)
     return _Torus(
         p=p, q=q, powers=np.array([pow(w, j, eg) for j in range(p - 1)], dtype=np.int64),
-        m=m, reps=reps, orbit=orbit[rep], elem=elem, lead=lead, scale=scale,
-        fix_s=fix_s, fix_r=fix_r,
+        m=m, reps=reps, orbit=orbit[rep], elem=elem, lead=lead, fix_s=fix_s, fix_r=fix_r,
     )
 
 
@@ -306,11 +284,11 @@ def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
 def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     """The relation lattice of the components of ``chars``, block-diagonal
     with one block per character: rows projected by each character's
-    idempotent, then normalised and deduplicated by ``distinct_rows``.
+    idempotent, then deduplicated by ``distinct_rows``.
 
     Character a has one coordinate per orbit whose stabiliser acts on its
     representative by a, and column c = s . rep[c] enters it with
-    coefficient a(s) w^-m[s, lead] times the frame scale of c.
+    coefficient a(s) w^-m[s, lead[c]].
     """
     p, q = torus.p, torus.q
     # An orbit is in the component unless a stabiliser element acts on
@@ -322,8 +300,7 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     n_coords = int(valid.sum())
     q_coords = np.tile(q[torus.reps], len(chars))[valid.ravel()]
     s = torus.elem
-    kappa = (torus.m[s] @ chars.T - torus.m[s, torus.lead][:, None]) % (p - 1)
-    coef = torus.powers[kappa] * torus.scale[:, None] % q[:, None]
+    coef = torus.powers[(torus.m[s] @ chars.T - torus.m[s, torus.lead][:, None]) % (p - 1)]
     # The entries of a row in one orbit sum into one coordinate per
     # character: group them by (row, orbit of the column).
     n_orbits = len(torus.reps)
@@ -336,23 +313,12 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     sums = np.add.reduceat(rows.val[order, None] * coef[col] % q[col, None], starts)
     sums %= q[torus.reps[orb], None]
     # Row a * len(rows) + r projects row r onto character a; nonzero walks
-    # the characters in turn, each in (row, orbit) order.
+    # the characters in turn, each in (row, orbit) order.  Zero projections
+    # are skipped and the rest renumbered in order.
     a, at = np.nonzero(valid[:, orb] & (sums != 0).T)
-    val = sums[at, a]
-    prow = a * len(rows) + row[at]
-    pcol = coord[a, orb[at]]
-    # Scale each row by the inverse Teichmuller lift of its first entry's
-    # unit part: rows that differ by a root of unity then coincide.
-    first = np.flatnonzero(np.diff(prow, prepend=-1))
-    unit = val[first]
-    while (div := unit % p == 0).any():
-        unit = np.where(div, unit // p, unit)
-    lift_inv = np.zeros(p, dtype=np.int64)
-    lift_inv[torus.powers % p] = torus.powers[-np.arange(p - 1)]
-    counts = np.diff(first, append=len(prow))
-    val = val * np.repeat(lift_inv[unit % p], counts) % q_coords[pcol]
-    prow = np.repeat(np.arange(len(first)), counts)
-    return distinct_rows(q_coords, Lattice(prow, pcol, val, (len(first), n_coords)))
+    prows, prow = np.unique(a * len(rows) + row[at], return_inverse=True)
+    projected = Lattice(prow, coord[a, orb[at]], sums[at, a], (len(prows), n_coords))
+    return distinct_rows(q_coords, projected)
 
 
 def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice]]:
@@ -379,11 +345,12 @@ def sk1(
     """Cyclic decomposition of the torsion part of the Whitehead group of G.
 
     The last SK1_CACHE_SIZE results are cached per (group, strategy); the
-    computation is pure, so a repeated call is free.  The strategy and
-    its guard are checked before the cache, so a hit never answers a call
-    the guard refuses.
+    computation is pure, so a repeated call is free.  The ``exhaustive``
+    order guard, which only this entry point holds, is checked before the
+    cache, so a hit never answers a call the guard refuses.
     """
-    _check_strategy(G, strategy, max_order)
+    if strategy == EXHAUSTIVE:
+        guard_order(G, max_order, "exhaustive-strategy guard")
     return _solve(G, strategy)
 
 
@@ -400,9 +367,9 @@ def _solve(G: AbelianPGroup, strategy: str) -> CyclicDecomposition:
     """
     exponents = [_p_power_exponent(o, G.prime) for o in G.orders]
     if cyclic_quotients(G.prime, exponents) * len(G.orders) < SPLIT_MIN_PAIRS:
-        rel = relation_matrix(G, strategy=strategy, max_order=G.order)
+        rel = relation_matrix(G, strategy=strategy)
         return cokernel_decomposition(rel.rows)
-    rel = relation_matrix(G, strategy=strategy, max_order=G.order, per_orbit=True)
+    rel = relation_matrix(G, strategy=strategy, per_orbit=True)
     divisors: list[int] = []
     for size, block in _torus_blocks(G, rel):
         divisors += cokernel_decomposition(block).divisors * size

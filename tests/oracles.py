@@ -16,6 +16,7 @@ import numpy as np
 from sk1.abelian import AbelianPGroup, Element, enumerate_elements
 from sk1.genetic import enumerate_cyclic_homs
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
+from sk1.snf import Lattice, distinct_rows
 
 
 def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:
@@ -334,13 +335,28 @@ def hom_value(G: AbelianPGroup, coeffs, x: Element) -> int:
     return sum(w * c for w, c in zip(hom_weights(G, coeffs), x)) % G.exponent
 
 
+def normalised_form(G: AbelianPGroup, coeffs) -> tuple[int, tuple[int, ...]]:
+    """(index, form) of the homomorphism of a coefficient tuple: its weights
+    divided by the step, the gcd of the weights and eg, are a form onto
+    Z/index; times pow(u, -1, index) for its first coordinate u coprime to
+    index, that coordinate becomes 1.  A unit coordinate exists: the
+    coordinates are coprime to the prime power index (and in Z/1 every
+    value is a unit)."""
+    eg = G.exponent
+    weights = hom_weights(G, coeffs)
+    step = math.gcd(eg, *weights)
+    index = eg // step
+    v = [w // step for w in weights]
+    u = pow(next(c for c in v if math.gcd(c, index) == 1), -1, index)
+    return index, tuple(c * u % index for c in v)
+
+
 def genetic_basis_by_kernel_masks(G: AbelianPGroup) -> list[tuple]:
     """(coeffs, index, form) per genetic basis member, deduplicated by kernel.
 
     Every homomorphism's kernel is packed as a bitmask over all |G|
     elements; the first tuple in enumeration order wins, and members are
-    sorted by (index, coeffs).  The form is the weights divided by the
-    step, the gcd of the weights and eg.
+    sorted by (index, coeffs).  The form is ``normalised_form``'s.
     """
     k = len(G.orders)
     coords = np.indices(G.orders, dtype=np.int64).reshape(k, -1).T
@@ -350,35 +366,22 @@ def genetic_basis_by_kernel_masks(G: AbelianPGroup) -> list[tuple]:
         w = np.asarray(hom_weights(G, coeffs), dtype=np.int64)
         key = np.packbits((coords @ w) % eg == 0).tobytes()
         chosen.setdefault(key, coeffs)
-    out = []
-    for coeffs in chosen.values():
-        weights = hom_weights(G, coeffs)
-        step = math.gcd(eg, *weights)
-        out.append((coeffs, eg // step, tuple(w // step for w in weights)))
+    out = [(coeffs, *normalised_form(G, coeffs)) for coeffs in chosen.values()]
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
 def genetic_basis_by_unit_forms(G: AbelianPGroup) -> list[tuple]:
     """(coeffs, index, form) per genetic basis member, one homomorphism at
-    a time: the kernel is keyed by the form weights // step scaled to make
-    its first unit coordinate 1.
+    a time: the kernel is keyed by (index, form) of ``normalised_form``.
 
     Same contract as ``genetic_basis_by_kernel_masks`` without listing
     any element, so it reaches groups whose kernels are too large to
     mask.
     """
-    eg = G.exponent
     chosen = {}
     for coeffs in enumerate_cyclic_homs(G):
-        weights = hom_weights(G, coeffs)
-        step = math.gcd(eg, *weights)
-        index = eg // step
-        v = tuple(w // step for w in weights)
-        # A unit coordinate exists: the coordinates are coprime to the
-        # prime power index (and in Z/1 every value is a unit).
-        u = pow(next(c for c in v if math.gcd(c, index) == 1), -1, index)
-        key = (index, tuple(c * u % index for c in v))
-        chosen.setdefault(key, (coeffs, index, v))
+        key = normalised_form(G, coeffs)
+        chosen.setdefault(key, (coeffs, *key))
     return sorted(chosen.values(), key=lambda t: (t[1], t[0]))
 
 
@@ -386,19 +389,47 @@ def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]
     """Entry per nontrivial column: class of gen in G/S when h lies in S,
     else 0.
 
-    Membership and classes come from each member's coefficient tuple
-    through its homomorphism into Z/eg, not from the member's stored
-    form: h lies in S when it maps to 0, and the class of gen is its
-    image divided by eg/index.
+    Membership and classes come from each member's coefficient tuple, not
+    from the member's stored form: h lies in S when its homomorphism maps
+    h to 0, and the class of gen is its value under ``normalised_form``.
     """
-    eg = G.exponent
     row = []
     for S in basis:
         if S.index == 1:
             continue
-        inside = hom_value(G, S.coeffs, h) == 0
-        row.append(hom_value(G, S.coeffs, gen) // (eg // S.index) if inside else 0)
+        if hom_value(G, S.coeffs, h) != 0:
+            row.append(0)
+            continue
+        index, form = normalised_form(G, S.coeffs)
+        row.append(sum(f * c for f, c in zip(form, gen)) % index)
     return row
+
+
+def rows_up_to_roots_of_unity(lattice: Lattice, p: int) -> Lattice:
+    """A relation lattice whose rows differ by a (p-1)-th root of unity
+    made equal: each non-seed row is scaled by the inverse Teichmuller lift
+    of its first entry's unit part, then ``distinct_rows`` drops repeats.
+
+    ``lattice`` is a Lattice with its seed rows first, as ``distinct_rows``
+    builds it; its seeds give the column orders.  The lift of a unit u mod
+    Q = p^E is u^(Q/p) mod Q, which depends only on u mod p.
+    """
+    k = lattice.shape[1]
+    q = lattice.val[:k]
+    assert np.array_equal(lattice.row[:k], np.arange(k))
+    assert np.array_equal(lattice.col[:k], np.arange(k))
+    Q = int(q.max(initial=1))
+    row, col = lattice.row[k:] - k, lattice.col[k:]
+    val = lattice.val[k:] % q[col]
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    unit = val[first]
+    while (div := unit % p == 0).any():
+        unit = np.where(div, unit // p, unit)
+    lift_inv = [0] + [pow(pow(u, Q // p, Q), -1, Q) for u in range(1, p)]
+    counts = np.diff(first, append=len(row))
+    val = val * np.repeat(np.array(lift_inv, dtype=np.int64)[unit % p], counts) % q[col]
+    row = np.repeat(np.arange(len(first)), counts)
+    return distinct_rows(q, Lattice(row, col, val, (len(first), k)))
 
 
 def meta_mul(G: MetacyclicGroup, x: MElement, y: MElement) -> MElement:

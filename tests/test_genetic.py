@@ -198,14 +198,25 @@ def test_kernel_size_matches_index():
 
 
 def test_form_definition():
-    G = make_group(3, [9, 3])
-    eg = G.exponent
-    for S in genetic_basis_abelian(G):
-        weights = tuple((eg // o) * s % eg for o, s in zip(G.orders, S.coeffs))
-        step = eg // S.index
-        assert all(w % step == 0 for w in weights)
-        assert S.form == tuple(w // step for w in weights)
-        assert all(0 <= f < S.index for f in S.form)
+    # The form is the homomorphism's weights divided by the step eg/index,
+    # times a unit: the one that makes its first coordinate prime to p 1.
+    for p, orders in [(3, [9, 3]), (3, [27, 27]), (5, [25, 25, 5]), (7, [49, 7])]:
+        G = make_group(p, orders)
+        eg = G.exponent
+        for S in genetic_basis_abelian(G):
+            weights = tuple((eg // o) * s % eg for o, s in zip(G.orders, S.coeffs))
+            step = eg // S.index
+            assert all(w % step == 0 for w in weights)
+            assert all(0 <= f < S.index for f in S.form)
+            if S.index == 1:
+                assert S.form == (0,) * len(orders)
+                continue
+            lead = next(i for i, f in enumerate(S.form) if f % p)
+            assert S.form[lead] == 1
+            # form = (weights // step) * u^-1 for the unit u = weights[lead] // step.
+            u = weights[lead] // step
+            assert u % p
+            assert tuple(f * u % S.index for f in S.form) == tuple(w // step for w in weights)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 
-from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
+from sk1.abelian import DEFAULT_MAX_ORDER, ENUMERATION_LIMIT, enumerate_elements, make_group
 from sk1.errors import TooLarge
 from sk1.genetic import genetic_basis_abelian
 from sk1.sk1_abelian import (
@@ -141,7 +141,7 @@ def test_skipped_rows_lie_in_the_span(p, orders, strategy):
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     q = np.array(target_product(G, basis).orders, dtype=np.int64)
-    rel = relation_matrix(G, strategy=strategy, max_order=G.order)
+    rel = relation_matrix(G, strategy=strategy)
     skipped = []
     for h in reference_elements(G, basis, strategy):
         rows = [oracles.relation_row(G, basis, h, gen) for gen in G.generators()]
@@ -197,7 +197,7 @@ def test_rank_mod_p_oracle_agrees_with_sympy():
 @pytest.mark.parametrize(
     "p,orders",
     [(3, [81, 81]), (3, [243, 243]), (5, [125, 125]), (3, [27, 27, 3]), (3, [9, 9, 9]),
-     (5, [25, 25, 5])],
+     (5, [25, 25, 5]), (7, [343, 343]), (3, [729, 729])],
 )
 def test_factor_count_is_the_corank_mod_p(p, orders):
     # The cokernel of a lattice L in Z^cols has cols - rank(L mod p) cyclic
@@ -222,12 +222,12 @@ def test_references_of_each_strategy(p, orders, strategy):
 
 
 def test_exhaustive_references_keep_the_enumeration_guard():
-    # C_{3^15} passes the basis guard (16 tuples) and a raised max_order, but
-    # its 3^15 > 10^7 elements are not listed.
+    # C_{3^15} passes the basis guard (16 tuples), and relation_matrix has
+    # no order guard, but its 3^15 > 10^7 elements are not listed.
     G = make_group(3, [3**15])
     assert G.order > ENUMERATION_LIMIT
     with pytest.raises(TooLarge, match="enumeration guard"):
-        relation_matrix(G, strategy=EXHAUSTIVE, max_order=G.order)
+        relation_matrix(G, strategy=EXHAUSTIVE)
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 75, 76, 1000])
@@ -283,7 +283,7 @@ def test_exhaustive_guard():
     with pytest.raises(TooLarge):
         sk1(G, strategy=EXHAUSTIVE)
     with pytest.raises(TooLarge):
-        relation_matrix(make_group(3, [9, 9]), strategy=EXHAUSTIVE, max_order=50)
+        sk1(make_group(3, [9, 9]), strategy=EXHAUSTIVE, max_order=50)
 
 
 def test_cache_hit_does_not_skip_exhaustive_guard():
@@ -443,7 +443,9 @@ def test_representatives_take_one_generator_per_cyclic_subgroup(p, orders):
 )
 def test_sk1_elementary_abelian_closed_form(p, k, N):
     assert N == (p**k - 1) // (p - 1) - comb(p + k - 1, p)
-    assert sk1(make_group(p, [p] * k)).divisors == (p,) * N
+    G = make_group(p, [p] * k)
+    for strategy in [REPRESENTATIVES] + [EXHAUSTIVE] * (G.order <= DEFAULT_MAX_ORDER):
+        assert sk1(G, strategy=strategy).divisors == (p,) * N
 
 
 # Observed values, not a cited theorem: SK1 of C_{p^n} x C_p is 0 on
