@@ -23,9 +23,11 @@ sparse elimination computes it:
   stands in for all of them (none when g = q);
 - the elimination runs in valuation phases k = 0, ..., e-1.  In phase k
   every entry left has valuation >= k, so any entry of valuation exactly
-  k divides all of them and can be the pivot.  It is taken from the
-  shortest row that has one, in that row's column with the fewest
-  entries, which keeps the fill-in small;
+  k divides all of them and can be the pivot.  One pass visits the rows
+  in their (length, index) order at the start of the phase; a row with
+  such an entry pivots in its column with the fewest entries, which
+  keeps the fill-in small, and a row without one never gains one later
+  in the phase;
 - scaled by the inverse of the pivot's unit part, the pivot row clears
   the pivot column from every other row.  The pivot row and column are
   then dropped, and the pivot contributes p^k;
@@ -36,17 +38,15 @@ This is the only elimination.  Its precondition is read off the seed
 rows of the triples, in the same pass that gives each column's modulus
 g: every column has a seed row, the lcm q of the per-column gcds of the
 seed entries is a prime power, and q**2 < 2**63.  A lattice that fails
-one raises ValueError naming it.  The bound on q keeps the entries
-reduced mod g inside int64 and the trial division that finds p short;
-the elimination itself runs on Python integers.  When q = 1 every column
-has a unit seed, the rows span Z^cols, and the trivial decomposition is
-returned without an elimination.  A seed row in every column gives full
-rank, so the cokernel is always finite.
+one raises ValueError naming it.  The elimination runs on Python
+integers.  When q = 1 every column has a unit seed, the rows span
+Z^cols, and the trivial decomposition is returned without an
+elimination.  A seed row in every column gives full rank, so the
+cokernel is always finite.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -285,15 +285,13 @@ def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
     pivots = 0
     for k in range(e):
         pk, pk1 = p**k, p ** (k + 1)
-        # Every entry left has valuation >= k.  Rows come off the heap
-        # shortest first; an entry whose length is out of date is stale.
-        heap = [(len(row), i) for i, row in enumerate(rows) if row]
-        heapq.heapify(heap)
-        while heap:
-            n, i = heapq.heappop(heap)
+        # Every entry left has valuation >= k.  Each row is visited once,
+        # by (length, index) at the start of the phase: a row visited
+        # without an entry of valuation k never gains one, since its entry
+        # f * p^k in a later pivot column has p | f, and w - f * v keeps
+        # valuation > k.
+        for _, i in sorted((len(row), i) for i, row in enumerate(rows) if row):
             prow = rows[i]
-            if len(prow) != n:
-                continue
             # The pivot column: fewest entries among the row's entries of
             # valuation exactly k.
             c, fewest = -1, 0
@@ -330,8 +328,6 @@ def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
                         else:
                             del row[j]
                             cols[j].discard(s)
-                if row:
-                    heapq.heappush(heap, (len(row), s))
             pivots += 1
             if k:
                 orders.append(pk)

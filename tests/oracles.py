@@ -385,24 +385,30 @@ def genetic_basis_by_unit_forms(G: AbelianPGroup) -> list[tuple]:
     return sorted(chosen.values(), key=lambda t: (t[1], t[0]))
 
 
-def relation_row(G: AbelianPGroup, basis, h: Element, gen: Element) -> list[int]:
-    """Entry per nontrivial column: class of gen in G/S when h lies in S,
-    else 0.
+def relation_rows(G: AbelianPGroup, basis, refs, gens) -> list[list[list[int]]]:
+    """Per reference h of refs, one row per element gen of gens: an entry
+    per nontrivial column, the class of gen in G/S when h lies in S, else 0.
 
     Membership and classes come from each member's coefficient tuple, not
     from the member's stored form: h lies in S when its homomorphism maps
     h to 0, and the class of gen is its value under ``normalised_form``.
+    Each member's weights and form are computed once, and each reference's
+    membership once for all of gens.
     """
-    row = []
-    for S in basis:
-        if S.index == 1:
-            continue
-        if hom_value(G, S.coeffs, h) != 0:
-            row.append(0)
-            continue
-        index, form = normalised_form(G, S.coeffs)
-        row.append(sum(f * c for f, c in zip(form, gen)) % index)
-    return row
+    eg = G.exponent
+    columns = [(hom_weights(G, S.coeffs), *normalised_form(G, S.coeffs)) for S in basis]
+    columns = [col for col in columns if col[1] > 1]
+    out = []
+    for h in refs:
+        inside = [sum(w * c for w, c in zip(weights, h)) % eg == 0 for weights, _, _ in columns]
+        out.append([
+            [
+                sum(f * c for f, c in zip(form, gen)) % index if hit else 0
+                for hit, (_, index, form) in zip(inside, columns)
+            ]
+            for gen in gens
+        ])
+    return out
 
 
 def rows_up_to_roots_of_unity(lattice: Lattice, p: int) -> Lattice:

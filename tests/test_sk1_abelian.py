@@ -44,7 +44,7 @@ def test_relation_row_identity_reference():
     G = make_group(3, [3, 3])
     basis = genetic_basis_abelian(G)
     pos = columns_by_tuple(G)
-    row = oracles.relation_row(G, basis, (0, 0), (0, 1))
+    [[row]] = oracles.relation_rows(G, basis, [(0, 0)], [(0, 1)])
     assert row[pos[(0, 1)]] == 1
     assert row[pos[(1, 0)]] == 0
     assert row[pos[(1, 1)]] == 1
@@ -57,13 +57,13 @@ def test_relation_row_nonidentity_references():
     basis = genetic_basis_abelian(G)
     pos = columns_by_tuple(G)
     # h = (0,1) lies only in the kernel of the (1,0) map.
-    row = oracles.relation_row(G, basis, (0, 1), (1, 0))
+    [[row]] = oracles.relation_rows(G, basis, [(0, 1)], [(1, 0)])
     want = [0, 0, 0, 0]
     want[pos[(1, 0)]] = 1
     assert row == want
     # h = (1,0) lies only in the kernel of the (0,1) map, where the class
     # of (1,0) is zero: the whole row vanishes.
-    assert oracles.relation_row(G, basis, (1, 0), (1, 0)) == [0, 0, 0, 0]
+    assert oracles.relation_rows(G, basis, [(1, 0)], [(1, 0)]) == [[[0, 0, 0, 0]]]
 
 
 def test_relation_matrix_starts_with_seed_block():
@@ -106,11 +106,11 @@ def test_matrix_rows_match_reference_rows(p, orders, strategy):
     target = target_product(G, basis)
     rows = [list(r) for r in np.diag(np.array(target.orders, dtype=np.int64))]
     seen = {tuple(r) for r in rows}
-    for h in reference_elements(G, basis, strategy):
-        for i, gen in enumerate(G.generators()):
+    refs = reference_elements(G, basis, strategy)
+    for h, h_rows in zip(refs, oracles.relation_rows(G, basis, refs, G.generators())):
+        for i, row in enumerate(h_rows):
             if i == first_unit(p, h):
                 continue
-            row = oracles.relation_row(G, basis, h, gen)
             if tuple(row) not in seen:
                 seen.add(tuple(row))
                 rows.append(row)
@@ -143,8 +143,8 @@ def test_skipped_rows_lie_in_the_span(p, orders, strategy):
     q = np.array(target_product(G, basis).orders, dtype=np.int64)
     rel = relation_matrix(G, strategy=strategy)
     skipped = []
-    for h in reference_elements(G, basis, strategy):
-        rows = [oracles.relation_row(G, basis, h, gen) for gen in G.generators()]
+    refs = reference_elements(G, basis, strategy)
+    for h, rows in zip(refs, oracles.relation_rows(G, basis, refs, G.generators())):
         assert not np.any(np.array(h, dtype=np.int64) @ np.array(rows, dtype=np.int64) % q)
         j = first_unit(p, h)
         if j is not None:
@@ -164,8 +164,9 @@ def test_sk1_is_the_cokernel_of_the_unpruned_reference_rows(p, orders):
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
     rows = np.diag(np.array(target.orders, dtype=np.int64)).tolist()
-    for h in reference_elements(G, basis, REPRESENTATIVES):
-        rows += [oracles.relation_row(G, basis, h, gen) for gen in G.generators()]
+    refs = reference_elements(G, basis, REPRESENTATIVES)
+    for h_rows in oracles.relation_rows(G, basis, refs, G.generators()):
+        rows += h_rows
     assert cokernel_decomposition(rows) == sk1(G)
 
 
@@ -395,10 +396,9 @@ def test_extra_reference_rows_change_nothing():
         base = cokernel_decomposition(rel.rows)
         extra = np.asarray(rel.rows).tolist()
         els = enumerate_elements(G)
-        for _ in range(10):
-            h = rng.choice(els)
-            for gen in G.generators():
-                extra.append(oracles.relation_row(G, basis, h, gen))
+        refs = [rng.choice(els) for _ in range(10)]
+        for h_rows in oracles.relation_rows(G, basis, refs, G.generators()):
+            extra += h_rows
         assert cokernel_decomposition(extra) == base
 
 

@@ -189,6 +189,47 @@ def test_fast_and_exact_paths_agree():
         assert cokernel_decomposition(arr).divisors == exact_cokernel(rows)
 
 
+def test_a_row_skipped_in_a_phase_is_updated_by_a_later_pivot():
+    # Over Z/9 phase 0 visits (3, 3) first, finds no unit entry and skips
+    # it; the pivot of (1, 2) then turns it into (0, 6), which pivots in
+    # phase 1.
+    from sk1.snf import _as_lattice, _local_lattice
+
+    rows = [[9, 0], [0, 9], [3, 3], [1, 2]]
+    p, e, local, _, _ = _local_lattice(_as_lattice(rows))
+    assert (p, e, local) == (3, 2, [{0: 3, 1: 3}, {0: 1, 1: 2}])
+    want = tuple(sorted(oracles.cokernel_by_dense_elimination(rows, p, e)))
+    assert cokernel_decomposition(rows).divisors == want == (3,)
+
+
+def _with_non_seed_rows_permuted(lat, rng):
+    """lat with its rows after the seed rows (the first lat.shape[1], as
+    ``distinct_rows`` puts them) in a random order."""
+    from sk1.snf import Lattice
+
+    k = lat.shape[1]
+    new = np.arange(lat.shape[0])
+    new[k:] = k + rng.permutation(lat.shape[0] - k)
+    row = new[lat.row]
+    order = np.lexsort((lat.col, row))
+    return Lattice(row[order], lat.col[order], lat.val[order], lat.shape)
+
+
+@pytest.mark.parametrize("p,orders", [(3, (243, 243)), (3, (27, 27, 3)), (3, (9, 9, 9))])
+def test_row_order_changes_the_cost_not_the_answer(p, orders):
+    # The elimination visits rows by (length, index), so the order of a
+    # block's rows decides which pivots it takes, never the cokernel.
+    from sk1.abelian import make_group
+    from sk1.sk1_abelian import _torus_blocks, relation_matrix
+
+    G = make_group(p, orders)
+    rng = np.random.default_rng(2001)
+    for _, block in _torus_blocks(G, relation_matrix(G, per_orbit=True)):
+        want = cokernel_decomposition(block)
+        for _ in range(3):
+            assert cokernel_decomposition(_with_non_seed_rows_permuted(block, rng)) == want
+
+
 @pytest.mark.parametrize(
     "rows,condition",
     [
