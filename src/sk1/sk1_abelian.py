@@ -284,7 +284,8 @@ def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
 def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     """The relation lattice of the components of ``chars``, block-diagonal
     with one block per character: rows projected by each character's
-    idempotent, then deduplicated by ``distinct_rows``.
+    idempotent.  The seed rows diag(q_coords) come first, then every
+    nonzero projection in (character, row) order; exact repeats stay.
 
     Character a has one coordinate per orbit whose stabiliser acts on its
     representative by a, and column c = s . rep[c] enters it with
@@ -313,12 +314,18 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     sums = np.add.reduceat(rows.val[order, None] * coef[col] % q[col, None], starts)
     sums %= q[torus.reps[orb], None]
     # Row a * len(rows) + r projects row r onto character a; nonzero walks
-    # the characters in turn, each in (row, orbit) order.  Zero projections
-    # are skipped and the rest renumbered in order.
+    # the characters in turn, each in (row, orbit) order, so the keys never
+    # decrease.  Zero projections are skipped and the rest numbered in
+    # order after the seed rows diag(q_coords).
     a, at = np.nonzero(valid[:, orb] & (sums != 0).T)
-    prows, prow = np.unique(a * len(rows) + row[at], return_inverse=True)
-    projected = Lattice(prow, coord[a, orb[at]], sums[at, a], (len(prows), n_coords))
-    return distinct_rows(q_coords, projected)
+    first = np.diff(a * len(rows) + row[at], prepend=-1) != 0
+    seeds = np.arange(n_coords)
+    return Lattice(
+        np.concatenate([seeds, n_coords - 1 + np.cumsum(first)]),
+        np.concatenate([seeds, coord[a, orb[at]]]),
+        np.concatenate([q_coords, sums[at, a]]),
+        (n_coords + int(first.sum()), n_coords),
+    )
 
 
 def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice]]:

@@ -2,9 +2,11 @@
 
 Relation lattices are sparse: a ``Lattice`` holds the (row, column,
 value) triples of the nonzero entries, sorted by row and then column,
-and the shape.  ``distinct_rows`` assembles one for both families: the
-seed rows diag(orders) first, then every other row at its first
-occurrence, keyed by its (column, value) pairs.  No dense matrix is
+and the shape.  ``distinct_rows`` assembles the whole relation lattice
+of an abelian group and that of a metacyclic group: the seed rows
+diag(orders) first, then every other row at its first occurrence, keyed
+by its (column, value) pairs.  The torus blocks of ``sk1_abelian`` are
+built seeds first without it and keep exact repeats.  No dense matrix is
 built on the way to the Smith form; ``np.asarray(lattice)`` gives one
 for readers that want it.
 
@@ -16,8 +18,9 @@ exponent).  The cokernel is then exact over the local ring Z/q, where
 each nonzero entry is p^k times a unit for its valuation k < e, and one
 sparse elimination computes it:
 
-- rows are dicts {column: entry} built from the triples, with an index
-  from each column to the rows that have an entry there;
+- rows are dicts {column: entry}, built in one walk over the triples
+  together with an index from each column to the rows that have an
+  entry there;
 - the seed rows of column c put g*e_c into the span for some g | q, so
   the other entries of column c are kept mod g and one seed row {c: g}
   stands in for all of them (none when g = q);
@@ -264,15 +267,20 @@ def _local_lattice(lat: Lattice):
     vals = (lat.val[~single] % gcds[c]).astype(np.int64)
     keep = vals != 0
     r, c, vals = r[keep], c[keep], vals[keep]
-    # The entries are sorted by row: split them where the row changes.
-    starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
-    cl, vl = c.tolist(), vals.tolist()
-    rows = [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(starts, starts[1:])]
-    rows += [{j: m} for j, m in enumerate(mods) if m < q]
+    # The entries are sorted by row: a new row starts where the row changes.
+    rows: list[dict[int, int]] = []
     cols = [set() for _ in mods]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
+    starts = (np.diff(r, prepend=-1) != 0).tolist()
+    for start, j, v in zip(starts, c.tolist(), vals.tolist()):
+        if start:
+            n, row = len(rows), {}
+            rows.append(row)
+        row[j] = v
+        cols[j].add(n)
+    for j, m in enumerate(mods):
+        if m < q:
+            cols[j].add(len(rows))
+            rows.append({j: m})
     return p, e, rows, cols, mods
 
 

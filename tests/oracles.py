@@ -417,7 +417,7 @@ def rows_up_to_roots_of_unity(lattice: Lattice, p: int) -> Lattice:
     of its first entry's unit part, then ``distinct_rows`` drops repeats.
 
     ``lattice`` is a Lattice with its seed rows first, as ``distinct_rows``
-    builds it; its seeds give the column orders.  The lift of a unit u mod
+    and ``_project`` build it; its seeds give the column orders.  The lift of a unit u mod
     Q = p^E is u^(Q/p) mod Q, which depends only on u mod p.
     """
     k = lattice.shape[1]

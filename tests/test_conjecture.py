@@ -157,6 +157,16 @@ OBSERVED_SQUARES = {
 }
 
 
+# Tables too slow to recompute in the suite, copied from the single runs
+# recorded in README "Results beyond the paper": C_19683^2, C_59049^2 and
+# C_117649^2.  Only the fitted hypothesis below is checked against them.
+RECORDED_SQUARES = {
+    (3, 9): {1: 4388, 2: 2946, 3: 1512, 4: 702, 5: 216, 6: 54, 7: 12, 8: 2},
+    (3, 10): {1: 13138, 2: 8784, 3: 4446, 4: 2052, 5: 810, 6: 216, 7: 54, 8: 12, 9: 2},
+    (7, 6): {1: 14430, 2: 4200, 3: 882, 4: 84, 5: 6},
+}
+
+
 def test_c6561_squared_is_pinned_as_observed():
     # Past the paper's table the pipeline and the transcribed conjecture
     # disagree: 324 copies of C_81 are predicted and 216 computed.
@@ -229,3 +239,9 @@ def test_fitted_hypothesis_matches_the_pipeline(p, n):
 def test_fitted_hypothesis_matches_the_observed_tables(p, n):
     assert fitted_decomposition(p, n) == OBSERVED_SQUARES[p, n]
 
+
+@pytest.mark.parametrize("p,n", sorted(RECORDED_SQUARES))
+def test_fitted_hypothesis_matches_the_recorded_tables(p, n):
+    # C_59049^2 at i = 5 and C_117649^2 at i = 3 are the cases that tell
+    # the fit from the transcribed conjecture apart.
+    assert fitted_decomposition(p, n) == RECORDED_SQUARES[p, n]

@@ -202,9 +202,22 @@ def test_a_row_skipped_in_a_phase_is_updated_by_a_later_pivot():
     assert cokernel_decomposition(rows).divisors == want == (3,)
 
 
+def test_non_seed_entries_that_vanish_mod_their_seed_leave_only_seed_rows():
+    # Every non-seed entry is a multiple of its column's seed gcd (9, 3 and
+    # 27), so the walk over the triples makes no row, and the local rows
+    # are the seeds {c: g_c} with g_c < q = 27.
+    from sk1.snf import _as_lattice, _local_lattice
+
+    rows = [[9, 0, 0], [0, 3, 0], [0, 0, 27], [18, 6, 0], [-9, 3, 54], [0, 0, 0], [27, -6, 27]]
+    p, e, local, cols, mods = _local_lattice(_as_lattice(rows))
+    assert (p, e, local, cols, mods) == (3, 3, [{0: 9}, {1: 3}], [{0}, {1}, set()], [9, 3, 27])
+    want = tuple(sorted(oracles.cokernel_by_dense_elimination(rows, p, e)))
+    assert cokernel_decomposition(rows).divisors == want == (3, 9, 27)
+
+
 def _with_non_seed_rows_permuted(lat, rng):
     """lat with its rows after the seed rows (the first lat.shape[1], as
-    ``distinct_rows`` puts them) in a random order."""
+    ``distinct_rows`` and ``_project`` put them) in a random order."""
     from sk1.snf import Lattice
 
     k = lat.shape[1]

@@ -96,6 +96,29 @@ def test_per_orbit_blocks_have_the_rows_of_the_whole_lattice(p, orders):
             assert row_set(got) == row_set(want)
 
 
+@SPLIT_GROUPS
+def test_every_block_is_a_well_formed_lattice(p, orders):
+    # _project builds each block directly: the seed rows diag(q_coords)
+    # first, then one row per nonzero projection, triples sorted by (row,
+    # column) with no zero value.  Every other entry is reduced mod its
+    # column's seed.
+    G = make_group(p, orders)
+    for strategy in strategies(G):
+        rel = relation_matrix(G, strategy=strategy, per_orbit=True)
+        for _, block in _torus_blocks(G, rel):
+            n_rows, k = block.shape
+            assert len(block.row) == len(block.col) == len(block.val)
+            assert np.array_equal(block.row[:k], np.arange(k))
+            assert np.array_equal(block.col[:k], np.arange(k))
+            seeds = block.val[:k]
+            assert all(int(q) > 1 and G.exponent % int(q) == 0 for q in seeds)
+            key = block.row * k + block.col
+            assert (np.diff(key) > 0).all()
+            assert (block.col < k).all()
+            assert np.array_equal(np.unique(block.row), np.arange(n_rows))
+            assert (block.val[k:] > 0).all() and (block.val[k:] < seeds[block.col[k:]]).all()
+
+
 @pytest.mark.parametrize(
     "p,orders",
     [
@@ -175,8 +198,9 @@ def test_observed_hypothesis_square_components_agree(p, orders, distinct):
 # blocks built from one reference per torus orbit hold no two rows equal
 # up to a root of unity, so the projection needs no row normalisation to
 # stay duplicate-free.  C_3^4 is the pinned counterexample off the
-# squares: its block of 28 rows (seeds included) has 26 up to roots of
-# unity; those repeats cost its elimination nothing but two rows.
+# squares: the block keeps exact repeats, so of its 41 rows (seeds
+# included) only 26 differ up to roots of unity; each repeat costs the
+# elimination one row, cleared when its twin pivots.
 @pytest.mark.parametrize(
     "p,orders,rows,distinct",
     [
@@ -184,7 +208,7 @@ def test_observed_hypothesis_square_components_agree(p, orders, distinct):
         (3, [729, 729], 1699, 1699), (5, [25, 25], 40, 40), (5, [125, 125], 205, 205),
         (7, [49, 49], 69, 69), (7, [343, 343], 489, 489), (11, [121, 121], 151, 151),
         (13, [169, 169], 204, 204), (17, [289, 289], 334, 334), (19, [361, 361], 411, 411),
-        (3, [3, 3, 3, 3], 28, 26),
+        (3, [3, 3, 3, 3], 41, 26),
     ],
     ids=lambda v: str(v),
 )
