@@ -18,6 +18,9 @@ from .errors import NonOddPrime, NotPPower, TooLarge
 ENUMERATION_LIMIT = 10**7
 # Default order guard of the exhaustive strategy and of sk1_metacyclic.
 DEFAULT_MAX_ORDER = 3**6
+# Entries of each per-group cache: the genetic bases and SK1 results of
+# both families.
+SK1_CACHE_SIZE = 128
 
 Element = tuple[int, ...]
 

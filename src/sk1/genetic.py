@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .abelian import (
     ENUMERATION_LIMIT,
+    SK1_CACHE_SIZE,
     AbelianPGroup,
     _is_odd_prime,
     _p_power_exponent,
@@ -134,6 +136,7 @@ def _key_code(G: AbelianPGroup, index: np.ndarray, form: np.ndarray) -> np.ndarr
     return exps * G.order + (form // step) @ radix
 
 
+@lru_cache(maxsize=SK1_CACHE_SIZE)
 def genetic_basis_abelian(G: AbelianPGroup) -> GeneticBasis:
     """One subgroup per distinct kernel, sorted by (index, defining tuple).
 
@@ -147,7 +150,9 @@ def genetic_basis_abelian(G: AbelianPGroup) -> GeneticBasis:
 
     Refuses with TooLarge when the tuples times the generators, the
     entries of that pass, exceed ``ENUMERATION_LIMIT``, and when
-    ``guard_int64`` does.
+    ``guard_int64`` does.  The last SK1_CACHE_SIZE bases are cached per
+    group, and the arrays are read-only, so callers share them; the
+    guards run inside, so a refused call is never cached.
     """
     guard_int64(G)
     p, eg, k = G.prime, G.exponent, len(G.orders)

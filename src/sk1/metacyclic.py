@@ -36,10 +36,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .abelian import DEFAULT_MAX_ORDER, _is_odd_prime, guard_order
+from .abelian import DEFAULT_MAX_ORDER, SK1_CACHE_SIZE, _is_odd_prime, guard_order
 from .errors import BadParams, DomainViolation, TooLarge
-from .sk1_abelian import SK1_CACHE_SIZE
-from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
+from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, seeds_first
 
 MElement = tuple[int, int]
 
@@ -289,9 +288,11 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _relation_rows(G: MetacyclicGroup, cols) -> Lattice:
-    """Seed rows, then every distinct row of the visited (h, g) pairs."""
+    """Seed rows, then the row of every visited (h, g) pair, by
+    ``seeds_first``; the rows are observed never to repeat, so none is
+    dropped."""
     orders = [S.quotient_order for S in cols]
-    return distinct_rows(orders, _entries(G, cols, *_row_pairs(G)))
+    return seeds_first(orders, _entries(G, cols, *_row_pairs(G)))
 
 
 def sk1_metacyclic(

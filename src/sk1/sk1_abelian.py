@@ -52,19 +52,21 @@ import numpy as np
 from .abelian import (
     DEFAULT_MAX_ORDER,
     ENUMERATION_LIMIT,
+    SK1_CACHE_SIZE,
     AbelianPGroup,
     _p_power_exponent,
     guard_order,
 )
 from .genetic import GeneticBasis, _key_code, cyclic_quotients, genetic_basis_abelian
-from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, distinct_rows
+from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, seeds_first
 
 REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
 STRATEGIES = (REPRESENTATIVES, EXHAUSTIVE)
 
 # Columns per membership pass of ``relation_matrix``: its transient arrays
-# are (reference elements) x COLUMN_CHUNK.
+# are (reference elements) x COLUMN_CHUNK, beside the exhaustive
+# signatures of one bit per (element, column).
 COLUMN_CHUNK = 256
 
 
@@ -118,16 +120,21 @@ def relation_matrix(
     module docstring); an h with none, the identity among them, keeps all.
 
     ``representatives`` uses one reference element per basis member, its
-    defining tuple (the identity for the zero tuple).  ``exhaustive`` runs
-    every group element through, up to ``ENUMERATION_LIMIT``; ``sk1``
-    holds the order guard of that strategy.
+    defining tuple (the identity for the zero tuple), one generator of
+    each cyclic subgroup.  ``exhaustive`` runs every group element, up to
+    ``ENUMERATION_LIMIT``, through the membership test and keeps the first
+    of each membership signature: elements with one signature generate
+    one cyclic subgroup (each subgroup is the intersection of the columns
+    that contain it), so they give equal rows.  ``sk1`` holds the order
+    guard of that strategy.
 
-    The default is the relation lattice, seeds first, duplicates removed.
-    ``per_orbit`` gives the input of ``_torus_blocks``: the torus and the
-    rows without seeds, in the reversed (reference, generator) order the
-    blocks' Smith form favours (README "Library"); ``representatives``
-    then keeps the identity and one reference per T'-orbit of cyclic
-    subgroups (see the module docstring).
+    The default is the relation lattice from ``seeds_first``.  Its rows are
+    observed never to repeat, so none is dropped.  ``per_orbit`` gives the
+    input of ``_torus_blocks``: the torus and the rows without seeds, in
+    the reversed (reference, generator) order the blocks' Smith form
+    favours (README "Library"); ``representatives`` then keeps the
+    identity and one reference per T'-orbit of cyclic subgroups (see the
+    module docstring).
     """
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
@@ -136,6 +143,11 @@ def relation_matrix(
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
     # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
     q, F = target.columns.index, target.columns.form
+    chunks = [slice(lo, lo + COLUMN_CHUNK) for lo in range(0, len(q), COLUMN_CHUNK)]
+    if strategy == EXHAUSTIVE:
+        signature = np.hstack([np.packbits(refs @ F[c].T % q[c] == 0, axis=1) for c in chunks])
+        signature = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
+        refs = refs[np.sort(np.unique(signature, return_index=True)[1])]
     n_gens = len(G.orders)
     # Slot r * n_gens + i is (reference r, generator i): its entry in column
     # c is F[c, i] where refs[r] is in the kernel of column c.  The slot of
@@ -150,10 +162,9 @@ def relation_matrix(
     if per_orbit:
         renumber = renumber[-1] - renumber
     parts = []
-    for lo in range(0, len(q), COLUMN_CHUNK):
-        hi = lo + COLUMN_CHUNK
-        ref, col = np.nonzero(refs @ F[lo:hi].T % q[lo:hi] == 0)
-        col += lo
+    for c in chunks:
+        ref, col = np.nonzero(refs @ F[c].T % q[c] == 0)
+        col += c.start
         at, gen = np.nonzero(F[col])
         slot = ref[at] * n_gens + gen
         keep = kept[slot]
@@ -161,10 +172,10 @@ def relation_matrix(
         parts.append((renumber[slot[keep]], col, F[col, gen]))
     row, col, val = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(row * len(q) + col)
-    candidates = Lattice(row[order], col[order], val[order], (int(kept.sum()), len(q)))
+    rows = Lattice(row[order], col[order], val[order], (int(kept.sum()), len(q)))
     if per_orbit:
-        return RelationSet(target, candidates, torus)
-    return RelationSet(target, distinct_rows(q, candidates))
+        return RelationSet(target, rows, torus)
+    return RelationSet(target, seeds_first(q, rows))
 
 
 # Below this many (column, generator) pairs, about the lattice's rows, the
@@ -284,8 +295,9 @@ def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
 def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     """The relation lattice of the components of ``chars``, block-diagonal
     with one block per character: rows projected by each character's
-    idempotent.  The seed rows diag(q_coords) come first, then every
-    nonzero projection in (character, row) order; exact repeats stay.
+    idempotent.  ``seeds_first`` puts the seed rows diag(q_coords) first,
+    then every nonzero projection in (character, row) order; exact
+    repeats stay.
 
     Character a has one coordinate per orbit whose stabiliser acts on its
     representative by a, and column c = s . rep[c] enters it with
@@ -316,16 +328,12 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     # Row a * len(rows) + r projects row r onto character a; nonzero walks
     # the characters in turn, each in (row, orbit) order, so the keys never
     # decrease.  Zero projections are skipped and the rest numbered in
-    # order after the seed rows diag(q_coords).
+    # order.
     a, at = np.nonzero(valid[:, orb] & (sums != 0).T)
     first = np.diff(a * len(rows) + row[at], prepend=-1) != 0
-    seeds = np.arange(n_coords)
-    return Lattice(
-        np.concatenate([seeds, n_coords - 1 + np.cumsum(first)]),
-        np.concatenate([seeds, coord[a, orb[at]]]),
-        np.concatenate([q_coords, sums[at, a]]),
-        (n_coords + int(first.sum()), n_coords),
-    )
+    projected = Lattice(np.cumsum(first) - 1, coord[a, orb[at]], sums[at, a],
+                        (int(first.sum()), n_coords))
+    return seeds_first(q_coords, projected)
 
 
 def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice]]:
@@ -338,10 +346,6 @@ def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice
         (int(size), _project(rel.torus, rel.rows, chars[mult == size]))
         for size in sorted(set(mult.tolist()) - {0})
     ]
-
-
-# The most recent results of sk1, keyed by (group, strategy).
-SK1_CACHE_SIZE = 128
 
 
 def sk1(

@@ -2,13 +2,11 @@
 
 Relation lattices are sparse: a ``Lattice`` holds the (row, column,
 value) triples of the nonzero entries, sorted by row and then column,
-and the shape.  ``distinct_rows`` assembles the whole relation lattice
-of an abelian group and that of a metacyclic group: the seed rows
-diag(orders) first, then every other row at its first occurrence, keyed
-by its (column, value) pairs.  The torus blocks of ``sk1_abelian`` are
-built seeds first without it and keep exact repeats.  No dense matrix is
-built on the way to the Smith form; ``np.asarray(lattice)`` gives one
-for readers that want it.
+and the shape.  ``seeds_first`` assembles every relation lattice of the
+package, the whole abelian one, each torus block and the metacyclic one:
+the seed rows diag(orders), then the other rows in order, none dropped.
+No dense matrix is built on the way to the Smith form;
+``np.asarray(lattice)`` gives one for readers that want it.
 
 ``cokernel_decomposition`` computes Z^cols modulo the row span.  A dense
 matrix is converted to a Lattice once.  The relation lattices of this
@@ -176,41 +174,22 @@ def _as_lattice(mat) -> Lattice:
     return Lattice(r, c, arr[r, c], arr.shape)
 
 
-def distinct_rows(orders, rows) -> Lattice:
-    """Relation lattice of the seed rows diag(orders), then each row of
-    ``rows`` at its first occurrence; duplicates are dropped.
-
-    ``rows`` is a Lattice of candidate rows or a 2-d integer array.  Rows
-    are keyed by the int64 bytes of their (column, value) pairs, so equal
-    rows meet whatever dtype they came in.  An array that does not cast
-    exactly to int64 raises TypeError.
-    """
-    if not isinstance(rows, Lattice):
-        rows = np.asarray(rows)
-        if not np.can_cast(rows.dtype, np.int64):
-            raise TypeError(f"relation rows of dtype {rows.dtype} do not cast exactly to int64")
-        rows = _as_lattice(rows)
+def seeds_first(orders, rows) -> Lattice:
+    """Relation lattice of the seed rows diag(orders), then every row of
+    ``rows`` (a Lattice or a dense integer matrix) in order, in one array
+    pass; no row is dropped."""
+    rows = _as_lattice(rows)
     orders = np.asarray(orders, dtype=np.int64)
     k = len(orders)
     if rows.shape[1] != k:
         raise ValueError(f"rows have {rows.shape[1]} columns, expected {k}")
     seeds = np.arange(k)
-    row = np.concatenate([seeds, rows.row + k])
-    col = np.concatenate([seeds, rows.col])
-    val = np.concatenate([orders, rows.val.astype(np.int64)])
-    n = k + len(rows)
-    # Row i's key is the bytes of its (column, value) pairs.
-    keys = np.stack([col, val], axis=1).tobytes()
-    width = 2 * val.itemsize
-    starts = (np.searchsorted(row, np.arange(n + 1)) * width).tolist()
-    first: dict[bytes, int] = {}
-    for i, (a, b) in enumerate(zip(starts, starts[1:])):
-        first.setdefault(keys[a:b], i)
-    renumber = np.full(n, -1)
-    renumber[list(first.values())] = np.arange(len(first))
-    row = renumber[row]
-    keep = row >= 0
-    return Lattice(row[keep], col[keep], val[keep], (len(first), k))
+    return Lattice(
+        np.concatenate([seeds, rows.row + k]),
+        np.concatenate([seeds, rows.col]),
+        np.concatenate([orders, rows.val]),
+        (k + len(rows), k),
+    )
 
 
 def cokernel_decomposition(mat) -> CyclicDecomposition:

@@ -16,7 +16,7 @@ import numpy as np
 from sk1.abelian import AbelianPGroup, Element, enumerate_elements
 from sk1.genetic import enumerate_cyclic_homs
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
-from sk1.snf import Lattice, distinct_rows
+from sk1.snf import Lattice
 
 
 def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:
@@ -411,13 +411,63 @@ def relation_rows(G: AbelianPGroup, basis, refs, gens) -> list[list[list[int]]]:
     return out
 
 
+def distinct_rows(orders, rows) -> Lattice:
+    """Relation lattice of the seed rows diag(orders), then each row of
+    ``rows`` at its first occurrence; duplicates are dropped.
+
+    ``rows`` is a Lattice of candidate rows or a 2-d integer array.  Rows
+    are keyed by the int64 bytes of their (column, value) pairs, so equal
+    rows meet whatever dtype they came in.  An array that does not cast
+    exactly to int64 raises TypeError.  This is how the library assembled
+    its whole relation lattices before it kept every row, and the
+    reference the tests compare that assembly with.
+    """
+    if not isinstance(rows, Lattice):
+        rows = np.asarray(rows)
+        if not np.can_cast(rows.dtype, np.int64):
+            raise TypeError(f"relation rows of dtype {rows.dtype} do not cast exactly to int64")
+        r, c = np.nonzero(rows)
+        rows = Lattice(r, c, rows[r, c].astype(np.int64), rows.shape)
+    orders = np.asarray(orders, dtype=np.int64)
+    k = len(orders)
+    if rows.shape[1] != k:
+        raise ValueError(f"rows have {rows.shape[1]} columns, expected {k}")
+    seeds = np.arange(k)
+    row = np.concatenate([seeds, rows.row + k])
+    col = np.concatenate([seeds, rows.col])
+    val = np.concatenate([orders, rows.val.astype(np.int64)])
+    n = k + len(rows)
+    # Row i's key is the bytes of its (column, value) pairs.
+    keys = np.stack([col, val], axis=1).tobytes()
+    width = 2 * val.itemsize
+    starts = (np.searchsorted(row, np.arange(n + 1)) * width).tolist()
+    first: dict[bytes, int] = {}
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        first.setdefault(keys[a:b], i)
+    renumber = np.full(n, -1)
+    renumber[list(first.values())] = np.arange(len(first))
+    row = renumber[row]
+    keep = row >= 0
+    return Lattice(row[keep], col[keep], val[keep], (len(first), k))
+
+
+def repeated_rows(lattice: Lattice) -> int:
+    """How many rows of ``lattice`` equal an earlier row, seed rows and
+    zero rows included, keyed by the int64 bytes of their (column, value)
+    pairs."""
+    starts = np.searchsorted(lattice.row, np.arange(lattice.shape[0] + 1)).tolist()
+    pairs = np.stack([lattice.col, lattice.val], axis=1).astype(np.int64)
+    keys = {pairs[a:b].tobytes() for a, b in zip(starts, starts[1:])}
+    return lattice.shape[0] - len(keys)
+
+
 def rows_up_to_roots_of_unity(lattice: Lattice, p: int) -> Lattice:
     """A relation lattice whose rows differ by a (p-1)-th root of unity
     made equal: each non-seed row is scaled by the inverse Teichmuller lift
     of its first entry's unit part, then ``distinct_rows`` drops repeats.
 
-    ``lattice`` is a Lattice with its seed rows first, as ``distinct_rows``
-    and ``_project`` build it; its seeds give the column orders.  The lift of a unit u mod
+    ``lattice`` is a Lattice with its seed rows first, as ``seeds_first``
+    builds it; its seeds give the column orders.  The lift of a unit u mod
     Q = p^E is u^(Q/p) mod Q, which depends only on u mod p.
     """
     k = lattice.shape[1]

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from sk1.errors import BadParams, DomainViolation, TooLarge
 from oracles import (
+    distinct_rows,
     meta_centralizer,
     meta_closure,
     meta_element_order,
@@ -29,7 +30,7 @@ from sk1.metacyclic import (
     relation_component,
     sk1_metacyclic,
 )
-from sk1.snf import cokernel_decomposition, distinct_rows
+from sk1.snf import cokernel_decomposition
 
 
 def conjugate(G, g, x):
@@ -426,6 +427,18 @@ ROW_GROUPS = (
     + [(7, n) for n in range(3, 6)]
     + [(11, 4), (13, 4)]
 )
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11, 13) for n in range(3, 9)])
+def test_relation_rows_never_repeat(p, n):
+    # Observed, not proved: the lattice keeps the row of every visited
+    # pair, and no row, seeds included, equals another.  Only the speed of
+    # the lattice assembly rests on this.
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    lattice = _relation_rows(G, cols)
+    assert lattice.shape[0] == len(cols) + len(_row_pairs(G)[0])
+    assert oracles.repeated_rows(lattice) == 0
 
 
 @pytest.mark.parametrize("p,n", ROW_GROUPS)

@@ -9,7 +9,13 @@ import pytest
 
 import oracles
 
-from sk1.abelian import DEFAULT_MAX_ORDER, ENUMERATION_LIMIT, enumerate_elements, make_group
+from sk1.abelian import (
+    DEFAULT_MAX_ORDER,
+    ENUMERATION_LIMIT,
+    SK1_CACHE_SIZE,
+    enumerate_elements,
+    make_group,
+)
 from sk1.errors import TooLarge
 from sk1.genetic import genetic_basis_abelian
 from sk1.sk1_abelian import (
@@ -116,6 +122,68 @@ def test_matrix_rows_match_reference_rows(p, orders, strategy):
                 rows.append(row)
     rel = relation_matrix(G, strategy=strategy)
     assert np.asarray(rel.rows).tolist() == rows
+
+
+def partitions(n, largest):
+    """The partitions of n into parts of at most ``largest``, descending."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part, *rest)
+
+
+def abelian_groups(max_order, primes):
+    """(p, orders) of every abelian p-group of order at most max_order."""
+    return [
+        (p, [p**a for a in part])
+        for p in primes
+        for n in range(1, max_order.bit_length())
+        if p**n <= max_order
+        for part in partitions(n, n)
+    ]
+
+
+# Every abelian group with p <= 13 and |G| <= 7000 but C_3^8, whose whole
+# lattice of 26248 rows and 16.8M entries takes ~1.8 GB to build (it has
+# no repeat either, checked once outside the suite).
+GROUPS_UP_TO_7000 = [g for g in abelian_groups(7000, (3, 5, 7, 11, 13)) if g[1] != [3] * 8]
+
+
+@pytest.mark.parametrize("p,orders", GROUPS_UP_TO_7000)
+def test_representatives_rows_never_repeat(p, orders):
+    # Observed, not proved: the relation lattice keeps every row, and no
+    # row, seeds included, equals another.  Only the speed of the lattice
+    # assembly rests on this; a repeat would leave the cokernel as it is.
+    lattice = relation_matrix(make_group(p, orders)).rows
+    assert oracles.repeated_rows(lattice) == 0
+
+
+@pytest.mark.parametrize(
+    "p,orders",
+    [(3, [9, 3]), (3, [9, 9]), (3, [27, 9]), (3, [27, 27]), (3, [3, 3, 3]), (3, [9, 3, 3]),
+     (3, [3, 3, 3, 3]), (5, [25, 5]), (5, [5, 5, 5]), (7, [49, 7]), (13, [13, 13])],
+)
+def test_exhaustive_lattice_is_every_element_rows_deduplicated(p, orders):
+    # The exhaustive lattice keeps the first element of each membership
+    # signature.  That gives, byte for byte, the lattice of every
+    # element's rows (the slot of its first unit coordinate skipped) with
+    # the repeats dropped in first-wins order by the oracle.
+    G = make_group(p, orders)
+    basis = genetic_basis_abelian(G)
+    refs = enumerate_elements(G)
+    rows = [
+        row
+        for h, h_rows in zip(refs, oracles.relation_rows(G, basis, refs, G.generators()))
+        for i, row in enumerate(h_rows)
+        if i != first_unit(p, h)
+    ]
+    q = target_product(G, basis).orders
+    want = oracles.distinct_rows(q, np.array(rows, dtype=np.int64))
+    got = relation_matrix(G, strategy=EXHAUSTIVE).rows
+    assert got.shape == want.shape
+    for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def reference_elements(G, basis, strategy):
@@ -348,6 +416,30 @@ def test_sk1_cache_drops_the_least_recently_used(monkeypatch):
     sk1(B, strategy=EXHAUSTIVE, max_order=10**4)
     with pytest.raises(TooLarge):
         sk1(B, strategy=EXHAUSTIVE, max_order=10)
+
+
+def test_basis_cache_keeps_the_guards():
+    from sk1 import sk1_abelian
+
+    assert genetic_basis_abelian.cache_info().maxsize == SK1_CACHE_SIZE
+    # guard_int64 refuses C_{3^20}, the enumeration guard C_6561^3 (9 x
+    # 6561^2 tuples): every call raises, and none is cached.
+    for G, guard in ((make_group(3, [3**20]), "int64"),
+                     (make_group(3, [6561] * 3), "enumeration guard")):
+        size = genetic_basis_abelian.cache_info().currsize
+        for call in (genetic_basis_abelian, sk1, genetic_basis_abelian, sk1):
+            with pytest.raises(TooLarge, match=guard):
+                call(G)
+        assert genetic_basis_abelian.cache_info().currsize == size
+    # Both strategies, above and below the split gate, share one basis.
+    for orders in ([27, 9], [81, 81]):
+        G = make_group(3, orders)
+        sk1_abelian._solve.cache_clear()
+        genetic_basis_abelian.cache_clear()
+        sk1(G)
+        sk1(G, strategy=EXHAUSTIVE, max_order=G.order)
+        info = genetic_basis_abelian.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize(

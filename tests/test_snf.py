@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from sk1.snf import CyclicDecomposition, cokernel_decomposition, distinct_rows
+from sk1.snf import CyclicDecomposition, cokernel_decomposition, seeds_first
 
 import oracles
 from oracles import exact_cokernel, smith_divisors
@@ -217,7 +217,7 @@ def test_non_seed_entries_that_vanish_mod_their_seed_leave_only_seed_rows():
 
 def _with_non_seed_rows_permuted(lat, rng):
     """lat with its rows after the seed rows (the first lat.shape[1], as
-    ``distinct_rows`` and ``_project`` put them) in a random order."""
+    ``seeds_first`` puts them) in a random order."""
     from sk1.snf import Lattice
 
     k = lat.shape[1]
@@ -399,22 +399,21 @@ def test_non_integral_entries_are_rejected():
     assert cokernel_decomposition(np.array([[9.0, 0], [0, 3.0]])).divisors == (3, 9)
 
 
-def test_distinct_rows_dedupes_across_integer_dtypes():
-    # Seeds and rows are keyed in one dtype, so a narrow copy of a seed row
-    # or of an earlier row is still a duplicate; the matrix is int64.
-    for dtype in (np.uint8, np.int32, np.int64):
-        rows = np.array([[3, 0], [1, 2], [1, 2], [0, 3]], dtype=dtype)
-        out = np.asarray(distinct_rows([3, 3], rows))
-        assert out.dtype == np.int64
-        assert out.tolist() == [[3, 0], [0, 3], [1, 2]]
-    out = distinct_rows([300], np.array([[44]], dtype=np.uint8))
-    assert np.asarray(out).tolist() == [[300], [44]]
-    with pytest.raises(TypeError):
-        distinct_rows([3, 3], np.array([[1.5, 0.0]]))
-    with pytest.raises(TypeError):
-        distinct_rows([3, 3], np.array([[1, 0]], dtype=np.uint64))
+def test_seeds_first_keeps_every_row_in_order():
+    # The seed rows diag(orders), then each row as given, repeats and a
+    # zero row included, from a dense matrix or from a Lattice.
+    from sk1.snf import Lattice
+
+    rows = np.array([[1, 2], [0, 0], [1, 2], [0, 3]])
+    want = [[3, 0], [0, 9], [1, 2], [0, 0], [1, 2], [0, 3]]
+    out = seeds_first([3, 9], rows)
+    assert out.shape == (6, 2) and np.asarray(out).tolist() == want
+    assert out.row.dtype == out.col.dtype == out.val.dtype == np.int64
+    assert (np.diff(out.row * 2 + out.col) > 0).all()
+    given = Lattice(out.row[2:] - 2, out.col[2:], out.val[2:], (4, 2))
+    assert np.asarray(seeds_first([3, 9], given)).tolist() == want
     with pytest.raises(ValueError):
-        distinct_rows([3, 3], np.array([[1, 2, 0]]))
+        seeds_first([3, 3], np.array([[1, 2, 0]]))
 
 
 def test_decomposition_normalizes_and_renders():

@@ -135,6 +135,21 @@ def test_split_below_the_gate(p, orders):
         assert split_divisors(G, strategy) == cokernel_decomposition(rel.rows).divisors
 
 
+def test_exhaustive_split_above_the_gate_keeps_one_reference_per_cyclic_subgroup():
+    # C_81^2 (160 columns x 2 generators) is split.  Its exhaustive rows
+    # come from the first element of each cyclic subgroup, so they number
+    # the non-seed rows of the representatives' whole lattice, and the SK1
+    # is the representatives' one.
+    G = make_group(3, [81, 81])
+    whole = relation_matrix(G).rows
+    assert whole.shape[1] * 2 >= SPLIT_MIN_PAIRS
+    rel = relation_matrix(G, strategy=EXHAUSTIVE, per_orbit=True)
+    assert rel.rows.shape[0] == whole.shape[0] - whole.shape[1] < G.order
+    divisors = split_divisors(G, EXHAUSTIVE)
+    assert divisors == split_divisors(G, REPRESENTATIVES) == sk1(G).divisors
+    assert sk1(G, strategy=EXHAUSTIVE, max_order=G.order).divisors == divisors
+
+
 @pytest.mark.parametrize("p,orders", [(3, [27, 27]), (5, [125, 125]), (3, [9, 9, 9])])
 def test_components_of_every_character(p, orders):
     G = make_group(p, orders)
