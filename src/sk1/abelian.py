@@ -56,9 +56,15 @@ def _p_power_exponent(value: int, p: int) -> int | None:
 
 
 def guard_order(G, limit: int, guard: str) -> None:
-    """Raise TooLarge when |G| exceeds limit; ``guard`` names the check."""
-    if G.order > limit:
-        raise TooLarge(f"|G| = {G.order} exceeds the {guard} {limit}")
+    """Raise TooLarge when |G| = p^n exceeds limit; ``guard`` names the
+    check.  n is compared with the largest exponent the limit admits, so
+    |G| is never built (p^n takes seconds at n = 10^7) nor printed (Python
+    refuses to print an int past 4300 digits)."""
+    top, power = 0, G.prime
+    while power <= limit:
+        top, power = top + 1, power * G.prime
+    if G.log_order > top:
+        raise TooLarge(f"|{G}| exceeds the {guard} {limit}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,11 @@ class AbelianPGroup:
     @property
     def order(self) -> int:
         return math.prod(self.orders)
+
+    @property
+    def log_order(self) -> int:
+        """n with |G| = p^n."""
+        return sum(_p_power_exponent(o, self.prime) for o in self.orders)
 
     def identity(self) -> Element:
         return (0,) * len(self.orders)

@@ -57,6 +57,10 @@ class MetacyclicGroup:
         return self.prime**self.n
 
     @property
+    def log_order(self) -> int:
+        return self.n
+
+    @property
     def a_order(self) -> int:
         return self.prime ** (self.n - 1)
 
@@ -314,7 +318,7 @@ def sk1_metacyclic(
     """
     guard_order(G, max_order, "order guard")
     if _int_dtype(G) is not np.int64:
-        raise TooLarge(f"|G| = {G.order}: relation entries would overflow int64")
+        raise TooLarge(f"{G}: relation entries would overflow int64")
     return _solve(genetic_basis_metacyclic(G))
 
 

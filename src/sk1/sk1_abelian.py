@@ -24,14 +24,19 @@ is the direct sum of its components over the characters of T (Serre,
 Linear Representations of Finite Groups, GTM 42, for the idempotents).
 Scalars act on a column by their own value, so only characters a with
 sum(a) = 1 mod p - 1 occur, read off the subtorus
-T' = {diag(1, u_2, ..., u_k)}.  A component has one coordinate per
-T'-orbit of columns on whose representative the stabiliser acts by the
-character; a row enters it through its entries weighted by the
-character, and the rows of one T'-orbit give one projected row up to a
-root of unity.  The rows of h depend only on <h>,
-and t<c(S)> = <c(t^-1 S)> for the reference c(S) of column S (its
-tuple): c(t^-1 S) and t c(S) define homomorphisms with one kernel, so
-differ by a unit.  So the split needs the rows of the identity and of
+T' = {diag(1, u_2, ..., u_k)}.  The T'-orbit of a column is read off
+its form F in closed form (``_torus``): scaling each nonzero F_j by a
+root of unity makes its unit part 1 mod p, which gives the orbit's
+principal column, and the stabiliser of F is scalar on the set N of
+coordinates where F is nonzero and free off it (but for u_1 = 1), so
+the orbit has (p-1)^(|N|-1) columns.  A component has one coordinate per T'-orbit on
+whose representative the stabiliser acts by the character, which holds
+exactly when a_j = 0 mod p - 1 for every j off N.  A row enters it
+through its entries weighted by the character, and the rows of one
+T'-orbit give one projected row up to a root of unity.  The rows of h
+depend only on <h>, and t<c(S)> = <c(t^-1 S)> for the reference c(S)
+of column S (its tuple): c(t^-1 S) and t c(S) define homomorphisms with
+one kernel, so differ by a unit.  So the split needs the rows of the identity and of
 one column's reference per T'-orbit.  A permutation of equal-order
 factors maps the a-component isomorphically onto that of the permuted
 a, so one character per orbit of such permutations is solved, its
@@ -130,11 +135,9 @@ def relation_matrix(
 
     The default is the relation lattice from ``seeds_first``.  Its rows are
     observed never to repeat, so none is dropped.  ``per_orbit`` gives the
-    input of ``_torus_blocks``: the torus and the rows without seeds, in
-    the reversed (reference, generator) order the blocks' Smith form
-    favours (README "Library"); ``representatives`` then keeps the
-    identity and one reference per T'-orbit of cyclic subgroups (see the
-    module docstring).
+    input of ``_torus_blocks``: the torus and the rows without seeds;
+    ``representatives`` then keeps the identity and one reference per
+    T'-orbit of cyclic subgroups (see the module docstring).
     """
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
@@ -153,14 +156,12 @@ def relation_matrix(
     # c is F[c, i] where refs[r] is in the kernel of column c.  The slot of
     # the first coordinate of refs[r] prime to p, which argmax finds, is
     # dropped (a reference with no such coordinate keeps every slot), and
-    # the kept slots are renumbered in order, or in reverse for the split.
+    # the kept slots are renumbered in order.
     unit = refs % G.prime != 0
     kept = np.ones((len(refs), n_gens), dtype=bool)
     kept[np.arange(len(refs)), unit.argmax(axis=1)] = ~unit.any(axis=1)
     kept = kept.ravel()
     renumber = np.cumsum(kept) - 1
-    if per_orbit:
-        renumber = renumber[-1] - renumber
     parts = []
     for c in chunks:
         ref, col = np.nonzero(refs @ F[c].T % q[c] == 0)
@@ -210,64 +211,56 @@ class _Torus(SimpleNamespace):
     """The torus T' = {diag(1, w^m_2, ..., w^m_k)} on the columns, built by
     ``_torus``; powers[j] is w^j mod eg.
 
-    Element s has exponents m[s] (m[s, 0] = 0).  Column c is in the orbit
-    of its lowest column reps[orbit[c]], and s = elem[c] has
-    s . reps[orbit[c]] = c.  The pairs (fix_s[i], reps[fix_r[i]]), sorted
-    by fix_r, are the elements fixing each representative.
-
-    lead[c] is the first coordinate of column c's form prime to p, where
-    the normalised form is 1.  So s maps basis vector c to w^m[s, lead[c]]
-    times vector s . c.
+    Column c is in the orbit of its lowest column reps[orbit[c]], which
+    the element of exponents m[c] maps to c; zero[o] marks where the forms
+    of orbit o vanish.  lead[c] is the first coordinate of column c's form
+    prime to p, where the normalised form is 1.  So element s maps basis
+    vector c to w^m_s[lead[c]] times vector s . c.
     """
 
 
 def _torus(G: AbelianPGroup, target: TargetProduct) -> _Torus:
-    """The action of T' on the columns of ``target``.
+    """The action of T' on the columns of ``target``, in closed form.
 
-    t = diag(u) maps column S to the column whose normalised form is
-    F[S] * u^-1 scaled to lead 1, found by its ``_key_code``.  Raises
-    ValueError when that form is not a column.
+    t = diag(u) maps the column of form F to the one of form F * u^-1
+    scaled to lead 1.  On the coordinates N where F is nonzero, F_j is p^v
+    times a unit of log d_j base w mod p (w = g mod p; d_l = 0 at the lead
+    l, where F_l = 1, and d_j = 0 off N).  The principal column
+    F_j w^-d_j, every unit part 1 mod p, labels the orbit, and
+    m_j = d_0 - d_j on N, 0 off N, maps it to F.  As w has order p - 1
+    mod every power of p, F is fixed by the elements with m_j = m_l on N:
+    (p-1)^(k-|N|) of them, so its orbit has (p-1)^(|N|-1) columns.  Raises
+    ValueError when a principal column or another column of an orbit is
+    not in ``target``.
     """
     p, eg, k = G.prime, G.exponent, len(G.orders)
     w = _teichmuller_unit(p, eg)
+    powers = np.array([pow(w, j, eg) for j in range(p - 1)], dtype=np.int64)
     q, F = target.columns.index, target.columns.form
     n = len(q)
-    lead = (F % p != 0).argmax(axis=1)
+    log = np.zeros(p, dtype=np.int64)
+    log[powers % p] = np.arange(p - 1)
+    # F // gcd(F, eg) is the unit part of F, and 0 where F is.
+    d = log[F // np.gcd(F, eg) % p]
     codes = _key_code(G, q, F)
     by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
-    P = np.arange(n)[None]
-    m = np.zeros((1, k), dtype=np.int64)
-    for j in range(1, k):
-        # t_j = diag(1, .., w, .., 1) scales coordinate j by w^-1; a form
-        # led at j is then rescaled by w to lead 1 again.
-        image = F.copy()
-        image[:, j] = image[:, j] * pow(w, -1, eg) % q
-        at = lead == j
-        image[at] = image[at] * w % q[at, None]
-        image = _key_code(G, q, image)
-        pos = np.minimum(np.searchsorted(sorted_codes, image), n - 1)
-        if not np.array_equal(sorted_codes[pos], image):
-            raise ValueError(f"the torus maps a column of {G} outside the target")
-        perm = by_code[pos]
-        cycle = [np.arange(n)]
-        for _ in range(p - 2):
-            cycle.append(perm[cycle[-1]])
-        # Row a * len(P) + b of the new P is t_j^a s_b.
-        P = np.stack(cycle)[:, P].reshape(-1, n)
-        m = np.tile(m, (p - 1, 1))
-        m[:, j] = np.repeat(np.arange(p - 1), len(m) // (p - 1))
-    rep = P.min(axis=0)
-    reps = np.flatnonzero(rep == np.arange(n))
-    orbit = np.empty(n, dtype=np.int64)
-    orbit[reps] = np.arange(len(reps))
-    elem = np.empty(n, dtype=np.int64)
-    elem[P[:, reps]] = np.arange(len(P))[:, None]
-    fix_r, fix_s = np.nonzero((P[:, reps] == reps).T)
-    return _Torus(
-        p=p, q=q, powers=np.array([pow(w, j, eg) for j in range(p - 1)], dtype=np.int64),
-        m=m, reps=reps, orbit=orbit[rep], elem=elem, lead=lead, fix_s=fix_s, fix_r=fix_r,
-    )
+    principal = _key_code(G, q, F * powers[-d % (p - 1)] % q[:, None])
+    label = by_code[np.minimum(np.searchsorted(codes[by_code], principal), n - 1)]
+    if (codes[label] != principal).any():
+        raise ValueError(f"a principal column of {G} is outside the target")
+    # Each orbit is relabelled by its lowest column.
+    low = np.full(n, n)
+    np.minimum.at(low, label, np.arange(n))
+    is_rep = low[label] == np.arange(n)
+    reps = np.flatnonzero(is_rep)
+    orbit = (np.cumsum(is_rep) - 1)[low[label]]
+    zero = F[reps] == 0
+    if (np.bincount(orbit) != (p - 1) ** (k - 1 - zero.sum(axis=1))).any():
+        raise ValueError(f"the torus maps a column of {G} outside the target")
+    m = np.where(F != 0, d[:, :1] - d, 0)
+    m = (m - m[reps[orbit]]) % (p - 1)
+    return _Torus(p=p, q=q, powers=powers, m=m, reps=reps, orbit=orbit, zero=zero,
+                  lead=(F % p != 0).argmax(axis=1))
 
 
 def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -292,28 +285,32 @@ def _characters(G: AbelianPGroup) -> tuple[np.ndarray, np.ndarray]:
     return chars, mult
 
 
+def _components(torus: _Torus, chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """keep[a, o] when character a has a coordinate on orbit o, and
+    coef[c, a] the coefficient of column c in it.  The stabiliser of a
+    representative (``_torus``) has m_j = m_l on N and m_j free off N but
+    m_0 = 0, so a(s) = w^m_l on all of it iff a_j = 0 mod p - 1 off N (at
+    0, through sum(a) = 1).  Column c enters with a(s) w^-m_s[lead[c]] for s = m[c]; any other s
+    mapping the representative to c differs by the stabiliser.
+    """
+    m = torus.m
+    keep = chars @ torus.zero.T == 0
+    coef = torus.powers[(m @ chars.T - m[np.arange(len(m)), torus.lead][:, None]) % (torus.p - 1)]
+    return keep, coef
+
+
 def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     """The relation lattice of the components of ``chars``, block-diagonal
     with one block per character: rows projected by each character's
-    idempotent.  ``seeds_first`` puts the seed rows diag(q_coords) first,
-    then every nonzero projection in (character, row) order; exact
-    repeats stay.
-
-    Character a has one coordinate per orbit whose stabiliser acts on its
-    representative by a, and column c = s . rep[c] enters it with
-    coefficient a(s) w^-m[s, lead[c]].
+    idempotent onto the orbits its ``_components`` keep.  ``seeds_first``
+    puts the seed rows diag(q_coords) first, then every nonzero projection
+    in (character, row) order; exact repeats stay.
     """
-    p, q = torus.p, torus.q
-    # An orbit is in the component unless a stabiliser element acts on
-    # its representative by another value than a.
-    lead = torus.lead[torus.reps][torus.fix_r]
-    off = (torus.m[torus.fix_s] @ chars.T - torus.m[torus.fix_s, lead][:, None]) % (p - 1) != 0
-    valid = ~np.logical_or.reduceat(off, np.flatnonzero(np.diff(torus.fix_r, prepend=-1))).T
-    coord = (np.cumsum(valid) - 1).reshape(valid.shape)
-    n_coords = int(valid.sum())
-    q_coords = np.tile(q[torus.reps], len(chars))[valid.ravel()]
-    s = torus.elem
-    coef = torus.powers[(torus.m[s] @ chars.T - torus.m[s, torus.lead][:, None]) % (p - 1)]
+    q = torus.q
+    keep, coef = _components(torus, chars)
+    coord = (np.cumsum(keep) - 1).reshape(keep.shape)
+    n_coords = int(keep.sum())
+    q_coords = np.tile(q[torus.reps], len(chars))[keep.ravel()]
     # The entries of a row in one orbit sum into one coordinate per
     # character: group them by (row, orbit of the column).
     n_orbits = len(torus.reps)
@@ -329,7 +326,7 @@ def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
     # the characters in turn, each in (row, orbit) order, so the keys never
     # decrease.  Zero projections are skipped and the rest numbered in
     # order.
-    a, at = np.nonzero(valid[:, orb] & (sums != 0).T)
+    a, at = np.nonzero(keep[:, orb] & (sums != 0).T)
     first = np.diff(a * len(rows) + row[at], prepend=-1) != 0
     projected = Lattice(np.cumsum(first) - 1, coord[a, orb[at]], sums[at, a],
                         (int(first.sum()), n_coords))

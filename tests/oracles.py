@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 
 from sk1.abelian import AbelianPGroup, Element, enumerate_elements
-from sk1.genetic import enumerate_cyclic_homs
+from sk1.genetic import _key_code, enumerate_cyclic_homs
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
+from sk1.sk1_abelian import _teichmuller_unit
 from sk1.snf import Lattice
 
 
@@ -486,6 +488,64 @@ def rows_up_to_roots_of_unity(lattice: Lattice, p: int) -> Lattice:
     val = val * np.repeat(np.array(lift_inv, dtype=np.int64)[unit % p], counts) % q[col]
     row = np.repeat(np.arange(len(first)), counts)
     return distinct_rows(q, Lattice(row, col, val, (len(first), k)))
+
+
+def torus_by_permutations(G: AbelianPGroup, target, chars: np.ndarray) -> SimpleNamespace:
+    """The action of T' = {diag(1, w^m_2, ..., w^m_k)} on the columns of
+    ``target``, and the components of the characters ``chars``, from the
+    whole group table: every element's permutation of the columns,
+    composed from those of the generators t_j, and its stabiliser pairs.
+
+    Returns reps and orbit (as ``_Torus``), keep[a, o] when the stabiliser
+    of orbit o's representative acts on it by character a, and coef[c, a]
+    = a(s) w^-m_s[lead[c]] for an element s mapping the representative to
+    column c.  This is how the library built the torus before its closed
+    form; it holds (p-1)^(k-1) rows per column.
+    """
+    p, eg, k = G.prime, G.exponent, len(G.orders)
+    w = _teichmuller_unit(p, eg)
+    q, F = target.columns.index, target.columns.form
+    n = len(q)
+    lead = (F % p != 0).argmax(axis=1)
+    codes = _key_code(G, q, F)
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    P = np.arange(n)[None]
+    m = np.zeros((1, k), dtype=np.int64)
+    for j in range(1, k):
+        # t_j scales coordinate j by w^-1; a form led at j is then rescaled
+        # by w to lead 1 again.
+        image = F.copy()
+        image[:, j] = image[:, j] * pow(w, -1, eg) % q
+        at = lead == j
+        image[at] = image[at] * w % q[at, None]
+        image = _key_code(G, q, image)
+        pos = np.minimum(np.searchsorted(sorted_codes, image), n - 1)
+        if not np.array_equal(sorted_codes[pos], image):
+            raise ValueError(f"the torus maps a column of {G} outside the target")
+        perm = by_code[pos]
+        cycle = [np.arange(n)]
+        for _ in range(p - 2):
+            cycle.append(perm[cycle[-1]])
+        # Row a * len(P) + b of the new P is t_j^a s_b.
+        P = np.stack(cycle)[:, P].reshape(-1, n)
+        m = np.tile(m, (p - 1, 1))
+        m[:, j] = np.repeat(np.arange(p - 1), len(m) // (p - 1))
+    rep = P.min(axis=0)
+    reps = np.flatnonzero(rep == np.arange(n))
+    orbit = np.empty(n, dtype=np.int64)
+    orbit[reps] = np.arange(len(reps))
+    elem = np.empty(n, dtype=np.int64)
+    elem[P[:, reps]] = np.arange(len(P))[:, None]
+    fix_r, fix_s = np.nonzero((P[:, reps] == reps).T)
+    # An orbit is in the component unless a stabiliser element acts on its
+    # representative by another value than a.
+    lead_r = lead[reps][fix_r]
+    off = (m[fix_s] @ chars.T - m[fix_s, lead_r][:, None]) % (p - 1) != 0
+    keep = ~np.logical_or.reduceat(off, np.flatnonzero(np.diff(fix_r, prepend=-1))).T
+    powers = np.array([pow(w, j, eg) for j in range(p - 1)], dtype=np.int64)
+    coef = powers[(m[elem] @ chars.T - m[elem, lead][:, None]) % (p - 1)]
+    return SimpleNamespace(reps=reps, orbit=orbit[rep], keep=keep, coef=coef)
 
 
 def meta_mul(G: MetacyclicGroup, x: MElement, y: MElement) -> MElement:

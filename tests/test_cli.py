@@ -203,6 +203,16 @@ def test_metacyclic_guard_and_override(capsys):
     assert out == "SK1 = (C3)^10\n"
 
 
+@pytest.mark.parametrize("n", [9100, 10**9])
+def test_metacyclic_guard_on_orders_past_the_printable(capsys, n):
+    # 3^9100 has more than the 4300 digits Python prints, and 3^(10^9)
+    # would take minutes to build: the guard compares n, not |G|.
+    rc, out, err = run(capsys, "metacyclic", "--prime", "3", "--n", str(n))
+    assert rc == EXIT_GUARD
+    assert out == ""
+    assert f"M_{n}(3)" in err and "729" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

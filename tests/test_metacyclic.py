@@ -466,6 +466,16 @@ def test_sk1_guard():
         sk1_metacyclic(make_metacyclic(3, 5), max_order=100)
 
 
+def test_sk1_guard_compares_exponents():
+    # |M_9100(3)| has more digits than Python prints; the guard still
+    # refuses it, and admits |M_7(3)| = 2187 at exactly that limit.
+    with pytest.raises(TooLarge, match=r"M_9100\(3\)"):
+        sk1_metacyclic(make_metacyclic(3, 9100))
+    with pytest.raises(TooLarge, match="order guard 2186"):
+        sk1_metacyclic(make_metacyclic(3, 7), max_order=2186)
+    assert sk1_metacyclic(make_metacyclic(3, 7), max_order=2187).divisors == (3,) * 10
+
+
 def test_int64_refusal_starts_at_m21_3():
     # M_20(3) is the largest n for p = 3 whose entries fit int64 (it is
     # pinned in LARGE_SK1_CASES); M_21(3) is refused past the order guard.

@@ -6,7 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import rows_up_to_roots_of_unity, torus_orbits_of_cyclic_subgroups
+from oracles import (
+    rows_up_to_roots_of_unity,
+    torus_by_permutations,
+    torus_orbits_of_cyclic_subgroups,
+)
 from sk1.abelian import make_group
 from sk1.genetic import cyclic_quotients, genetic_basis_abelian
 from sk1.sk1_abelian import (
@@ -15,6 +19,7 @@ from sk1.sk1_abelian import (
     SPLIT_MIN_PAIRS,
     TargetProduct,
     _characters,
+    _components,
     _project,
     _references,
     _teichmuller_unit,
@@ -44,23 +49,20 @@ def strategies(G):
 
 
 # Groups with multi-block splits, deep and wide squares, and the swap.
-SPLIT_GROUPS = pytest.mark.parametrize(
-    "p,orders",
-    [
-        (3, [3, 3, 3, 3]),
-        (3, [9, 3, 3]),
-        (3, [27, 27]),
-        (3, [9, 9, 9]),
-        (3, [81, 27, 3]),
-        (5, [25, 25, 5]),
-        (5, [125, 125]),
-        (7, [49, 7]),
-        (13, [169, 169]),
-        (17, [289, 289]),
-        (3, [729, 729]),
-    ],
-    ids=lambda v: str(v),
-)
+SPLIT_CASES = [
+    (3, [3, 3, 3, 3]),
+    (3, [9, 3, 3]),
+    (3, [27, 27]),
+    (3, [9, 9, 9]),
+    (3, [81, 27, 3]),
+    (5, [25, 25, 5]),
+    (5, [125, 125]),
+    (7, [49, 7]),
+    (13, [169, 169]),
+    (17, [289, 289]),
+    (3, [729, 729]),
+]
+SPLIT_GROUPS = pytest.mark.parametrize("p,orders", SPLIT_CASES, ids=lambda v: str(v))
 
 
 @SPLIT_GROUPS
@@ -281,16 +283,52 @@ def test_squares_pair_every_character_with_its_swap():
         assert sorted(mult.tolist()) == [0] * ((p - 1) // 2) + [2] * ((p - 1) // 2)
 
 
-def test_a_target_missing_a_torus_image_is_refused():
-    G = make_group(3, [27, 27])
+# The groups where the permutation table was largest per column, (p-1)^(k-1)
+# rows: 144 for C_13^3 and C_169^2 x C_13, 216 for C_49^2 x C_7^2.
+@pytest.mark.parametrize(
+    "p,orders",
+    SPLIT_CASES + [(13, [13, 13, 13]), (13, [169, 169, 13]), (7, [7, 7, 7]), (5, [5, 5, 5, 5]),
+                   (7, [49, 49, 7, 7])],
+    ids=lambda v: str(v),
+)
+def test_closed_form_torus_is_the_permutation_table(p, orders):
+    G = make_group(p, orders)
     target = relation_matrix(G).target
+    chars, _ = _characters(G)
     torus = _torus(G, target)
-    # A column that is not its orbit's representative is the image of one
-    # that stays, so dropping it leaves an image outside the target.
-    c = int(np.flatnonzero(torus.reps[torus.orbit] != np.arange(len(target.columns)))[0])
-    broken = TargetProduct(target.columns[np.arange(len(target.columns)) != c])
-    with pytest.raises(ValueError, match="outside the target"):
-        _torus(G, broken)
+    table = torus_by_permutations(G, target, chars)
+    assert np.array_equal(torus.reps, table.reps)
+    assert np.array_equal(torus.orbit, table.orbit)
+    keep, coef = _components(torus, chars)
+    assert np.array_equal(keep, table.keep)
+    # The coefficients of a column count only where its orbit is kept.
+    kept = keep.T[torus.orbit]
+    assert kept.any()
+    assert np.array_equal(coef[kept], table.coef[kept])
+
+
+def test_a_target_missing_a_torus_image_is_refused():
+    # Dropping any column of an orbit of two or more leaves an image outside
+    # the target: the principal column, whose unit parts are all 1 mod p,
+    # or one of the columns that it maps onto.  Both checks fire.
+    for p, orders in ((3, [27, 27]), (5, [25, 25, 5])):
+        G = make_group(p, orders)
+        target = relation_matrix(G).target
+        torus = _torus(G, target)
+        n = len(target.columns)
+        F = target.columns.form
+        unit = F.copy()
+        while (div := (unit % p == 0) & (unit != 0)).any():
+            unit = np.where(div, unit // p, unit)
+        principal = (unit % p <= 1).all(axis=1)
+        fired = set()
+        for c in np.flatnonzero(np.bincount(torus.orbit)[torus.orbit] > 1):
+            broken = TargetProduct(target.columns[np.arange(n) != c])
+            check = "a principal column of" if principal[c] else "the torus maps a column of"
+            with pytest.raises(ValueError, match=f"{check} {G} (is )?outside the target"):
+                _torus(G, broken)
+            fired.add(check)
+        assert len(fired) == 2
 
 
 @pytest.mark.parametrize("p,eg", [(3, 3), (3, 3**8), (5, 5**5), (7, 7**4), (13, 169), (19, 361)])
