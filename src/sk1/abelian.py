@@ -93,7 +93,16 @@ class AbelianPGroup:
         return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
     def __str__(self) -> str:
-        return "x".join(f"C{o}" for o in self.orders)
+        return "x".join(_factor_name(self.prime, o) for o in self.orders)
+
+
+def _factor_name(p: int, o: int) -> str:
+    """C{o}, or C{p}^{e} for o = p^e past the digits Python prints (4300
+    by default), so that a message can name any group."""
+    try:
+        return f"C{o}"
+    except ValueError:
+        return f"C{p}^{_p_power_exponent(o, p)}"
 
 
 def make_group(p: int, orders) -> AbelianPGroup:

@@ -18,7 +18,7 @@ from .genetic import genetic_basis_abelian
 from .metacyclic import genetic_basis_metacyclic, make_metacyclic, sk1_metacyclic
 from .ranks import rank_metacyclic, rank_square_abelian
 from .sk1_abelian import EXHAUSTIVE, REPRESENTATIVES, sk1
-from .snf import CyclicDecomposition
+from .snf import _format_multiplicities
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,32 +46,40 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit_decomposition(dec: CyclicDecomposition, fmt: str, prefix: str = "SK1") -> None:
-    if fmt == "tsv":
-        for d, m in dec.multiplicities().items():
-            print(f"{d}\t{m}")
-    else:
-        print(f"{prefix} = {dec}")
+def _emit_multiplicities(mult: dict[int, int], fmt: str, prefix: str = "SK1") -> None:
+    """Print cyclic order -> multiplicity, ascending.  Raises TooLarge, with
+    nothing printed, when a number has more digits than Python prints."""
+    try:
+        if fmt == "tsv":
+            text = "".join(f"{d}\t{m}\n" for d, m in mult.items())
+        else:
+            text = f"{prefix} = {_format_multiplicities(mult)}\n"
+    except ValueError as exc:
+        raise TooLarge(f"{prefix} cannot be printed: {exc}") from None
+    print(text, end="")
 
 
 def _cmd_abelian(args) -> int:
     G = make_group(args.prime, args.orders)
     dec = sk1(G, strategy=args.strategy, max_order=args.max_order)
-    _emit_decomposition(dec, args.format)
+    _emit_multiplicities(dec.multiplicities(), args.format)
     return EXIT_OK
 
 
 def _cmd_metacyclic(args) -> int:
     G = make_metacyclic(args.prime, args.n)
     dec = sk1_metacyclic(G, max_order=args.max_order)
-    _emit_decomposition(dec, args.format)
+    _emit_multiplicities(dec.multiplicities(), args.format)
     return EXIT_OK
 
 
 def _cmd_conjecture(args) -> int:
     prediction = predicted_decomposition(args.prime, args.n)
     if not args.verify:
-        _emit_decomposition(prediction.decomposition(), args.format, prefix="predicted SK1")
+        # Its multiplicities grow like p^(n-2): one entry per factor could
+        # not be listed.
+        mult = {args.prime**i: m for i, m in prediction.multiplicities.items()}
+        _emit_multiplicities(mult, args.format, prefix="predicted SK1")
         return EXIT_OK
     G = make_group(args.prime, [args.prime**args.n] * 2)
     dec = sk1(G, strategy=args.strategy, max_order=args.max_order)

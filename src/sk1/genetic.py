@@ -99,12 +99,14 @@ def guard_int64(G: AbelianPGroup) -> None:
 
     Every product of the basis (a form coordinate times a unit, both below
     eg) and every entry of ``refs @ F.T`` in the relation rows (a sum of
-    len(orders) products below eg**2) then fits int64.
+    len(orders) products below eg**2) then fits int64.  The same bound is
+    the precondition of the relation rows' membership test, which has no
+    division (``sk1_abelian._divisible``): the entries of ``refs @ F.T``
+    are sums of non-negative products, so they lie in [0, 2^63).
     """
-    eg = G.exponent
-    if len(G.orders) * eg**2 >= 2**63:
+    if len(G.orders) * G.exponent**2 >= 2**63:
         raise TooLarge(
-            f"{G}: {len(G.orders)} x {eg}^2 >= 2^63, its entries would overflow int64"
+            f"{G}: {len(G.orders)} x exponent^2 >= 2^63, its entries would overflow int64"
         )
 
 

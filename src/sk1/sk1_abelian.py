@@ -48,7 +48,7 @@ components are eliminated, each about half the lattice when p = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -62,7 +62,13 @@ from .abelian import (
     _p_power_exponent,
     guard_order,
 )
-from .genetic import GeneticBasis, _key_code, cyclic_quotients, genetic_basis_abelian
+from .genetic import (
+    GeneticBasis,
+    _key_code,
+    cyclic_quotients,
+    genetic_basis_abelian,
+    guard_int64,
+)
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, seeds_first
 
 REPRESENTATIVES = "representatives"
@@ -117,6 +123,34 @@ def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarra
     return basis.coeffs
 
 
+@cache
+def _divisibility_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every q = p^j with q^2 < 2^63, which holds for each column order
+    that ``guard_int64`` admits: q (int64), and the constants of
+    ``_divisible``, q^-1 mod 2^64 and floor((2^64 - 1) / q) (uint64)."""
+    q, inverse, p_inverse = [1], [1], pow(p, -1, 2**64)
+    while (q[-1] * p) ** 2 < 2**63:
+        q.append(q[-1] * p)
+        inverse.append(inverse[-1] * p_inverse % 2**64)
+    return (
+        np.array(q, dtype=np.int64),
+        np.array(inverse, dtype=np.uint64),
+        np.array([(2**64 - 1) // x for x in q], dtype=np.uint64),
+    )
+
+
+def _divisible(x: np.ndarray, inverse: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """x % q == 0 elementwise without a division, for odd q given by
+    ``inverse`` = q^-1 mod 2^64 and ``top`` = floor((2^64 - 1) / q), both
+    broadcast against x.  Multiplying by q^-1 permutes Z/2^64 and maps the
+    multiples k*q below 2^64 to k, that is onto 0..top (Granlund and
+    Montgomery, PLDI 1994), so x must be an int64 array with entries in
+    [0, 2^63).  x is overwritten."""
+    x = x.view(np.uint64)
+    x *= inverse
+    return x <= top
+
+
 def relation_matrix(
     G: AbelianPGroup, strategy: str = REPRESENTATIVES, *, per_orbit: bool = False
 ) -> RelationSet:
@@ -144,11 +178,19 @@ def relation_matrix(
     torus = _torus(G, target) if per_orbit else None
     refs = _references(G, strategy, basis, torus)
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
-    # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].
+    # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].  Both are
+    # non-negative, so guard_int64 keeps refs @ F.T in [0, 2^63).
     q, F = target.columns.index, target.columns.form
+    powers, inverse, top = _divisibility_table(G.prime)
+    at_q = np.searchsorted(powers, q)
+    inverse, top = inverse[at_q], top[at_q]
+
+    def inside(c: slice) -> np.ndarray:
+        return _divisible(refs @ F[c].T, inverse[c], top[c])
+
     chunks = [slice(lo, lo + COLUMN_CHUNK) for lo in range(0, len(q), COLUMN_CHUNK)]
     if strategy == EXHAUSTIVE:
-        signature = np.hstack([np.packbits(refs @ F[c].T % q[c] == 0, axis=1) for c in chunks])
+        signature = np.hstack([np.packbits(inside(c), axis=1) for c in chunks])
         signature = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
         refs = refs[np.sort(np.unique(signature, return_index=True)[1])]
     n_gens = len(G.orders)
@@ -158,13 +200,13 @@ def relation_matrix(
     # dropped (a reference with no such coordinate keeps every slot), and
     # the kept slots are renumbered in order.
     unit = refs % G.prime != 0
-    kept = np.ones((len(refs), n_gens), dtype=bool)
-    kept[np.arange(len(refs)), unit.argmax(axis=1)] = ~unit.any(axis=1)
-    kept = kept.ravel()
+    skip = np.where(unit.any(axis=1), unit.argmax(axis=1), n_gens)
+    kept = (np.arange(n_gens) != skip[:, None]).ravel()
     renumber = np.cumsum(kept) - 1
     parts = []
     for c in chunks:
-        ref, col = np.nonzero(refs @ F[c].T % q[c] == 0)
+        mask = inside(c)
+        ref, col = np.divmod(np.flatnonzero(mask), mask.shape[1])
         col += c.start
         at, gen = np.nonzero(F[col])
         slot = ref[at] * n_gens + gen
@@ -355,8 +397,11 @@ def sk1(
     The last SK1_CACHE_SIZE results are cached per (group, strategy); the
     computation is pure, so a repeated call is free.  The ``exhaustive``
     order guard, which only this entry point holds, is checked before the
-    cache, so a hit never answers a call the guard refuses.
+    cache, so a hit never answers a call the guard refuses.  So is the
+    int64 refusal, which the basis holds too: it comes before the split
+    gate's column count, which takes seconds on the exponents it refuses.
     """
+    guard_int64(G)
     if strategy == EXHAUSTIVE:
         guard_order(G, max_order, "exhaustive-strategy guard")
     return _solve(G, strategy)

@@ -96,9 +96,13 @@ class CyclicDecomposition:
         return dict(sorted(out.items()))
 
     def __str__(self) -> str:
-        if not self.divisors:
-            return "0"
-        return " x ".join(f"(C{d})^{m}" for d, m in self.multiplicities().items())
+        return _format_multiplicities(self.multiplicities())
+
+
+def _format_multiplicities(multiplicities: dict[int, int]) -> str:
+    """(C{d})^{m} per cyclic order d of multiplicity m, joined by " x ";
+    "0" for the trivial group."""
+    return " x ".join(f"(C{d})^{m}" for d, m in multiplicities.items()) or "0"
 
 
 def _exact_int(v) -> int:

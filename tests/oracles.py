@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from sk1.abelian import AbelianPGroup, Element, enumerate_elements
-from sk1.genetic import _key_code, enumerate_cyclic_homs
+from sk1.genetic import _key_code, enumerate_cyclic_homs, genetic_basis_abelian
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
-from sk1.sk1_abelian import _teichmuller_unit
-from sk1.snf import Lattice
+from sk1.sk1_abelian import _references, _teichmuller_unit, _torus, target_product
+from sk1.snf import Lattice, seeds_first
 
 
 def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:
@@ -411,6 +411,38 @@ def relation_rows(G: AbelianPGroup, basis, refs, gens) -> list[list[list[int]]]:
             for gen in gens
         ])
     return out
+
+
+def relation_rows_by_remainder(G: AbelianPGroup, strategy: str, per_orbit: bool) -> Lattice:
+    """The rows of ``relation_matrix(G, strategy, per_orbit=per_orbit)``
+    with its membership test written as the int64 remainder
+    ``refs @ F.T % q == 0`` over every column at once, walked by the 2-d
+    ``np.nonzero``: how the library tested membership before its
+    division-free test, and the reference the tests compare it with.  The
+    references, the torus and the row assembly are the library's."""
+    basis = genetic_basis_abelian(G)
+    target = target_product(G, basis)
+    torus = _torus(G, target) if per_orbit else None
+    refs = _references(G, strategy, basis, torus)
+    q, F = target.columns.index, target.columns.form
+    if strategy == "exhaustive":
+        signature = np.packbits(refs @ F.T % q == 0, axis=1)
+        signature = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
+        refs = refs[np.sort(np.unique(signature, return_index=True)[1])]
+    n_gens = len(G.orders)
+    unit = refs % G.prime != 0
+    kept = np.ones((len(refs), n_gens), dtype=bool)
+    kept[np.arange(len(refs)), unit.argmax(axis=1)] = ~unit.any(axis=1)
+    kept = kept.ravel()
+    renumber = np.cumsum(kept) - 1
+    ref, col = np.nonzero(refs @ F.T % q == 0)
+    at, gen = np.nonzero(F[col])
+    slot = ref[at] * n_gens + gen
+    keep = kept[slot]
+    row, col, val = renumber[slot[keep]], col[at[keep]], F[col[at[keep]], gen[keep]]
+    order = np.argsort(row * len(q) + col)
+    rows = Lattice(row[order], col[order], val[order], (int(kept.sum()), len(q)))
+    return rows if per_orbit else seeds_first(q, rows)
 
 
 def distinct_rows(orders, rows) -> Lattice:

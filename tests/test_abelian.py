@@ -97,3 +97,11 @@ def test_mul_is_associative_commutative_with_identity():
             assert mul(G, x, y) == mul(G, y, x)
             assert mul(G, mul(G, x, y), z) == mul(G, x, mul(G, y, z))
             assert mul(G, x, e) == x
+
+
+def test_group_names_print_orders_in_full_up_to_the_printable():
+    assert str(make_group(3, [243, 3])) == "C243xC3"
+    assert str(make_group(7, [117649, 117649])) == "C117649xC117649"
+    assert str(make_group(3, [3**19])) == "C1162261467"
+    # 3^9100 has more than the 4300 digits Python prints.
+    assert str(make_group(3, [3**9100, 3**9100, 3])) == "C3^9100xC3^9100xC3"

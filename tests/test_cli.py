@@ -134,6 +134,31 @@ def test_conjecture_prediction(capsys):
     assert out == "predicted SK1 = (C3)^8 x (C9)^2\n"
 
 
+def test_conjecture_prediction_prints_its_multiplicities(capsys):
+    # C_3^59 has about 3^57 times as many factors as an index can count: the
+    # prediction prints its multiplicities and lists no factor.
+    from sk1.conjecture import predicted_decomposition
+
+    rc, out, _ = run(capsys, "conjecture", "--prime", "3", "--n", "60", "--format", "tsv")
+    assert rc == EXIT_OK
+    want = predicted_decomposition(3, 60).multiplicities
+    assert out.splitlines() == [f"{3**i}\t{m}" for i, m in sorted(want.items())]
+    assert len(want) == 59
+
+
+@pytest.mark.parametrize("extra", [(), ("--format", "tsv"), ("--verify",)])
+def test_conjecture_past_the_printable_is_a_guard(capsys, extra):
+    # 3^9100 and its predicted multiplicities have more than the 4300
+    # digits Python prints: the prediction is refused whole, and --verify
+    # by the int64 refusal, whose message names C3^9100.
+    rc, out, err = run(capsys, "conjecture", "--prime", "3", "--n", "9100", *extra)
+    assert rc == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    if extra == ("--verify",):
+        assert "C3^9100xC3^9100" in err and "int64" in err
+
+
 def test_conjecture_verify_match(capsys):
     rc, out, _ = run(capsys, "conjecture", "--prime", "3", "--n", "2", "--verify")
     assert rc == EXIT_OK

@@ -22,6 +22,8 @@ from sk1.sk1_abelian import (
     EXHAUSTIVE,
     REPRESENTATIVES,
     STRATEGIES,
+    _divisibility_table,
+    _divisible,
     _references,
     relation_matrix,
     sk1,
@@ -297,6 +299,25 @@ def test_exhaustive_references_keep_the_enumeration_guard():
     assert G.order > ENUMERATION_LIMIT
     with pytest.raises(TooLarge, match="enumeration guard"):
         relation_matrix(G, strategy=EXHAUSTIVE)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_divisibility_without_division_is_the_remainder_test(p):
+    # Every q = p^j that the int64 guard admits for a cyclic group
+    # (q^2 < 2^63), against x % q == 0 on random x, random multiples of q
+    # and the edges of [0, 2^63).
+    e = max(j for j in range(64) if p ** (2 * j) < 2**63)
+    powers, inverse, top = _divisibility_table(p)
+    assert powers.tolist() == [p**j for j in range(e + 1)]
+    rng = np.random.default_rng(p)
+    for j, q in enumerate(powers.tolist()):
+        edges = [0, q - 1, q, (2**63 - 1) // q * q, 2**63 - 1]
+        multiples = rng.integers(0, (2**63 - 1) // q, size=500, endpoint=True) * q
+        x = np.concatenate([edges, rng.integers(0, 2**63 - 1, size=500), multiples])
+        x = x.astype(np.int64)
+        want = x % q == 0
+        assert want[:4].tolist() == [True, q == 1, True, True]
+        assert np.array_equal(_divisible(x.copy(), inverse[j], top[j]), want)
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 75, 76, 1000])

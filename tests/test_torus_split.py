@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    relation_rows_by_remainder,
     rows_up_to_roots_of_unity,
     torus_by_permutations,
     torus_orbits_of_cyclic_subgroups,
@@ -74,6 +75,27 @@ def test_sk1_is_the_unsplit_cokernel(p, orders):
         assert sk1(G, strategy=strategy, max_order=EXHAUSTIVE_UP_TO) == want
         # Called directly, the split runs below the size gate too.
         assert split_divisors(G, strategy) == want.divisors
+
+
+@SPLIT_GROUPS
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_relation_rows_are_the_remainder_oracles(p, orders, chunk, monkeypatch):
+    # The division-free membership test and its flat walk give the triples
+    # of the int64 remainder test byte for byte, whole and per orbit.  At 7
+    # columns a chunk's membership bits are padded to a byte, so the
+    # exhaustive signatures differ from the oracle's unchunked ones.
+    from sk1 import sk1_abelian
+
+    if chunk is not None:
+        monkeypatch.setattr(sk1_abelian, "COLUMN_CHUNK", chunk)
+    G = make_group(p, orders)
+    for strategy in strategies(G):
+        for per_orbit in (False, True):
+            got = relation_matrix(G, strategy=strategy, per_orbit=per_orbit).rows
+            want = relation_rows_by_remainder(G, strategy, per_orbit)
+            assert got.shape == want.shape
+            for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def row_set(lattice):
