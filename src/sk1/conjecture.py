@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import _is_odd_prime
-from .errors import BadParams
+from .abelian import ENUMERATION_LIMIT, _is_odd_prime
+from .errors import BadParams, TooLarge
 from .ranks import _check
 from .snf import CyclicDecomposition
 
@@ -38,6 +38,15 @@ class ConjecturePrediction:
     multiplicities: dict[int, int]
 
     def decomposition(self) -> CyclicDecomposition:
+        """The predicted group as one cyclic factor per unit of
+        multiplicity; raises TooLarge, before any factor is listed, when
+        there are more than ``ENUMERATION_LIMIT`` of them."""
+        count = sum(self.multiplicities.values())
+        if count > ENUMERATION_LIMIT:
+            raise TooLarge(
+                f"the prediction for C_{{{self.p}^{self.n}}}^2 has {count} cyclic "
+                f"factors, over the enumeration guard {ENUMERATION_LIMIT}"
+            )
         divisors: list[int] = []
         for i, m in sorted(self.multiplicities.items()):
             divisors.extend([self.p**i] * m)

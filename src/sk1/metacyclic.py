@@ -12,11 +12,8 @@ members are the genetic basis of G^ab pulled back to G, and each form is
 read off the generators of its member.  The non-normal member's column
 follows closed determinant rules on a p-dimensional induced module.
 
-The relation rows are computed in one numpy pass over arrays of (h, g)
-pairs, g a generator of the centralizer of h.  The normal columns take
-one membership product h @ F.T and one class product g @ F.T modulo the
-column orders; the column of <b> takes its closed rules elementwise.
-Only h in A = <a^p, b> = {a^i b^j : p | i} can give a nonzero row:
+The relation rows are pairs (h, g), g a generator of the centralizer of
+h.  Only h in A = <a^p, b> = {a^i b^j : p | i} can give a nonzero row:
 every other h generates its own centralizer, so its only pair is
 (h, h), and its row is zero.  Inside A a row depends on h only through
 the subgroup <h>, up to conjugacy, so one generator of each conjugacy
@@ -27,12 +24,20 @@ y*row(h, b) lies in the span of row(h, a^p) and the seeds.  That leaves
 5 + (n-3)(p+1) pairs (see ``_row_pairs``).  The abelian family, where
 conjugacy is equality, takes its reference elements by the same rule
 and drops its rows by the same identity.
+
+The members are explicit, so the normal columns that contain each
+reference element are listed in closed form (``_member_columns``), and
+one Python pass emits the nonzero classes of g on those columns and the
+closed rules of the column of <b> as (row, column, value) triples: the
+work follows the nonzero entries, not pairs times columns.
+``relation_component`` evaluates the same rules on any one pair, on
+Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,13 +68,6 @@ class MetacyclicGroup:
     @property
     def a_order(self) -> int:
         return self.prime ** (self.n - 1)
-
-    @cached_property
-    def _twist_powers(self) -> tuple[int, ...]:
-        out = [1]
-        for _ in range(self.prime - 1):
-            out.append(out[-1] * self.twist % self.a_order)
-        return tuple(out)
 
     def identity(self) -> MElement:
         return (0, 0)
@@ -156,88 +154,54 @@ def genetic_basis_metacyclic(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, .
 
 
 def _reduced(G: MetacyclicGroup, x: MElement) -> MElement:
-    return (x[0] % G.a_order, x[1] % G.prime)
+    return (int(x[0]) % G.a_order, int(x[1]) % G.prime)
 
 
-def _int_dtype(G: MetacyclicGroup):
-    """int64 while every product of the entry routine, below
-    2 * a_order**2, fits; unbounded Python integers beyond."""
-    return np.int64 if 2 * G.a_order**2 < 2**63 else object
-
-
-def _require_centralized(G: MetacyclicGroup, h: np.ndarray, g: np.ndarray) -> None:
-    """Raise DomainViolation unless g[k] * h[k] == h[k] * g[k] for every k.
-
-    The b-exponents of both products are equal, so only the a-exponents
-    are compared.
-    """
-    tw = np.array(G._twist_powers, dtype=h.dtype)
-    (hi, hj), (gi, gj) = h.T, g.T
-    gh = (gi + hi * tw[gj.astype(np.intp, copy=False)]) % G.a_order
-    hg = (hi + gi * tw[hj.astype(np.intp, copy=False)]) % G.a_order
-    commute = gh == hg
-    if not commute.all():
-        k = int(np.argmin(commute))
-        raise DomainViolation(
-            f"{tuple(map(int, g[k]))} is not in the centralizer of {tuple(map(int, h[k]))}"
-        )
-
-
-def _nonnormal_entries(G: MetacyclicGroup, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Entries of the column of <b>, by the closed determinant rules."""
+def _nonnormal_entry(G: MetacyclicGroup, h: MElement, g: MElement) -> int:
+    """Entry of the reduced pair (h, g) in the column of <b>, by the
+    closed determinant rules."""
     p, n = G.prime, G.n
     section = p ** (n - 2)
-    (hi, hj), (gi, gj) = h.T, g.T
-    whole = (gi + gj * ((p - 1) * p ** (n - 3))) % section
-    conjugate = np.where((hj != 0) & (hi % section == 0), gi // p % section, 0)
-    return np.where((hi == 0) & (hj == 0), whole, conjugate)
-
-
-def _entries(
-    G: MetacyclicGroup, cols, h: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Relation entries of the pairs (h[k], g[k]), one column per member.
-
-    h and g are (pairs, 2) integer arrays of reduced elements, each g[k]
-    centralizing h[k] (checked).  The normal columns are one membership
-    product and one class product over all pairs at once.
-    """
-    _require_centralized(G, h, g)
-    if any(S.quotient_order == 1 for S in cols):
-        raise ValueError("the full group carries no column")
-    out = np.zeros((len(h), len(cols)), dtype=h.dtype)
-    normal = [c for c, S in enumerate(cols) if S.normal]
-    if normal:
-        F = np.array([cols[c].form for c in normal], dtype=h.dtype)
-        q = np.array([cols[c].quotient_order for c in normal], dtype=h.dtype)
-        out[:, normal] = np.where(h @ F.T % q == 0, g @ F.T % q, 0)
-    for c, S in enumerate(cols):
-        if not S.normal:
-            out[:, c] = _nonnormal_entries(G, h, g)
-    return out
+    (hi, hj), (gi, gj) = h, g
+    if hi == 0 and hj == 0:
+        return (gi + gj * (p - 1) * p ** (n - 3)) % section
+    if hj != 0 and hi % section == 0:
+        return gi // p % section
+    return 0
 
 
 def relation_component(
     G: MetacyclicGroup, S: MetaGeneticSubgroup, h: MElement, g: MElement
 ) -> int:
-    """Exponent contributed by the pair (h, g) in the column of S.
+    """Exponent contributed by the pair (h, g) in the column of S, on
+    Python integers.
 
-    For normal S the value is the class of g in G/S when h lies in S and
-    0 otherwise.  For the non-normal member the value follows the closed
-    determinant rules: h = 1 sees the determinant of g on the whole
-    induced module, a generator of a conjugate of the member sees the
-    class of g in the section, and every other h contributes 0.
+    Raises DomainViolation unless g centralizes h.  For normal S the value
+    is the class of g in G/S when h lies in S and 0 otherwise.  For the
+    non-normal member the value follows the closed determinant rules: h =
+    1 sees the determinant of g on the whole induced module, a generator
+    of a conjugate of the member sees the class of g in the section, and
+    every other h contributes 0.
     """
-    dtype = _int_dtype(G)
-    pair = [np.array([_reduced(G, x)], dtype=dtype) for x in (h, g)]
-    return int(_entries(G, [S], *pair)[0, 0])
+    h, g = _reduced(G, h), _reduced(G, g)
+    (hi, hj), (gi, gj) = h, g
+    # The b-exponents of g*h and h*g are equal: compare the a-exponents.
+    q = G.a_order
+    if (gi + hi * pow(G.twist, gj, q)) % q != (hi + gi * pow(G.twist, hj, q)) % q:
+        raise DomainViolation(f"{g} is not in the centralizer of {h}")
+    if S.quotient_order == 1:
+        raise ValueError("the full group carries no column")
+    if not S.normal:
+        return _nonnormal_entry(G, h, g)
+    (alpha, beta), q = S.form, S.quotient_order
+    return (alpha * gi + beta * gj) % q if (alpha * hi + beta * hj) % q == 0 else 0
 
 
-def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(h, g) arrays over one generator h of each conjugacy class of
-    cyclic subgroups of A = <a^p, b> = C_{p^(n-2)} x C_p: 1, b,
-    a^(p^(n-2)), then a^(p^(n-1-k)) b^y for k = 2..n-2 and y = 0..p-1,
-    in that order, 3 + (n-3)p of them.
+def _row_pairs(G: MetacyclicGroup) -> list[tuple[MElement, MElement]]:
+    """(h, g) pairs over one generator h of each conjugacy class of cyclic
+    subgroups of A = <a^p, b> = C_{p^(n-2)} x C_p: 1, b, a^(p^(n-2)),
+    then a^(p^(n-1-k)) b^y for k = 2..n-2 and y = 0..p-1, in that order,
+    3 + (n-3)p of them.
 
     Each h pairs with the generators of its centralizer, a and b for
     central h (b-exponent 0), a^p and b on the middle layer, except that
@@ -281,22 +245,82 @@ def _row_pairs(G: MetacyclicGroup) -> tuple[np.ndarray, np.ndarray]:
     # m*row(h, a^p) + y*row(h, b) = 0 modulo the seed rows.  y is a unit
     # mod p, so row(h, b) = -m/y * row(h, a^p) is already in the span.
     p, n = G.prime, G.n
-    refs = [(0, 0), (0, 1), (p ** (n - 2), 0)]
-    refs += [(p ** (n - 1 - k), y) for k in range(2, n - 1) for y in range(p)]
-    h = np.repeat(np.array(refs, dtype=np.int64), 2, axis=0)
-    g = np.zeros_like(h)
-    g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
-    g[1::2, 1] = 1
-    keep = (h[:, 1] == 0) | (g[:, 1] == 0)
-    return h[keep], g[keep]
+    a, ap, b = (1, 0), (p, 0), (0, 1)
+    pairs = [((0, 0), a), ((0, 0), b), ((0, 1), ap)]
+    pairs += [((p ** (n - 2), 0), a), ((p ** (n - 2), 0), b)]
+    for k in range(2, n - 1):
+        x = p ** (n - 1 - k)
+        pairs += [((x, 0), a), ((x, 0), b)]
+        pairs += [((x, y), ap) for y in range(1, p)]
+    return pairs
+
+
+def _member_columns(G: MetacyclicGroup, h: MElement) -> list[int]:
+    """Indices of the normal members that contain the reduced element h =
+    a^x b^y, among the nontrivial members of ``genetic_basis_metacyclic``
+    in its order, ascending.
+
+    Column 0 is <a>; layer i = 0..n-3, with q = p^(i+1), holds <a^(j*p^i)
+    b> at i*p + j for j = 1..p-1 and <a^q, b> at (i+1)*p; the column of
+    <b>, which is not normal, comes last.  <a> contains h iff y = 0, <a^q,
+    b> iff q | x, and <a^(j*p^i) b>, the kernel of x - j*p^i*y mod q, iff
+    q | x when y = 0, and otherwise iff v_p(x) = i and j = (x/p^i)/y mod
+    p.  So with m = min(v_p(x), n-2) (m = n-2 for x = 0), an h with y = 0
+    lies in the columns 0..m*p, and one with y != 0 in <a^(p^(i+1)), b>
+    for i < m and, when m < n-2, in one member of layer m.
+    """
+    p, n = G.prime, G.n
+    x, y = h
+    m = 0
+    while m < n - 2 and x % p == 0:
+        x //= p
+        m += 1
+    if y == 0:
+        return list(range(m * p + 1))
+    out = [i * p for i in range(1, m + 1)]
+    if m < n - 2:
+        out.append(m * p + x * pow(y, -1, p) % p)
+    return out
 
 
 def _relation_rows(G: MetacyclicGroup, cols) -> Lattice:
-    """Seed rows, then the row of every visited (h, g) pair, by
-    ``seeds_first``; the rows are observed never to repeat, so none is
-    dropped."""
+    """Seed rows, then the row of every (h, g) pair of ``_row_pairs``, by
+    ``seeds_first``; cols are the nontrivial members of
+    ``genetic_basis_metacyclic(G)`` in its order.
+
+    One Python pass lists the normal columns that contain each h
+    (``_member_columns``) and emits only their nonzero classes of g, then
+    the entry of the column of <b>, as (row, column, value) triples; no
+    pair is tested against a column that does not contain it.  The rows
+    are observed never to repeat, so none is dropped.
+    """
+    pairs = _row_pairs(G)
+    forms = [S.form for S in cols[:-1]]
     orders = [S.quotient_order for S in cols]
-    return seeds_first(orders, _entries(G, cols, *_row_pairs(G)))
+    classes = {
+        (gi, gj): [(alpha * gi + beta * gj) % q for (alpha, beta), q in zip(forms, orders)]
+        for gi, gj in dict.fromkeys(g for _, g in pairs)
+    }
+    members = {h: _member_columns(G, h) for h in dict.fromkeys(h for h, _ in pairs)}
+    counts, col, val = [], [], []
+    for h, g in pairs:
+        cls = classes[g]
+        hit = [c for c in members[h] if cls[c]]
+        hit_vals = [cls[c] for c in hit]
+        v = _nonnormal_entry(G, h, g)
+        if v:
+            hit.append(len(forms))
+            hit_vals.append(v)
+        counts.append(len(hit))
+        col += hit
+        val += hit_vals
+    rows = Lattice(
+        np.repeat(np.arange(len(pairs), dtype=np.int64), counts),
+        np.array(col, dtype=np.int64),
+        np.array(val, dtype=np.int64),
+        (len(pairs), len(cols)),
+    )
+    return seeds_first(orders, rows)
 
 
 def sk1_metacyclic(
@@ -312,12 +336,19 @@ def sk1_metacyclic(
     gives a zero row or repeats the rows of the reference element whose
     subgroup is conjugate to <h>.
 
+    The int64 refusal raises TooLarge when 2 * p^(2(n-1)) >= 2^63, so
+    M_20(3) is the largest p = 3 group admitted and M_21(3) the first one
+    refused.  It is stricter than the pipeline needs: the rows are built
+    on Python integers, and the Smith form asks only q**2 < 2**63 for q =
+    p^(n-2), which M_21(3) meets.  Its bound and message are kept as they
+    are, since callers rely on them.
+
     The last SK1_CACHE_SIZE results are cached per basis, as ``sk1``
     caches its own.  The order guard and the int64 refusal are checked
     before the lookup, so a hit never answers a call they refuse.
     """
     guard_order(G, max_order, "order guard")
-    if _int_dtype(G) is not np.int64:
+    if 2 * G.a_order**2 >= 2**63:
         raise TooLarge(f"{G}: relation entries would overflow int64")
     return _solve(genetic_basis_metacyclic(G))
 

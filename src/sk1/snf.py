@@ -5,8 +5,9 @@ value) triples of the nonzero entries, sorted by row and then column,
 and the shape.  ``seeds_first`` assembles every relation lattice of the
 package, the whole abelian one, each torus block and the metacyclic one:
 the seed rows diag(orders), then the other rows in order, none dropped.
-No dense matrix is built on the way to the Smith form;
-``np.asarray(lattice)`` gives one for readers that want it.
+Both families hand it their rows as triples, so no dense matrix is
+built on the way to the Smith form; ``np.asarray(lattice)`` gives one
+for readers that want it.
 
 ``cokernel_decomposition`` computes Z^cols modulo the row span.  A dense
 matrix is converted to a Lattice once.  The relation lattices of this

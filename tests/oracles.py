@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from sk1.abelian import AbelianPGroup, Element, enumerate_elements
+from sk1.errors import DomainViolation
 from sk1.genetic import _key_code, enumerate_cyclic_homs, genetic_basis_abelian
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
 from sk1.sk1_abelian import _references, _teichmuller_unit, _torus, target_product
@@ -732,3 +733,64 @@ def metacyclic_rows_by_elements(G, cols) -> list[tuple[int, ...]]:
                 seen.add(row)
                 rows.append(row)
     return rows
+
+
+def metacyclic_entries(G, cols, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Relation entries of the pairs (h[k], g[k]), one column per member,
+    in one array pass over every (pair, column).
+
+    h and g are (pairs, 2) int64 arrays of reduced elements, each g[k]
+    centralizing h[k] (DomainViolation otherwise).  A normal column takes
+    one membership product h @ F.T and one class product g @ F.T modulo
+    the column orders; the column of <b> takes its closed determinant
+    rules elementwise.  Every product stays below 2 * |a|**2, so the
+    groups that ``sk1_metacyclic`` admits fit int64.  This is how the
+    library built its metacyclic rows before it listed each reference
+    element's columns, and the reference the tests compare that listing
+    with.
+    """
+    p, n, q = G.prime, G.n, G.a_order
+    twist = np.array([pow(G.twist, j, q) for j in range(p)], dtype=np.int64)
+    (hi, hj), (gi, gj) = h.T, g.T
+    commute = (gi + hi * twist[gj]) % q == (hi + gi * twist[hj]) % q
+    if not commute.all():
+        k = int(np.argmin(commute))
+        raise DomainViolation(
+            f"{tuple(map(int, g[k]))} is not in the centralizer of {tuple(map(int, h[k]))}"
+        )
+    out = np.zeros((len(h), len(cols)), dtype=np.int64)
+    normal = [c for c, S in enumerate(cols) if S.normal]
+    if normal:
+        F = np.array([cols[c].form for c in normal], dtype=np.int64)
+        orders = np.array([cols[c].quotient_order for c in normal], dtype=np.int64)
+        out[:, normal] = np.where(h @ F.T % orders == 0, g @ F.T % orders, 0)
+    section = p ** (n - 2)
+    whole = (gi + gj * ((p - 1) * p ** (n - 3))) % section
+    conjugate = np.where((hj != 0) & (hi % section == 0), gi // p % section, 0)
+    for c, S in enumerate(cols):
+        if not S.normal:
+            out[:, c] = np.where((hi == 0) & (hj == 0), whole, conjugate)
+    return out
+
+
+def metacyclic_row_pair_arrays(G) -> tuple[np.ndarray, np.ndarray]:
+    """The (h, g) pairs of ``sk1.metacyclic._row_pairs`` as two (pairs, 2)
+    int64 arrays, built by masking a repeated array of the reference
+    elements: each h with g = a (a^p on the middle layer) and then g = b,
+    the pair (h, b) dropped where the b-exponent of h is nonzero."""
+    p, n = G.prime, G.n
+    refs = [(0, 0), (0, 1), (p ** (n - 2), 0)]
+    refs += [(p ** (n - 1 - k), y) for k in range(2, n - 1) for y in range(p)]
+    h = np.repeat(np.array(refs, dtype=np.int64), 2, axis=0)
+    g = np.zeros_like(h)
+    g[0::2, 0] = np.where(h[0::2, 1] == 0, 1, p)
+    g[1::2, 1] = 1
+    keep = (h[:, 1] == 0) | (g[:, 1] == 0)
+    return h[keep], g[keep]
+
+
+def metacyclic_rows_by_arrays(G, cols) -> Lattice:
+    """Seed rows, then the dense entries of every pair of
+    ``metacyclic_row_pair_arrays``, by ``seeds_first``."""
+    orders = [S.quotient_order for S in cols]
+    return seeds_first(orders, metacyclic_entries(G, cols, *metacyclic_row_pair_arrays(G)))

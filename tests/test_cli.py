@@ -228,6 +228,19 @@ def test_metacyclic_guard_and_override(capsys):
     assert out == "SK1 = (C3)^10\n"
 
 
+def test_metacyclic_int64_refusal_exits_4_from_m21_3(capsys):
+    # The int64 refusal keeps its threshold, its message and its exit
+    # code: M_20(3) is the largest p = 3 group it admits.
+    rc, out, _ = run(
+        capsys, "metacyclic", "--prime", "3", "--n", "20", "--max-order", str(3**20),
+        "--format", "tsv",
+    )
+    assert (rc, out) == (EXIT_OK, "3\t36\n")
+    rc, out, err = run(capsys, "metacyclic", "--prime", "3", "--n", "21", "--max-order", str(3**21))
+    assert rc == EXIT_GUARD == 4
+    assert out == "" and "M_21(3)" in err and "int64" in err
+
+
 @pytest.mark.parametrize("n", [9100, 10**9])
 def test_metacyclic_guard_on_orders_past_the_printable(capsys, n):
     # 3^9100 has more than the 4300 digits Python prints, and 3^(10^9)

@@ -2,12 +2,13 @@
 
 import pytest
 
+from sk1.abelian import ENUMERATION_LIMIT
 from sk1.conjecture import (
     predicted_decomposition,
     predicted_multiplicity,
     verify,
 )
-from sk1.errors import BadParams
+from sk1.errors import BadParams, TooLarge
 from sk1.snf import CyclicDecomposition
 
 
@@ -75,6 +76,17 @@ def test_predicted_decomposition_rejects_bad_params():
         predicted_decomposition(3.5, 4)
     with pytest.raises(BadParams):
         predicted_multiplicity(3.5, 1, 2)
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_predicted_decomposition_refuses_to_list_too_many_factors(n):
+    # C_{3^20}^2 predicts 1,930,538,900 cyclic factors and C_{3^60}^2 more
+    # than a list can index: both are refused before any factor is listed.
+    pred = predicted_decomposition(3, n)
+    count = sum(pred.multiplicities.values())
+    assert count > ENUMERATION_LIMIT
+    with pytest.raises(TooLarge, match=str(count)):
+        pred.decomposition()
 
 
 def test_predicted_decomposition_takes_an_integral_float_prime():

@@ -22,7 +22,7 @@ from oracles import (
 from sk1.metacyclic import (
     DEFAULT_MAX_ORDER,
     MetaGeneticSubgroup,
-    _entries,
+    _member_columns,
     _relation_rows,
     _row_pairs,
     genetic_basis_metacyclic,
@@ -378,9 +378,9 @@ def test_normal_column_classes_are_balanced(p, n):
 )
 def test_normal_columns_match_coset_oracle(p, n):
     # The linear class forms must give the coset walk's class exponents:
-    # on every g for h = 1, and on the rows sk1_metacyclic builds from
-    # central and middle-layer h, where membership of h in S decides.
-    # Every pair is evaluated in one _entries call.
+    # on every g for h = 1, and on the pairs of central and middle-layer
+    # h, where membership of h in S decides.  relation_component evaluates
+    # each (pair, column) on Python integers.
     G = make_metacyclic(p, n)
     a, b, e = G.gen_a(), G.gen_b(), G.identity()
     cols = [S for S in genetic_basis_metacyclic(G) if S.normal and S.quotient_order > 1]
@@ -388,13 +388,11 @@ def test_normal_columns_match_coset_oracle(p, n):
     for h in meta_elements(G):
         if h[0] % p == 0:
             pairs += [(h, g) for g in ((a, b) if h[1] == 0 else ((p, 0), b))]
-    h_arr, g_arr = (np.array(x, dtype=np.int64) for x in zip(*pairs))
-    got = _entries(G, cols, h_arr, g_arr)
-    for c, S in enumerate(cols):
+    for S in cols:
         want = oracles.quotient_exponents_by_cosets(G, S)
         members = meta_members(S)
         expected = [want[g] if h in members else 0 for h, g in pairs]
-        assert got[:, c].tolist() == expected
+        assert [relation_component(G, S, h, g) for h, g in pairs] == expected
 
 
 SK1_CASES = [
@@ -437,13 +435,13 @@ def test_relation_rows_never_repeat(p, n):
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
     lattice = _relation_rows(G, cols)
-    assert lattice.shape[0] == len(cols) + len(_row_pairs(G)[0])
+    assert lattice.shape[0] == len(cols) + len(_row_pairs(G))
     assert oracles.repeated_rows(lattice) == 0
 
 
 @pytest.mark.parametrize("p,n", ROW_GROUPS)
 def test_rows_match_element_loop_oracle(p, n):
-    # The vectorised rows, whose reference elements ``_row_pairs`` takes
+    # The rows, whose reference elements ``_row_pairs`` takes
     # as one generator per cyclic subgroup of <a^p, b>, and which skip the
     # pairs (h, b) that row(h, h) = 0 makes redundant, must be rows of the
     # entry-by-entry loop over every (h, g) of the whole group, with the
@@ -547,9 +545,9 @@ def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
     # centralizer, except that an h with b-exponent != 0 skips b: its
     # other generator and h itself still generate the centralizer.
     G = make_metacyclic(p, n)
-    h, g = _row_pairs(G)
-    assert len(h) == len(g) == 5 + (n - 3) * (p + 1)
-    refs = list(dict.fromkeys(tuple(x) for x in h.tolist()))
+    pairs = _row_pairs(G)
+    assert len(pairs) == 5 + (n - 3) * (p + 1)
+    refs = list(dict.fromkeys(h for h, _ in pairs))
     assert len(refs) == 3 + (n - 3) * p
 
     A = meta_closure(G, [(p, 0), G.gen_b()])
@@ -561,7 +559,7 @@ def test_row_pairs_take_one_generator_per_cyclic_subgroup(p, n):
     for C in {meta_closure(G, [x]) for x in A}:
         assert sum(C in c for c in classes) == 1
     for x in refs:
-        gens = [tuple(y) for y, z in zip(g.tolist(), h.tolist()) if tuple(z) == x]
+        gens = [g for h, g in pairs if h == x]
         assert (G.gen_b() in gens) == (x[1] == 0)
         assert meta_closure(G, gens + [x]) == meta_centralizer(G, x)
 
@@ -592,7 +590,62 @@ def test_rows_match_one_generator_per_cyclic_subgroup(p, n):
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
     got = _relation_rows(G, cols)
     orders = [S.quotient_order for S in cols]
-    want = distinct_rows(orders, _entries(G, cols, *one_generator_per_cyclic_subgroup_pairs(G)))
+    pairs = one_generator_per_cyclic_subgroup_pairs(G)
+    want = distinct_rows(orders, oracles.metacyclic_entries(G, cols, *pairs))
     assert got.shape == want.shape
     for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def int64_admitted(p):
+    # Every n >= 3 that the int64 refusal of sk1_metacyclic admits.
+    n = 3
+    while 2 * p ** (2 * (n - 1)) < 2**63:
+        yield n
+        n += 1
+
+
+ORACLE_GROUPS = [(p, n) for p in (3, 5, 7, 11, 13, 17, 19) for n in int64_admitted(p)]
+ORACLE_GROUPS += [(101, 3), (101, 4), (1009, 3), (1009, 4)]
+
+
+@pytest.mark.parametrize("p,n", ORACLE_GROUPS)
+def test_relation_rows_match_the_array_oracle(p, n):
+    # The closed-form listing emits, byte for byte, the lattice of the
+    # array pass that tests every (pair, column).
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    got = _relation_rows(G, cols)
+    want = oracles.metacyclic_rows_by_arrays(G, cols)
+    assert got.shape == want.shape
+    for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p,n", ROW_GROUPS)
+def test_member_columns_match_the_member_sets(p, n):
+    # The closed-form lists name exactly the normal columns whose explicit
+    # member set holds the element: every reference element of _row_pairs,
+    # and every element of the smaller groups.
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    assert [S.normal for S in cols] == [True] * (len(cols) - 1) + [False]
+    elements = list(dict.fromkeys(h for h, _ in _row_pairs(G)))
+    if G.order <= 3**7:
+        elements += meta_elements(G)
+    for h in elements:
+        want = [c for c, S in enumerate(cols[:-1]) if h in meta_members(S)]
+        assert _member_columns(G, h) == want, h
+
+
+@pytest.mark.parametrize("p,n", ROW_GROUPS)
+def test_relation_component_matches_the_lattice(p, n):
+    # relation_component, one pair and one column at a time, gives every
+    # entry of every row that _relation_rows builds, zeros included.
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    dense = np.asarray(_relation_rows(G, cols)).tolist()
+    pairs = _row_pairs(G)
+    assert len(dense) == len(cols) + len(pairs)
+    for row, (h, g) in zip(dense[len(cols) :], pairs):
+        assert row == [relation_component(G, S, h, g) for S in cols]
