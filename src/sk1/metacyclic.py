@@ -27,11 +27,12 @@ and drops its rows by the same identity.
 
 The members are explicit, so the normal columns that contain each
 reference element are listed in closed form (``_member_columns``), and
-one Python pass emits the nonzero classes of g on those columns and the
-closed rules of the column of <b> as (row, column, value) triples: the
-work follows the nonzero entries, not pairs times columns.
-``relation_component`` evaluates the same rules on any one pair, on
-Python integers.
+one Python pass keeps the nonzero classes of g on those columns and the
+closed rules of the column of <b>, one dict {column: entry} per pair:
+the work follows the nonzero entries, not pairs times columns.  The
+seed orders and these dicts go to the Smith form as they are
+(``snf.SparseRows``), with no array on the way.  ``relation_component``
+evaluates the same rules on any one pair, on Python integers.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .abelian import DEFAULT_MAX_ORDER, SK1_CACHE_SIZE, _is_odd_prime, guard_order
 from .errors import BadParams, DomainViolation, TooLarge
-from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, seeds_first
+from .snf import CyclicDecomposition, SparseRows, cokernel_decomposition
 
 MElement = tuple[int, int]
 
@@ -283,44 +282,36 @@ def _member_columns(G: MetacyclicGroup, h: MElement) -> list[int]:
     return out
 
 
-def _relation_rows(G: MetacyclicGroup, cols) -> Lattice:
-    """Seed rows, then the row of every (h, g) pair of ``_row_pairs``, by
-    ``seeds_first``; cols are the nontrivial members of
+def _relation_rows(G: MetacyclicGroup, cols) -> SparseRows:
+    """Seed rows, then the row of every (h, g) pair of ``_row_pairs``, as
+    SparseRows; cols are the nontrivial members of
     ``genetic_basis_metacyclic(G)`` in its order.
 
     One Python pass lists the normal columns that contain each h
-    (``_member_columns``) and emits only their nonzero classes of g, then
-    the entry of the column of <b>, as (row, column, value) triples; no
-    pair is tested against a column that does not contain it.  The rows
-    are observed never to repeat, so none is dropped.
+    (``_member_columns``) and keeps only their nonzero classes of g, then
+    the entry of the column of <b>, as one dict {column: entry} per pair,
+    in ascending column order; no pair is tested against a column that
+    does not contain it.  The rows are observed never to repeat, so none
+    is dropped.
     """
     pairs = _row_pairs(G)
     forms = [S.form for S in cols[:-1]]
-    orders = [S.quotient_order for S in cols]
+    orders = tuple(S.quotient_order for S in cols)
     classes = {
         (gi, gj): [(alpha * gi + beta * gj) % q for (alpha, beta), q in zip(forms, orders)]
         for gi, gj in dict.fromkeys(g for _, g in pairs)
     }
     members = {h: _member_columns(G, h) for h in dict.fromkeys(h for h, _ in pairs)}
-    counts, col, val = [], [], []
+    b_column = len(forms)
+    rows = []
     for h, g in pairs:
         cls = classes[g]
-        hit = [c for c in members[h] if cls[c]]
-        hit_vals = [cls[c] for c in hit]
+        row = {c: cls[c] for c in members[h] if cls[c]}
         v = _nonnormal_entry(G, h, g)
         if v:
-            hit.append(len(forms))
-            hit_vals.append(v)
-        counts.append(len(hit))
-        col += hit
-        val += hit_vals
-    rows = Lattice(
-        np.repeat(np.arange(len(pairs), dtype=np.int64), counts),
-        np.array(col, dtype=np.int64),
-        np.array(val, dtype=np.int64),
-        (len(pairs), len(cols)),
-    )
-    return seeds_first(orders, rows)
+            row[b_column] = v
+        rows.append(row)
+    return SparseRows(orders, tuple(rows))
 
 
 def sk1_metacyclic(

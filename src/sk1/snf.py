@@ -1,13 +1,19 @@
 """Smith normal form and cokernel decompositions of integer matrices.
 
-Relation lattices are sparse: a ``Lattice`` holds the (row, column,
-value) triples of the nonzero entries, sorted by row and then column,
-and the shape.  ``seeds_first`` assembles every relation lattice of the
-package, the whole abelian one, each torus block and the metacyclic one:
-the seed rows diag(orders), then the other rows in order, none dropped.
-Both families hand it their rows as triples, so no dense matrix is
-built on the way to the Smith form; ``np.asarray(lattice)`` gives one
-for readers that want it.
+Relation lattices are sparse, and they reach the Smith form in one of
+two forms, neither of them a dense matrix:
+
+- a ``Lattice`` holds the (row, column, value) triples of the nonzero
+  entries, sorted by row and then column, and the shape.
+  ``seeds_first`` assembles the abelian ones, the whole lattice and each
+  torus block: the seed rows diag(orders), then the other rows in order,
+  none dropped;
+- ``SparseRows`` holds the seed orders and the other rows as dicts
+  {column: entry}, the form the metacyclic rows are built in.  It reads
+  as the lattice ``seeds_first`` would give (``.lattice()``).
+
+``np.asarray`` of either gives the dense matrix for readers that want
+one.
 
 ``cokernel_decomposition`` computes Z^cols modulo the row span.  A dense
 matrix is converted to a Lattice once.  The relation lattices of this
@@ -17,7 +23,7 @@ exponent).  The cokernel is then exact over the local ring Z/q, where
 each nonzero entry is p^k times a unit for its valuation k < e, and one
 sparse elimination computes it:
 
-- rows are dicts {column: entry}, built in one walk over the triples
+- rows are dicts {column: entry}, built in one walk over the input
   together with an index from each column to the rows that have an
   entry there;
 - the seed rows of column c put g*e_c into the span for some g | q, so
@@ -36,15 +42,16 @@ sparse elimination computes it:
 - after phase e-1 no entry is left, and each column without a pivot
   is a C_q.
 
-This is the only elimination.  Its precondition is read off the seed
-rows of the triples, in the same pass that gives each column's modulus
-g: every column has a seed row, the lcm q of the per-column gcds of the
-seed entries is a prime power, and q**2 < 2**63.  A lattice that fails
-one raises ValueError naming it.  The elimination runs on Python
-integers.  When q = 1 every column has a unit seed, the rows span
-Z^cols, and the trivial decomposition is returned without an
-elimination.  A seed row in every column gives full rank, so the
-cokernel is always finite.
+This is the only elimination.  Each input gives the column moduli g its
+own way: a Lattice from the gcd of each column's seed entries, read off
+its triples in one array pass, and SparseRows from its orders.  One tail
+then checks the precondition for both (``_local_form``): every column
+has a seed row, the lcm q of the moduli is a prime power, and q**2 <
+2**63.  An input that fails one raises ValueError naming it.  The
+elimination runs on Python integers.  When q = 1 every column has a
+unit seed, the rows span Z^cols, and the trivial decomposition is
+returned without an elimination.  A seed row in every column gives full
+rank, so the cokernel is always finite.
 """
 
 from __future__ import annotations
@@ -197,41 +204,76 @@ def seeds_first(orders, rows) -> Lattice:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Relation lattice as the seed rows diag(orders), then ``rows``, each
+    a dict {column: entry} of its nonzero entries; no row is dropped.
+
+    ``len``, ``shape`` and ``np.asarray`` read it as the lattice that
+    ``seeds_first(orders, ...)`` gives for the same rows, and
+    ``.lattice()`` returns that lattice.  ``cokernel_decomposition``
+    reads the dicts as they are, with no array on the way.
+    """
+
+    orders: tuple[int, ...]
+    rows: tuple[dict[int, int], ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.orders) + len(self.rows), len(self.orders))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.lattice().__array__(dtype, copy)
+
+    def lattice(self) -> Lattice:
+        """The same rows as a Lattice, by ``seeds_first``."""
+        entries = [sorted(row.items()) for row in self.rows]
+        flat = [entry for row in entries for entry in row]
+        rows = Lattice(
+            np.repeat(np.arange(len(entries), dtype=np.int64), [len(row) for row in entries]),
+            np.array([c for c, _ in flat], dtype=np.int64),
+            np.array([v for _, v in flat], dtype=np.int64),
+            (len(entries), len(self.orders)),
+        )
+        return seeds_first(self.orders, rows)
+
+
 def cokernel_decomposition(mat) -> CyclicDecomposition:
     """Z^cols modulo the row span, as a cyclic decomposition.
 
-    ``mat`` is a Lattice or a dense integer matrix, which is converted to
-    one once.  Raises ValueError, naming the condition, when the seed
-    rows do not meet the precondition of ``_local_lattice``.
+    ``mat`` is SparseRows, a Lattice or a dense integer matrix, which is
+    converted to a Lattice once.  Raises ValueError, naming the
+    condition, when the seed rows do not meet the precondition of
+    ``_local_form``.
     """
-    p, e, rows, cols, mods = _local_lattice(_as_lattice(mat))
+    if isinstance(mat, SparseRows):
+        p, e, rows, cols, mods = _local_rows(mat)
+    else:
+        p, e, rows, cols, mods = _local_lattice(_as_lattice(mat))
     if e == 0:
         return CyclicDecomposition()
     return CyclicDecomposition(_cokernel_mod_prime_power(p, e, rows, cols, mods))
 
 
-def _local_lattice(lat: Lattice):
-    """(p, e, rows, cols, mods) for a lattice whose row span contains
-    q*Z^cols for q = p^e, read off the seed rows (one nonzero entry);
-    (1, 0, [], [], mods) when q = 1.
+def _local_form(mods: list[int], walk):
+    """(p, e, rows, cols, mods) for column moduli ``mods`` whose lcm is q
+    = p^e; (1, 0, [], [], mods) when q = 1.
 
-    Column c's seed entries put their gcd g_c times e_c into the span, so
-    q = lcm(g_c) works once every column has a seed, and g_c divides q.
-    The other rows become sparse rows over Z/q: rows are dicts {column:
-    entry}, cols[c] is the set of rows with an entry in column c, and
-    column c's entries are reduced mod mods[c] = g_c.  One seed row
-    {c: g_c} (none when g_c = q) stands in for the seed rows of column c.
+    Column c's seed rows put mods[c] times e_c into the row span, so q
+    works once every column has a seed (mods[c] != 0).  Only then does
+    ``walk()`` build the other rows over Z/q, reduced mod their column's
+    modulus, as (rows, cols): rows are dicts {column: entry}, and cols[c]
+    is the set of rows with an entry in column c.  One seed row {c:
+    mods[c]} (none when mods[c] = q) is then added for each column.
 
     Raises ValueError when a column has no seed row, when q is not a
     prime power, or when q**2 >= 2**63.  That bound keeps the reduced
     entries inside int64 and the trial division that finds p below 2**16
     steps.
     """
-    n_rows, n_cols = lat.shape
-    single = np.bincount(lat.row, minlength=n_rows)[lat.row] == 1
-    gcds = np.zeros(n_cols, dtype=lat.val.dtype)
-    np.gcd.at(gcds, lat.col[single], lat.val[single])
-    mods = gcds.tolist()
     if 0 in mods:
         raise ValueError(f"column {mods.index(0)} has no seed row (a row with one nonzero entry)")
     q = math.lcm(*mods)
@@ -247,20 +289,7 @@ def _local_lattice(lat: Lattice):
         e += 1
     if rest != 1:
         raise ValueError(f"the seed rows give q = {q}, which is not a prime power")
-    r, c = lat.row[~single], lat.col[~single]
-    vals = (lat.val[~single] % gcds[c]).astype(np.int64)
-    keep = vals != 0
-    r, c, vals = r[keep], c[keep], vals[keep]
-    # The entries are sorted by row: a new row starts where the row changes.
-    rows: list[dict[int, int]] = []
-    cols = [set() for _ in mods]
-    starts = (np.diff(r, prepend=-1) != 0).tolist()
-    for start, j, v in zip(starts, c.tolist(), vals.tolist()):
-        if start:
-            n, row = len(rows), {}
-            rows.append(row)
-        row[j] = v
-        cols[j].add(n)
+    rows, cols = walk()
     for j, m in enumerate(mods):
         if m < q:
             cols[j].add(len(rows))
@@ -268,9 +297,69 @@ def _local_lattice(lat: Lattice):
     return p, e, rows, cols, mods
 
 
+def _local_lattice(lat: Lattice):
+    """``_local_form`` of a lattice, whose seed rows are its rows with one
+    nonzero entry: column c's modulus g_c is the gcd of its seed entries,
+    read off the triples in one array pass, and the walk visits the
+    other triples in their (row, column) order.
+    """
+    n_rows, n_cols = lat.shape
+    single = np.bincount(lat.row, minlength=n_rows)[lat.row] == 1
+    gcds = np.zeros(n_cols, dtype=lat.val.dtype)
+    np.gcd.at(gcds, lat.col[single], lat.val[single])
+
+    def walk():
+        r, c = lat.row[~single], lat.col[~single]
+        vals = (lat.val[~single] % gcds[c]).astype(np.int64)
+        keep = vals != 0
+        r, c, vals = r[keep], c[keep], vals[keep]
+        # The entries are sorted by row: a new row starts where the row changes.
+        rows: list[dict[int, int]] = []
+        cols = [set() for _ in range(n_cols)]
+        starts = (np.diff(r, prepend=-1) != 0).tolist()
+        for start, j, v in zip(starts, c.tolist(), vals.tolist()):
+            if start:
+                n, row = len(rows), {}
+                rows.append(row)
+            row[j] = v
+            cols[j].add(n)
+        return rows, cols
+
+    return _local_form(gcds.tolist(), walk)
+
+
+def _local_rows(sparse: SparseRows):
+    """``_local_form`` of SparseRows: column c's modulus is |orders[c]|,
+    and the walk visits the dict rows as they are, dropping each entry
+    that vanishes mod its column's modulus and each row left empty.  The
+    given dicts are read, never changed.
+
+    A given row with a single entry stays a row: unlike the gcd of
+    ``_local_lattice``, it does not lower its column's modulus, which
+    changes the pivots of the elimination, never the cokernel.
+    """
+    mods = [abs(o) for o in sparse.orders]
+
+    def walk():
+        rows: list[dict[int, int]] = []
+        cols = [set() for _ in mods]
+        for given in sparse.rows:
+            n, row = len(rows), {}
+            for j, v in given.items():
+                v %= mods[j]
+                if v:
+                    row[j] = v
+                    cols[j].add(n)
+            if row:
+                rows.append(row)
+        return rows, cols
+
+    return _local_form(mods, walk)
+
+
 def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
     """Cyclic orders > 1 of Z^cols modulo the span of the sparse rows over
-    Z/q, q = p^e, as ``_local_lattice`` builds them, by elimination; the
+    Z/q, q = p^e, as ``_local_form`` builds them, by elimination; the
     rows and the column index are consumed."""
     q = p**e
     orders: list[int] = []

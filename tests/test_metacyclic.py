@@ -434,7 +434,7 @@ def test_relation_rows_never_repeat(p, n):
     # the lattice assembly rests on this.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    lattice = _relation_rows(G, cols)
+    lattice = _relation_rows(G, cols).lattice()
     assert lattice.shape[0] == len(cols) + len(_row_pairs(G))
     assert oracles.repeated_rows(lattice) == 0
 
@@ -588,7 +588,7 @@ def test_rows_match_one_generator_per_cyclic_subgroup(p, n):
     # cyclic subgroup of <a^p, b>.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    got = _relation_rows(G, cols)
+    got = _relation_rows(G, cols).lattice()
     orders = [S.quotient_order for S in cols]
     pairs = one_generator_per_cyclic_subgroup_pairs(G)
     want = distinct_rows(orders, oracles.metacyclic_entries(G, cols, *pairs))
@@ -612,14 +612,47 @@ ORACLE_GROUPS += [(101, 3), (101, 4), (1009, 3), (1009, 4)]
 @pytest.mark.parametrize("p,n", ORACLE_GROUPS)
 def test_relation_rows_match_the_array_oracle(p, n):
     # The closed-form listing emits, byte for byte, the lattice of the
-    # array pass that tests every (pair, column).
+    # array pass that tests every (pair, column).  The dict rows it hands
+    # to the Smith form read as that lattice and have its cokernel.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    got = _relation_rows(G, cols)
+    rows = _relation_rows(G, cols)
+    got = rows.lattice()
     want = oracles.metacyclic_rows_by_arrays(G, cols)
     assert got.shape == want.shape
     for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert len(rows) == len(got) and rows.shape == got.shape
+    dense = np.asarray(rows)
+    assert dense.dtype == np.int64 and np.array_equal(dense, np.asarray(got))
+    assert cokernel_decomposition(rows) == cokernel_decomposition(got)
+
+
+def test_sk1_metacyclic_hands_its_rows_to_the_elimination_as_dicts(monkeypatch):
+    # No array pass sits between the rows stage and the elimination: the
+    # seed orders and the dict rows reach it as they are built.
+    from sk1 import metacyclic, snf
+
+    def refuse(*args):
+        raise AssertionError("the metacyclic rows went through a lattice")
+
+    monkeypatch.setattr(snf, "_local_lattice", refuse)
+    monkeypatch.setattr(snf, "seeds_first", refuse)
+    monkeypatch.setattr(metacyclic, "_solve", metacyclic._solve.__wrapped__)
+    G = make_metacyclic(3, 7)
+    assert sk1_metacyclic(G, max_order=G.order).divisors == (3,) * 10
+
+
+@pytest.mark.parametrize("p,n", ROW_GROUPS)
+def test_factor_count_is_the_corank_mod_p(p, n):
+    # The number of cyclic factors is the dimension of SK1/p, which is the
+    # corank mod p of the rows: counted by a rank over GF(p), with no Smith
+    # form, it is the paper's (n-2)(p-1).
+    G = make_metacyclic(p, n)
+    cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
+    rows = np.asarray(_relation_rows(G, cols))
+    factors = len(sk1_metacyclic(G, max_order=G.order).divisors)
+    assert factors == len(cols) - oracles.rank_mod_p(rows, p) == (n - 2) * (p - 1)
 
 
 @pytest.mark.parametrize("p,n", ROW_GROUPS)

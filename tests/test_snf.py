@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from sk1.snf import CyclicDecomposition, cokernel_decomposition, seeds_first
+from sk1.snf import CyclicDecomposition, SparseRows, cokernel_decomposition, seeds_first
 
 import oracles
 from oracles import exact_cokernel, smith_divisors
@@ -252,8 +252,12 @@ def test_row_order_changes_the_cost_not_the_answer(p, orders):
         ([[27, 0, 0], [0, 9, 0], [3, 3, 3], [0, 3, 6]], "column 2 has no seed row"),
         ([[3**20, 0], [0, 3**20], [3**7, 3**12]], r"q\*\*2 >= 2\*\*63"),
         ([[3**40, 0], [0, 3**40], [3**20, 3**39]], r"q\*\*2 >= 2\*\*63"),  # q beyond int64
+        # Seed orders and dict rows, as the metacyclic rows reach the Smith form.
+        (SparseRows((2, 3), ({0: 1, 1: 1},)), "q = 6, which is not a prime power"),
+        (SparseRows((3**20, 3**20), ({0: 3**7, 1: 3**12},)), r"q\*\*2 >= 2\*\*63"),
+        (SparseRows((9, 0), ({0: 3, 1: 3},)), "column 1 has no seed row"),
     ],
-    ids=[f"rows{i}" for i in range(6)],
+    ids=[f"rows{i}" for i in range(9)],
 )
 def test_inputs_outside_the_precondition_are_refused(rows, condition, monkeypatch):
     import sk1.snf
@@ -266,7 +270,8 @@ def test_inputs_outside_the_precondition_are_refused(rows, condition, monkeypatc
         cokernel_decomposition(rows)
     # The refusal is a contract, not a missing answer: the exact cokernel
     # of each input is finite.
-    assert oracles.minor_gcd(rows, len(rows[0])) != 0
+    dense = np.asarray(rows).tolist() if isinstance(rows, SparseRows) else rows
+    assert oracles.minor_gcd(dense, len(dense[0])) != 0
 
 
 def _trivial_relation_rows():
@@ -306,7 +311,8 @@ def test_largest_modulus_inside_int64_takes_the_modular_route():
 
 
 def _relation_rows_of(family, p, size):
-    """The relation matrix sk1 or sk1_metacyclic hands to the Smith form."""
+    """The relation rows sk1 or sk1_metacyclic hands to the Smith form: a
+    Lattice, or SparseRows for the metacyclic family."""
     from sk1.abelian import make_group
     from sk1.metacyclic import _relation_rows, genetic_basis_metacyclic, make_metacyclic
     from sk1.sk1_abelian import relation_matrix
@@ -344,10 +350,13 @@ def test_sparse_elimination_matches_dense_oracle(family, p, size):
     from sk1.snf import _cokernel_mod_prime_power, _local_lattice
 
     rows = _relation_rows_of(family, p, size)
-    local = _local_lattice(rows)
+    lattice = rows.lattice() if family == "metacyclic" else rows
+    local = _local_lattice(lattice)
     assert local[0] == p  # the seeds give q = p^e
-    want = sorted(oracles.cokernel_by_dense_elimination(rows, *local[:2]))
+    want = sorted(oracles.cokernel_by_dense_elimination(lattice, *local[:2]))
     assert sorted(_cokernel_mod_prime_power(*local)) == want
+    assert cokernel_decomposition(lattice).divisors == tuple(want)
+    # The metacyclic rows also reach the elimination as they are built.
     assert cokernel_decomposition(rows).divisors == tuple(want)
 
 
