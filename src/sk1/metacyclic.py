@@ -2,15 +2,18 @@
 
 Elements are pairs (i, j) meaning a^i b^j with i mod p^(n-1) and j mod p,
 multiplied so that b a b^-1 = a^(p^(n-2) + 1).  The cyclic-section
-subgroup family is built from generators, and relation rows split into
+subgroup family is listed in closed form, and relation rows split into
 a normal case and the single non-normal member.
 
 Every normal member contains [G, G] = <a^(p^(n-2))>, so its column is a
 linear form (alpha, beta) on G^ab = C_{p^(n-2)} x C_p: the class of
 a^i b^j in the cyclic quotient G/S is alpha*i + beta*j.  The normal
-members are the genetic basis of G^ab pulled back to G, and each form is
-read off the generators of its member.  The non-normal member's column
-follows closed determinant rules on a p-dimensional induced module.
+members are the genetic basis of G^ab pulled back to G.  The basis is
+built in closed form as two tuples, the quotient order and the form of
+each member (``MetaGeneticBasis``), as the abelian basis keeps its
+arrays; a labelled member with its generators is built only when one is
+read.  The non-normal member's column follows closed determinant rules
+on a p-dimensional induced module.
 
 The relation rows are pairs (h, g), g a generator of the centralizer of
 h.  Only h in A = <a^p, b> = {a^i b^j : p | i} can give a nonzero row:
@@ -115,41 +118,83 @@ def _power_label(exponent: int) -> str:
     return "a" if exponent == 1 else f"a^{exponent}"
 
 
-def _class_form(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
-    """Scale (alpha, beta) mod q so the canonical generator maps to 1.
+@dataclass(frozen=True, eq=False)
+class MetaGeneticBasis:
+    """The (n-2)p + 3 member family of G in canonical order, as two tuples:
+    G, <a>, then layer i = 0..n-3 (q = p^(i+1)) with <a^(j*p^i)*b> for j =
+    1..p-1 and <a^q,b>, then <b>.
 
-    The least element whose class has full order is b = (0, 1) when
-    beta is a unit, and otherwise a = (1, 0), since every (0, j) then
-    lands in a proper subgroup of Z/q.
+    ``index`` holds each member's ``quotient_order`` and ``form`` each
+    member's form, None for <b>.  An integer index or iteration builds a
+    labelled ``MetaGeneticSubgroup``, a slice a tuple of them; the
+    relation rows read the tuples only.  The basis is a function of G,
+    so equality and hash go by the group.
     """
-    u = pow(beta if beta % p else alpha, -1, q)
-    return (alpha * u % q, beta * u % q)
+
+    group: MetacyclicGroup
+    index: tuple[int, ...]
+    form: tuple[tuple[int, int] | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        k = range(len(self))[i]
+        G, q = self.group, self.index[k]
+        a, b = G.gen_a(), G.gen_b()
+        if k == 0:
+            label, gens = "G", (a, b)
+        elif k == 1:
+            label, gens = "<a>", (a,)
+        elif k == len(self) - 1:
+            label, gens = "<b>", (b,)
+        elif k % G.prime == 1:
+            label, gens = f"<{_power_label(q)},b>", ((q, 0), b)
+        else:
+            # Layer member <a^(j*p^i)*b>, j = k - 1 - i*p and q = p^(i+1).
+            x = (k - 1) % G.prime * (q // G.prime)
+            label, gens = f"<{_power_label(x)}*b>", ((x, 1),)
+        return MetaGeneticSubgroup(label, G, gens, q, self.form[k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, MetaGeneticBasis):
+            return NotImplemented
+        return self.group == other.group
+
+    def __hash__(self) -> int:
+        return hash(self.group)
 
 
 @lru_cache(maxsize=SK1_CACHE_SIZE)
-def genetic_basis_metacyclic(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, ...]:
-    """The (n-2)p + 3 member family, labelled by generators, in canonical order.
+def genetic_basis_metacyclic(G: MetacyclicGroup) -> MetaGeneticBasis:
+    """The (n-2)p + 3 member family in canonical order, in closed form.
 
-    The last SK1_CACHE_SIZE bases are cached per group; a basis is a
-    tuple of frozen members, so callers share it.
+    Each normal form is scaled so that the least element whose class has
+    full order maps to 1: that is b when beta is a unit mod p, and a
+    otherwise.  So <a> has (0, 1); on layer 0, <a^j*b>, the kernel of i -
+    j*y mod p, has ((-j)^-1 mod p, 1); on layer i >= 1, <a^(j*p^i)*b> has
+    (1, -j*p^i mod p^(i+1)); every <a^q,b> has (1, 0).  The last
+    SK1_CACHE_SIZE bases are cached per group.
     """
     p, n = G.prime, G.n
-    a, b = G.gen_a(), G.gen_b()
-
-    def normal(label, gens, q, alpha, beta):
-        form = _class_form(p, q, alpha, beta)
-        return MetaGeneticSubgroup(label, G, gens, q, form)
-
-    out = [MetaGeneticSubgroup("G", G, (a, b), 1, (0, 0))]
-    out.append(normal("<a>", (a,), p, 0, 1))
+    index = [1, p]
+    form: list[tuple[int, int] | None] = [(0, 0), (0, 1)]
     for i in range(n - 2):
-        q = p ** (i + 1)
-        for j in range(1, p):
-            k = j * p**i
-            out.append(normal(f"<{_power_label(k)}*b>", ((k, 1),), q, 1, -k))
-        out.append(normal(f"<{_power_label(q)},b>", ((q, 0), b), q, 1, 0))
-    out.append(MetaGeneticSubgroup("<b>", G, (b,), p ** (n - 2), None))
-    return tuple(out)
+        pi = p**i
+        index += [pi * p] * p
+        if i == 0:
+            form += [(pow(-j, -1, p), 1) for j in range(1, p)]
+        else:
+            form += [(1, (p - j) * pi) for j in range(1, p)]
+        form.append((1, 0))
+    index.append(p ** (n - 2))
+    form.append(None)
+    return MetaGeneticBasis(G, tuple(index), tuple(form))
 
 
 def _reduced(G: MetacyclicGroup, x: MElement) -> MElement:
@@ -282,10 +327,10 @@ def _member_columns(G: MetacyclicGroup, h: MElement) -> list[int]:
     return out
 
 
-def _relation_rows(G: MetacyclicGroup, cols) -> SparseRows:
+def _relation_rows(G: MetacyclicGroup, basis: MetaGeneticBasis) -> SparseRows:
     """Seed rows, then the row of every (h, g) pair of ``_row_pairs``, as
-    SparseRows; cols are the nontrivial members of
-    ``genetic_basis_metacyclic(G)`` in its order.
+    SparseRows, on the nontrivial members of ``basis`` =
+    ``genetic_basis_metacyclic(G)``, read off its ``index`` and ``form``.
 
     One Python pass lists the normal columns that contain each h
     (``_member_columns``) and keeps only their nonzero classes of g, then
@@ -295,8 +340,7 @@ def _relation_rows(G: MetacyclicGroup, cols) -> SparseRows:
     is dropped.
     """
     pairs = _row_pairs(G)
-    forms = [S.form for S in cols[:-1]]
-    orders = tuple(S.quotient_order for S in cols)
+    forms, orders = basis.form[1:-1], basis.index[1:]
     classes = {
         (gi, gj): [(alpha * gi + beta * gj) % q for (alpha, beta), q in zip(forms, orders)]
         for gi, gj in dict.fromkeys(g for _, g in pairs)
@@ -345,11 +389,10 @@ def sk1_metacyclic(
 
 
 @lru_cache(maxsize=SK1_CACHE_SIZE)
-def _solve(basis: tuple[MetaGeneticSubgroup, ...]) -> CyclicDecomposition:
+def _solve(basis: MetaGeneticBasis) -> CyclicDecomposition:
     """The cokernel of the relation lattice on ``basis``; ``sk1_metacyclic``
     has checked the guards.  The basis is the key, rather than G, so that
     every call still asks ``genetic_basis_metacyclic`` for it, through the
-    module global that the perfbench tracer wraps."""
-    G = basis[0].group
-    cols = [S for S in basis if S.quotient_order > 1]
-    return cokernel_decomposition(_relation_rows(G, cols))
+    module global that the perfbench tracer wraps; it hashes and compares
+    by its group, so a hit costs O(1)."""
+    return cokernel_decomposition(_relation_rows(basis.group, basis))

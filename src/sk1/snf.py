@@ -37,10 +37,12 @@ sparse elimination computes it:
   keeps the fill-in small, and a row without one never gains one later
   in the phase;
 - scaled by the inverse of the pivot's unit part, the pivot row clears
-  the pivot column from every other row.  The pivot row and column are
+  the pivot column from every other row; a pivot row with no other
+  entry just drops the column from them.  The pivot row and column are
   then dropped, and the pivot contributes p^k;
-- after phase e-1 no entry is left, and each column without a pivot
-  is a C_q.
+- the phases stop once every column has a pivot, or after phase e-1;
+  either way no entry is left, and each column without a pivot is a
+  C_q.
 
 This is the only elimination.  Each input gives the column moduli g its
 own way: a Lattice from the gcd of each column's seed entries, read off
@@ -365,6 +367,9 @@ def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
     orders: list[int] = []
     pivots = 0
     for k in range(e):
+        if pivots == len(cols):
+            # Every column has a pivot, so no entry is left.
+            break
         pk, pk1 = p**k, p ** (k + 1)
         # Every entry left has valuation >= k.  Each row is visited once,
         # by (length, index) at the start of the phase: a row visited
@@ -381,15 +386,25 @@ def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
                     c, fewest = j, len(cols[j])
             if c < 0:
                 continue
+            pivots += 1
+            if k:
+                orders.append(pk)
             rows[i] = {}
             for j in prow:
                 cols[j].discard(i)
             below = cols[c]
             cols[c] = set()
+            pivot = prow.pop(c)
+            if not prow:
+                # The pivot p^k divides every entry of column c, and the
+                # pivot row has nothing else to subtract.
+                for s in below:
+                    del rows[s][c]
+                continue
             # Scaled by the inverse of its unit part, the pivot is p^k, and
             # each entry of column c is f * p^k: subtracting f times the
             # pivot row clears it.
-            unit_inv = pow(prow.pop(c) // pk, -1, q)
+            unit_inv = pow(pivot // pk, -1, q)
             scaled = [(j, v * unit_inv % q) for j, v in prow.items()]
             for s in below:
                 row = rows[s]
@@ -409,8 +424,5 @@ def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
                         else:
                             del row[j]
                             cols[j].discard(s)
-            pivots += 1
-            if k:
-                orders.append(pk)
     # No entry is left: each column without a pivot is a C_q.
     return orders + [q] * (len(cols) - pivots)

@@ -185,6 +185,48 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
+def rank_mod_p_sparse(lat: Lattice, p: int) -> int:
+    """Rank over GF(p) of a Lattice, by elimination on dict rows {column:
+    entry mod p} with an index from each column to its rows.
+
+    Every nonzero entry is a unit mod p, so there are no valuation phases:
+    the rows are visited once, shortest first, each pivots in its column
+    with the fewest entries and clears that column from the other rows.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for r, c, v in zip(lat.row.tolist(), lat.col.tolist(), (lat.val % p).tolist()):
+        if v:
+            rows.setdefault(r, {})[c] = v
+    cols: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    rank = 0
+    for r in sorted(rows, key=lambda r: len(rows[r])):
+        row = rows.pop(r)
+        if not row:
+            continue
+        for c in row:
+            cols[c].discard(r)
+        pivot = min(row, key=lambda c: len(cols[c]))
+        inv = pow(row.pop(pivot), -1, p)
+        scaled = [(c, v * inv % p) for c, v in row.items()]
+        for s in cols.pop(pivot):
+            other = rows[s]
+            f = other.pop(pivot)
+            for c, v in scaled:
+                w = (other.get(c, 0) - f * v) % p
+                if w:
+                    if c not in other:
+                        cols.setdefault(c, set()).add(s)
+                    other[c] = w
+                elif c in other:
+                    del other[c]
+                    cols[c].discard(s)
+        rank += 1
+    return rank
+
+
 def cokernel_by_dense_elimination(rows, p: int, e: int) -> list[int]:
     """Cyclic orders > 1 of Z^cols modulo the row span of rows, which must
     contain q*Z^cols for q = p^e, by elimination over Z/q on a dense
@@ -652,6 +694,38 @@ def meta_members(S: MetaGeneticSubgroup) -> frozenset[MElement]:
     """Member set of a basis member, closed from its generators once per
     member: the tests ask for the same member's set again and again."""
     return meta_closure(S.group, S.gens)
+
+
+def meta_basis_by_class_forms(G: MetacyclicGroup) -> tuple[MetaGeneticSubgroup, ...]:
+    """The metacyclic basis member by member, as the library built it
+    before it listed the basis in closed form: each normal member's form
+    is the form (alpha, beta) that its generators are the kernel of,
+    scaled mod q by a unit so that the canonical generator maps to 1.
+
+    That generator, the least element whose class has full order, is b =
+    (0, 1) when beta is a unit, and otherwise a = (1, 0), since every (0,
+    j) then lands in a proper subgroup of Z/q.
+    """
+    p, n = G.prime, G.n
+    a, b = G.gen_a(), G.gen_b()
+
+    def normal(label, gens, q, alpha, beta):
+        u = pow(beta if beta % p else alpha, -1, q)
+        return MetaGeneticSubgroup(label, G, gens, q, (alpha * u % q, beta * u % q))
+
+    def power(k):
+        return "a" if k == 1 else f"a^{k}"
+
+    out = [MetaGeneticSubgroup("G", G, (a, b), 1, (0, 0))]
+    out.append(normal("<a>", (a,), p, 0, 1))
+    for i in range(n - 2):
+        q = p ** (i + 1)
+        for j in range(1, p):
+            k = j * p**i
+            out.append(normal(f"<{power(k)}*b>", ((k, 1),), q, 1, -k))
+        out.append(normal(f"<{power(q)},b>", ((q, 0), b), q, 1, 0))
+    out.append(MetaGeneticSubgroup("<b>", G, (b,), p ** (n - 2), None))
+    return tuple(out)
 
 
 def quotient_exponents_by_cosets(G, S) -> dict:

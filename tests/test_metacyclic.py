@@ -434,7 +434,7 @@ def test_relation_rows_never_repeat(p, n):
     # the lattice assembly rests on this.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    lattice = _relation_rows(G, cols).lattice()
+    lattice = _relation_rows(G, genetic_basis_metacyclic(G)).lattice()
     assert lattice.shape[0] == len(cols) + len(_row_pairs(G))
     assert oracles.repeated_rows(lattice) == 0
 
@@ -448,7 +448,8 @@ def test_rows_match_element_loop_oracle(p, n):
     # seeds first, no row twice and the same cokernel.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    rows = [tuple(r) for r in np.asarray(_relation_rows(G, cols)).tolist()]
+    dense = np.asarray(_relation_rows(G, genetic_basis_metacyclic(G)))
+    rows = [tuple(r) for r in dense.tolist()]
     want = oracles.metacyclic_rows_by_elements(G, cols)
     c = len(cols)
     assert rows[:c] == want[:c]
@@ -588,7 +589,7 @@ def test_rows_match_one_generator_per_cyclic_subgroup(p, n):
     # cyclic subgroup of <a^p, b>.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    got = _relation_rows(G, cols).lattice()
+    got = _relation_rows(G, genetic_basis_metacyclic(G)).lattice()
     orders = [S.quotient_order for S in cols]
     pairs = one_generator_per_cyclic_subgroup_pairs(G)
     want = distinct_rows(orders, oracles.metacyclic_entries(G, cols, *pairs))
@@ -616,7 +617,7 @@ def test_relation_rows_match_the_array_oracle(p, n):
     # to the Smith form read as that lattice and have its cokernel.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    rows = _relation_rows(G, cols)
+    rows = _relation_rows(G, genetic_basis_metacyclic(G))
     got = rows.lattice()
     want = oracles.metacyclic_rows_by_arrays(G, cols)
     assert got.shape == want.shape
@@ -626,6 +627,56 @@ def test_relation_rows_match_the_array_oracle(p, n):
     dense = np.asarray(rows)
     assert dense.dtype == np.int64 and np.array_equal(dense, np.asarray(got))
     assert cokernel_decomposition(rows) == cokernel_decomposition(got)
+
+
+@pytest.mark.parametrize("p,n", ORACLE_GROUPS + [(10007, 3)])
+def test_closed_form_basis_matches_the_class_forms(p, n):
+    # The index and form tuples, listed in closed form, are those of the
+    # members built one at a time from their generators, and an integer
+    # index, a slice and iteration build those same labelled members.
+    G = make_metacyclic(p, n)
+    basis = genetic_basis_metacyclic(G)
+    want = oracles.meta_basis_by_class_forms(G)
+    assert type(basis.index) is tuple and type(basis.form) is tuple
+    assert basis.index == tuple(S.quotient_order for S in want)
+    assert basis.form == tuple(S.form for S in want)
+    assert len(basis) == len(want) == (n - 2) * p + 3
+    assert tuple(basis) == want
+    assert basis[0] == want[0] and basis[-1] == want[-1]
+    assert basis[1:] == want[1:] and basis[::-1] == want[::-1]
+    with pytest.raises(IndexError):
+        basis[len(want)]
+
+
+def test_bases_of_equal_groups_are_equal():
+    # The basis is a function of G: equal groups give equal bases with
+    # equal hashes, built apart, and other groups give other bases.
+    build = genetic_basis_metacyclic.__wrapped__
+    A, B = build(make_metacyclic(5, 4)), build(make_metacyclic(5, 4))
+    assert A is not B and A.group is not B.group
+    assert A == B and hash(A) == hash(B)
+    assert A != build(make_metacyclic(5, 5)) and A != build(make_metacyclic(7, 4))
+    assert A != tuple(A)
+
+
+def test_sk1_metacyclic_builds_no_labelled_member(monkeypatch):
+    # The rows read the basis tuples, and the result cache hashes the basis
+    # by its group: neither a solve nor a hit builds a member.
+    from sk1 import metacyclic
+
+    def refuse(*args):
+        raise AssertionError("a labelled basis member was built")
+
+    monkeypatch.setattr(metacyclic, "MetaGeneticSubgroup", refuse)
+    basis = lru_cache(maxsize=2)(genetic_basis_metacyclic.__wrapped__)
+    solve = lru_cache(maxsize=2)(metacyclic._solve.__wrapped__)
+    monkeypatch.setattr(metacyclic, "genetic_basis_metacyclic", basis)
+    monkeypatch.setattr(metacyclic, "_solve", solve)
+    G = make_metacyclic(3, 7)
+    cold = sk1_metacyclic(G, max_order=G.order)
+    assert sk1_metacyclic(G, max_order=G.order) is cold
+    assert cold.divisors == (3,) * 10
+    assert basis.cache_info()[:2] == solve.cache_info()[:2] == (1, 1)
 
 
 def test_sk1_metacyclic_hands_its_rows_to_the_elimination_as_dicts(monkeypatch):
@@ -650,7 +701,7 @@ def test_factor_count_is_the_corank_mod_p(p, n):
     # form, it is the paper's (n-2)(p-1).
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    rows = np.asarray(_relation_rows(G, cols))
+    rows = np.asarray(_relation_rows(G, genetic_basis_metacyclic(G)))
     factors = len(sk1_metacyclic(G, max_order=G.order).divisors)
     assert factors == len(cols) - oracles.rank_mod_p(rows, p) == (n - 2) * (p - 1)
 
@@ -677,7 +728,7 @@ def test_relation_component_matches_the_lattice(p, n):
     # entry of every row that _relation_rows builds, zeros included.
     G = make_metacyclic(p, n)
     cols = [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1]
-    dense = np.asarray(_relation_rows(G, cols)).tolist()
+    dense = np.asarray(_relation_rows(G, genetic_basis_metacyclic(G))).tolist()
     pairs = _row_pairs(G)
     assert len(dense) == len(cols) + len(pairs)
     for row, (h, g) in zip(dense[len(cols) :], pairs):

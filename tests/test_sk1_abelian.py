@@ -25,11 +25,12 @@ from sk1.sk1_abelian import (
     _divisibility_table,
     _divisible,
     _references,
+    _torus_blocks,
     relation_matrix,
     sk1,
     target_product,
 )
-from sk1.snf import cokernel_decomposition
+from sk1.snf import Lattice, cokernel_decomposition
 
 
 def columns_by_tuple(G):
@@ -263,20 +264,34 @@ def test_rank_mod_p_oracle_agrees_with_sympy():
             rows[:, 1] *= p
             want = DomainMatrix.from_list(rows.tolist(), sympy.ZZ)
             assert oracles.rank_mod_p(rows, p) == want.convert_to(sympy.GF(p)).rank()
+            r, c = np.nonzero(rows)
+            lat = Lattice(r, c, rows[r, c], rows.shape)
+            assert oracles.rank_mod_p_sparse(lat, p) == want.convert_to(sympy.GF(p)).rank()
 
 
 @pytest.mark.parametrize(
     "p,orders",
     [(3, [81, 81]), (3, [243, 243]), (5, [125, 125]), (3, [27, 27, 3]), (3, [9, 9, 9]),
-     (5, [25, 25, 5]), (7, [343, 343]), (3, [729, 729])],
+     (5, [25, 25, 5]), (7, [343, 343]), (3, [729, 729]),
+     (3, [2187, 2187]), (5, [3125, 3125]), (3, [6561, 6561]), (5, [15625, 15625]),
+     (7, [16807, 16807])],
 )
 def test_factor_count_is_the_corank_mod_p(p, orders):
     # The cokernel of a lattice L in Z^cols has cols - rank(L mod p) cyclic
     # factors: its tensor with GF(p) is GF(p)^cols modulo L.  This counts
-    # the factors of sk1's split eliminations with no Smith form at all.
+    # the factors of sk1's split eliminations with no Smith form at all:
+    # on every torus block, each counted once per character of its orbit
+    # size, by the sparse rank, and up to C_729^2 also on the whole
+    # lattice, by the dense one.
     G = make_group(p, orders)
-    rows = relation_matrix(G).rows
-    assert len(sk1(G).divisors) == rows.shape[1] - oracles.rank_mod_p(rows, p)
+    factors = len(sk1(G).divisors)
+    blocks = _torus_blocks(G, relation_matrix(G, per_orbit=True))
+    assert factors == sum(
+        size * (block.shape[1] - oracles.rank_mod_p_sparse(block, p)) for size, block in blocks
+    )
+    if G.order <= 729**2:
+        rows = relation_matrix(G).rows
+        assert factors == rows.shape[1] - oracles.rank_mod_p(rows, p)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -215,6 +215,110 @@ def test_non_seed_entries_that_vanish_mod_their_seed_leave_only_seed_rows():
     assert cokernel_decomposition(rows).divisors == want == (3, 9, 27)
 
 
+def _random_early_rank_lattice(rng, p, c):
+    """Seed rows +-p^(e_c), e_c up to 6, then p^k times the rows of a
+    c x c matrix invertible mod p, k below every e_c, and rows of
+    multiples of p^k; no entry of a non-seed row is 0, so with c >= 2 none
+    is a seed.  The non-seed rows reach full column rank in phase k."""
+    exps = [rng.randint(2, 6) for _ in range(c)]
+    k = rng.randint(0, min(exps) - 1)
+    q = p ** max(exps)
+
+    def entry():
+        return rng.choice((1, -1)) * rng.randint(1, 3 * q)
+
+    while True:
+        unit = [[entry() for _ in range(c)] for _ in range(c)]
+        if oracles.rank_mod_p(unit, p) == c:
+            break
+    rows = [
+        [rng.choice((1, -1)) * p**e if j == i else 0 for j in range(c)]
+        for i, e in enumerate(exps)
+    ]
+    rows += [[p**k * v for v in row] for row in unit]
+    rows += [[p**k * entry() for _ in range(c)] for _ in range(rng.randint(0, c))]
+    rng.shuffle(rows)
+    return k, rows
+
+
+def test_lattices_of_full_rank_in_an_early_phase():
+    # The elimination stops once every column has a pivot: here after
+    # phase k, with the exact cokernel over Z, C_(p^k)^c.  Phase k + 1
+    # sorts no rows, nor does any later one, when k + 1 < e.
+    from sk1 import snf
+
+    rng = random.Random(27)
+    calls = stopped = 0
+
+    def counting_sorted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return sorted(*args, **kwargs)
+
+    for _ in range(60):
+        p, c = rng.choice((3, 5, 7)), rng.randint(2, 5)
+        k, rows = _random_early_rank_lattice(rng, p, c)
+        want = exact_cokernel(rows)
+        assert want == ((p**k,) * c if k else ())
+        assert cokernel_decomposition(rows).divisors == want
+        local = snf._local_lattice(snf._as_lattice(rows))
+        calls = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snf, "sorted", counting_sorted, raising=False)
+            got = snf._cokernel_mod_prime_power(*local)
+        assert tuple(sorted(got)) == want and calls == k + 1
+        stopped += k + 1 < local[1]
+    assert stopped >= 30
+
+
+def _random_rows_with_single_entries(rng, p, c):
+    """SparseRows with seed orders +-p^(e_c), e_c up to 6, and dict rows,
+    about half of them with a single entry."""
+    exps = [rng.randint(1, 6) for _ in range(c)]
+    q = p ** max(exps)
+    orders = tuple(rng.choice((1, -1)) * p**e for e in exps)
+    rows = []
+    for _ in range(rng.randint(1, 2 * c)):
+        width = 1 if rng.random() < 0.5 else rng.randint(1, c)
+        row = {j: rng.choice((1, -1)) * rng.randint(1, 3 * q) for j in rng.sample(range(c), width)}
+        rows.append(row)
+    return SparseRows(orders, tuple(rows))
+
+
+def test_lattices_with_single_entry_rows_that_are_not_seeds():
+    # A pivot row with no other entry only drops its column from the rows
+    # below it.  Single-entry dict rows stay rows, and the Lattice of the
+    # same rows reads them as seeds: both give the exact cokernel.
+    rng = random.Random(2027)
+    for _ in range(120):
+        rows = _random_rows_with_single_entries(rng, rng.choice((3, 5, 7)), rng.randint(1, 5))
+        dense = np.asarray(rows)
+        want = exact_cokernel(dense.tolist())
+        assert cokernel_decomposition(rows).divisors == want
+        assert cokernel_decomposition(dense).divisors == want
+
+
+def test_elimination_stops_once_every_column_has_a_pivot(monkeypatch):
+    # M_7(3) has e = 5 and pivots in every column by the end of phase 1, so
+    # its rows are sorted for phases 0 and 1 only.
+    from sk1 import snf
+    from sk1.metacyclic import _relation_rows, genetic_basis_metacyclic, make_metacyclic
+
+    G = make_metacyclic(3, 7)
+    local = snf._local_rows(_relation_rows(G, genetic_basis_metacyclic(G)))
+    assert local[:2] == (3, 5)
+    calls = 0
+
+    def counting_sorted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(snf, "sorted", counting_sorted, raising=False)
+    assert snf._cokernel_mod_prime_power(*local) == [3] * 10
+    assert calls == 2
+
+
 def _with_non_seed_rows_permuted(lat, rng):
     """lat with its rows after the seed rows (the first lat.shape[1], as
     ``seeds_first`` puts them) in a random order."""
@@ -320,7 +424,7 @@ def _relation_rows_of(family, p, size):
     if family == "abelian":
         return relation_matrix(make_group(p, size)).rows
     G = make_metacyclic(p, size)
-    return _relation_rows(G, [S for S in genetic_basis_metacyclic(G) if S.quotient_order > 1])
+    return _relation_rows(G, genetic_basis_metacyclic(G))
 
 
 _ORACLE_GROUPS = [
