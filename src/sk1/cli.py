@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .abelian import DEFAULT_MAX_ORDER, make_group
@@ -59,6 +60,22 @@ def _emit_multiplicities(mult: dict[int, int], fmt: str, prefix: str = "SK1") ->
     print(text, end="")
 
 
+def _guard_printable_power(p: int, x: int, what: str) -> None:
+    """Raise TooLarge when p**x has more digits than Python prints, from p
+    and x: p**x is never built, as at x = 10**7 that alone takes seconds."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10**limit
+    top = int(limit / math.log10(p))  # the largest t with p**t < bound, up to rounding
+    while p**top >= bound:
+        top -= 1
+    while p ** (top + 1) < bound:
+        top += 1
+    if x > top:
+        raise TooLarge(f"{what} holds {p}^{x}, more than the {limit} digits Python prints")
+
+
 def _cmd_abelian(args) -> int:
     G = make_group(args.prime, args.orders)
     dec = sk1(G, strategy=args.strategy, max_order=args.max_order)
@@ -95,9 +112,14 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.family == "abelian":
-        print(rank_square_abelian(args.prime, args.n))
+        rank = rank_square_abelian(args.prime, args.n)
     else:
-        print(rank_metacyclic(args.prime, args.n))
+        rank = rank_metacyclic(args.prime, args.n)
+    try:
+        text = str(rank)
+    except ValueError as exc:  # more digits than Python prints
+        raise TooLarge(f"the rank cannot be printed: {exc}") from None
+    print(text)
     return EXIT_OK
 
 
@@ -112,6 +134,8 @@ def _cmd_basis(args) -> int:
                 print(f"index {S.index}  tuple {coeffs}")
     else:
         G = make_metacyclic(args.prime, args.n)
+        # The largest number listed is the index p^(n-1) of <b>.
+        _guard_printable_power(G.prime, G.n - 1, f"the basis listing of {G}")
         for S in genetic_basis_metacyclic(G):
             # G/S for the normal members (1 for G itself); <b> has order p.
             index = S.quotient_order if S.normal else G.a_order

@@ -177,7 +177,8 @@ def genetic_basis_metacyclic(G: MetacyclicGroup) -> MetaGeneticBasis:
     Each normal form is scaled so that the least element whose class has
     full order maps to 1: that is b when beta is a unit mod p, and a
     otherwise.  So <a> has (0, 1); on layer 0, <a^j*b>, the kernel of i -
-    j*y mod p, has ((-j)^-1 mod p, 1); on layer i >= 1, <a^(j*p^i)*b> has
+    j*y mod p, has ((-j)^-1 mod p, 1), the inverses by a recurrence in
+    one pass; on layer i >= 1, <a^(j*p^i)*b> has
     (1, -j*p^i mod p^(i+1)); every <a^q,b> has (1, 0).  The last
     SK1_CACHE_SIZE bases are cached per group.
     """
@@ -188,7 +189,12 @@ def genetic_basis_metacyclic(G: MetacyclicGroup) -> MetaGeneticBasis:
         pi = p**i
         index += [pi * p] * p
         if i == 0:
-            form += [(pow(-j, -1, p), 1) for j in range(1, p)]
+            # (-j)^-1 = p - j^-1, with j^-1 = -(p // j) * (p mod j)^-1 mod p
+            # from p = (p // j) * j + p mod j: no modular pow per member.
+            inv = [0, 1]
+            for j in range(2, p):
+                inv.append(-(p // j) * inv[p % j] % p)
+            form += [(p - v, 1) for v in inv[1:]]
         else:
             form += [(1, (p - j) * pi) for j in range(1, p)]
         form.append((1, 0))

@@ -14,9 +14,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sk1.abelian import AbelianPGroup, Element, enumerate_elements
+from sk1.abelian import AbelianPGroup, Element, _p_power_exponent, enumerate_elements
 from sk1.errors import DomainViolation
-from sk1.genetic import _key_code, enumerate_cyclic_homs, genetic_basis_abelian
+from sk1.genetic import GeneticBasis, _key_code, enumerate_cyclic_homs, genetic_basis_abelian
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
 from sk1.sk1_abelian import _references, _teichmuller_unit, _torus, target_product
 from sk1.snf import Lattice, seeds_first
@@ -428,6 +428,44 @@ def genetic_basis_by_unit_forms(G: AbelianPGroup) -> list[tuple]:
         key = normalised_form(G, coeffs)
         chosen.setdefault(key, (coeffs, *key))
     return sorted(chosen.values(), key=lambda t: (t[1], t[0]))
+
+
+def _unit_inverse(a: np.ndarray, p: int, eg: int) -> np.ndarray:
+    """a**(phi(eg) - 1) mod eg, elementwise: the inverse of every unit in
+    a, by square and multiply (products stay below eg**2)."""
+    out = np.ones_like(a)
+    n = eg // p * (p - 1) - 1
+    while n:
+        if n & 1:
+            out = out * a % eg
+        a = a * a % eg
+        n >>= 1
+    return out
+
+
+def genetic_basis_by_tuple_pass(G: AbelianPGroup) -> GeneticBasis:
+    """The basis as the library built it before it listed the forms in
+    closed form: one numpy pass over all (e+1)*prod(o_i, i > 0)
+    coefficient tuples of ``enumerate_cyclic_homs``.  Each tuple's form
+    onto Z/index is scaled by the inverse of its first unit coordinate,
+    ``_key_code`` keys the kernel, the first tuple of each key wins, and
+    the members are sorted by (index, coeffs)."""
+    p, eg, k = G.prime, G.exponent, len(G.orders)
+    e = _p_power_exponent(eg, p)
+    n_tuples = (e + 1) * math.prod(G.orders[1:])
+    # coeffs[:, t] is tuple t of enumerate_cyclic_homs (odometer order).
+    coeffs = np.indices((e + 1, *G.orders[1:]), dtype=np.int64).reshape(k, -1)
+    coeffs[0] = np.array([pow(p, x, eg) for x in range(e + 1)])[coeffs[0]]
+    weights = coeffs * (eg // np.array(G.orders))[:, None] % eg
+    step = np.gcd(np.gcd.reduce(weights, axis=0), eg)
+    index = eg // step
+    form = weights // step
+    # Only the zero tuple has index 1, and its form is 0 whatever its lead.
+    lead = form[(form % p != 0).argmax(axis=0), np.arange(n_tuples)]
+    form = (form * (_unit_inverse(lead, p, eg) % index) % index).T
+    _, first = np.unique(_key_code(G, index, form), return_index=True)
+    first = first[np.lexsort((*coeffs[::-1, first], index[first]))]
+    return GeneticBasis(G, coeffs.T[first], index[first], form[first])
 
 
 def relation_rows(G: AbelianPGroup, basis, refs, gens) -> list[list[list[int]]]:

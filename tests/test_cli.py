@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process; the
 parser-reuse tests also run each call in a fresh interpreter."""
 
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,51 @@ def test_conjecture_past_the_printable_is_a_guard(capsys, extra):
     assert err.startswith("error:") and "Traceback" not in err
     if extra == ("--verify",):
         assert "C3^9100xC3^9100" in err and "int64" in err
+
+
+@pytest.mark.parametrize("family", ["abelian", "metacyclic"])
+def test_rank_past_the_printable_is_a_guard(capsys, family):
+    # The rank of C_{3^20000}^2 or of M_20000(3) has more than the 4300
+    # digits Python prints: exit 4 with nothing on stdout, as conjecture.
+    rc, out, err = run(capsys, "rank", "--family", family, "--prime", "3", "--n", "20000")
+    assert rc == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error: the rank cannot be printed") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [9014, 9100, 10**9])
+def test_metacyclic_basis_past_the_printable_is_refused_up_front(capsys, monkeypatch, n):
+    # The listing holds the index 3^(n-1) of <b>, more than 4300 digits from
+    # n = 9014 on: refused from p and n, before any member is built.
+    def build(G):
+        raise AssertionError(f"{G} was built")
+
+    monkeypatch.setattr(cli, "genetic_basis_metacyclic", build)
+    rc, out, err = run(capsys, "basis", "--prime", "3", "--n", str(n))
+    assert rc == EXIT_GUARD
+    assert out == ""
+    assert f"M_{n}(3)" in err and f"3^{n - 1}" in err
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1009])
+def test_printable_power_guard_is_exact(p):
+    # Around the last printable power, the guard admits p^x exactly when
+    # str() prints it.
+    near = int(sys.get_int_max_str_digits() / math.log10(p))
+    seen = set()
+    for x in range(near - 3, near + 4):
+        try:
+            str(p**x)
+            printable = True
+        except ValueError:
+            printable = False
+        seen.add(printable)
+        if printable:
+            cli._guard_printable_power(p, x, "listing")
+        else:
+            with pytest.raises(cli.TooLarge, match=f"{p}\\^{x},"):
+                cli._guard_printable_power(p, x, "listing")
+    assert seen == {True, False}
 
 
 def test_conjecture_verify_match(capsys):

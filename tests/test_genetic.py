@@ -304,3 +304,68 @@ def test_basis_arrays_are_read_only():
             with pytest.raises(ValueError):
                 a[0] = 1
     assert basis[1].index == 3
+
+
+def _battery():
+    """Every group with p in {3, 5, 7}, at most 3 factors and |G| <= 10^5,
+    then larger and wider groups."""
+    out = []
+    for p in (3, 5, 7):
+        top = 0
+        while p ** (top + 1) <= 10**5:
+            top += 1
+        for a in range(1, top + 1):
+            for b in range(0, min(a, top - a) + 1):
+                for c in range(0, min(b, top - a - b) + 1):
+                    out.append((p, [p**x for x in (a, b, c) if x]))
+    return out + [
+        (17, [289, 289]), (19, [361, 361]), (3, [6561, 6561]), (13, [169] * 3),
+        (3, [27, 27, 3, 3]), (3, [9] * 4), (11, [121, 11, 11]), (3, [3] * 12),
+        (5, [5] * 7), (3, [3**15]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,orders", _battery(), ids=lambda x: ",".join(map(str, x)) if isinstance(x, list) else str(x)
+)
+def test_closed_form_basis_is_the_tuple_pass(p, orders):
+    # The listing must give byte for byte the arrays of the pass over every
+    # coefficient tuple: values, dtype, shape, layout and read-only flags.
+    G = make_group(p, orders)
+    got, want = genetic_basis_abelian(G), oracles.genetic_basis_by_tuple_pass(G)
+    for a, b in ((got.coeffs, want.coeffs), (got.index, want.index), (got.form, want.form)):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and not b.flags.writeable
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+
+
+def test_battery_covers_the_small_groups():
+    groups = _battery()
+    assert len(groups) == len({(p, tuple(o)) for p, o in groups}) == 121
+    assert (3, [3**4, 3**3, 3**3]) in groups and (7, [7**5]) in groups
+
+
+@pytest.mark.parametrize(
+    "p,orders,index,form,coeffs",
+    [
+        # F_0 = 6 = 3*2 fixes t_0 = 9 and u = 2 mod 3; the lead then takes
+        # the least allowed value, 2, not 1 (that would need u = 1).
+        (3, [27, 27], 9, (6, 1), (9, 6)),
+        # F_0 = 0 leaves u free until F_1 = 3*2, which takes 3 with u = 2.
+        (3, [9, 9, 9], 9, (0, 6, 1), (0, 3, 2)),
+        # The one lead-2 member: o_2 = 3 admits no higher level.
+        (3, [9, 3, 3], 3, (0, 0, 1), (0, 0, 1)),
+        # o_2 = 3 < 9 = q: F_2 is a multiple of q/o_2 = 3, t_2 = 6*3/9.
+        (3, [27, 27, 3], 9, (6, 1, 3), (9, 6, 2)),
+        (3, [27, 3], 27, (1, 9), (1, 1)),
+    ],
+)
+def test_first_tuple_of_a_listed_form(p, orders, index, form, coeffs):
+    G = make_group(p, orders)
+    (S,) = [S for S in genetic_basis_abelian(G) if (S.index, S.form) == (index, form)]
+    assert S.coeffs == coeffs
+    # No tuple earlier in enumeration order has this kernel.
+    first = next(t for t in enumerate_cyclic_homs(G) if oracles.normalised_form(G, t) == (index, form))
+    assert first == coeffs
