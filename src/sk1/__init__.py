@@ -9,7 +9,6 @@ decompositions for squares of cyclic groups.
 from .abelian import (
     AbelianPGroup,
     Element,
-    enumerate_elements,
     make_group,
 )
 from .conjecture import (
@@ -55,7 +54,6 @@ from .sk1_abelian import (
     TargetProduct,
     relation_matrix,
     sk1,
-    target_product,
 )
 from .snf import CyclicDecomposition, cokernel_decomposition
 

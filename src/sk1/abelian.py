@@ -1,4 +1,4 @@
-"""Finite abelian p-groups with p odd: construction, guards, element enumeration.
+"""Finite abelian p-groups with p odd: construction and guards.
 
 A group is a direct product of cyclic factors of p-power order, stored
 as a descending tuple of factor orders.  Elements are exponent tuples,
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import NonOddPrime, NotPPower, TooLarge
 
@@ -121,9 +120,3 @@ def make_group(p: int, orders) -> AbelianPGroup:
         if int(o) != o or _p_power_exponent(int(o), p) is None:
             raise NotPPower(f"{o} is not a positive power of {p}")
     return AbelianPGroup(p, tuple(sorted(map(int, orders), reverse=True)))
-
-
-def enumerate_elements(G: AbelianPGroup) -> list[Element]:
-    """All elements in lexicographic coordinate order."""
-    guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
-    return list(product(*(range(o) for o in G.orders)))

@@ -98,8 +98,7 @@ def _cmd_conjecture(args) -> int:
         mult = {args.prime**i: m for i, m in prediction.multiplicities.items()}
         _emit_multiplicities(mult, args.format, prefix="predicted SK1")
         return EXIT_OK
-    G = make_group(args.prime, [args.prime**args.n] * 2)
-    dec = sk1(G, strategy=args.strategy, max_order=args.max_order)
+    dec = sk1(make_group(args.prime, [args.prime**args.n] * 2))
     report = verify(args.prime, args.n, dec)
     if args.format == "human":
         print("i\tpredicted\tcomputed")
@@ -156,7 +155,7 @@ def _add_guard(p: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=DEFAULT_MAX_ORDER,
         help="largest group order accepted (default %(default)s): every metacyclic "
-        "call, and abelian or conjecture with --strategy exhaustive",
+        "call, and abelian with --strategy exhaustive",
     )
 
 
@@ -197,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cj.add_argument("--prime", type=int, required=True)
     p_cj.add_argument("--n", type=int, required=True)
     p_cj.add_argument("--verify", action="store_true", help="compare against the computed SK1")
-    p_cj.add_argument(
-        "--strategy", choices=[REPRESENTATIVES, EXHAUSTIVE], default=REPRESENTATIVES
-    )
-    _add_guard(p_cj)
     _add_format(p_cj)
     p_cj.set_defaults(func=_cmd_conjecture)
 

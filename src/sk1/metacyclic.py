@@ -36,6 +36,10 @@ the work follows the nonzero entries, not pairs times columns.  The
 seed orders and these dicts go to the Smith form as they are
 (``snf.SparseRows``), with no array on the way.  ``relation_component``
 evaluates the same rules on any one pair, on Python integers.
+
+The rows are Python integers, so past the order guard the one numeric
+limit is the Smith form's own: its modulus q = p^(n-2) needs q**2 <
+2**63 (``snf.guard_modulus``), checked before the rows are built.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import DEFAULT_MAX_ORDER, SK1_CACHE_SIZE, _is_odd_prime, guard_order
-from .errors import BadParams, DomainViolation, TooLarge
-from .snf import CyclicDecomposition, SparseRows, cokernel_decomposition
+from .errors import BadParams, DomainViolation
+from .snf import CyclicDecomposition, SparseRows, cokernel_decomposition, guard_modulus
 
 MElement = tuple[int, int]
 
@@ -377,28 +381,30 @@ def sk1_metacyclic(
     gives a zero row or repeats the rows of the reference element whose
     subgroup is conjugate to <h>.
 
-    The int64 refusal raises TooLarge when 2 * p^(2(n-1)) >= 2^63, so
-    M_20(3) is the largest p = 3 group admitted and M_21(3) the first one
-    refused.  It is stricter than the pipeline needs: the rows are built
-    on Python integers, and the Smith form asks only q**2 < 2**63 for q =
-    p^(n-2), which M_21(3) meets.  Its bound and message are kept as they
-    are, since callers rely on them.
+    Past the order guard, the one limit is the Smith form's: its modulus
+    q = p^(n-2) needs q**2 < 2**63 (``snf.guard_modulus``), so M_21(3),
+    M_15(5) and M_13(7) are the largest n their primes admit, and the
+    next n raises TooLarge.
 
     The last SK1_CACHE_SIZE results are cached per basis, as ``sk1``
-    caches its own.  The order guard and the int64 refusal are checked
-    before the lookup, so a hit never answers a call they refuse.
+    caches its own.  The order guard is checked before the lookup, and
+    the modulus limit inside the cached solve, so a hit never answers a
+    call either refuses.
     """
     guard_order(G, max_order, "order guard")
-    if 2 * G.a_order**2 >= 2**63:
-        raise TooLarge(f"{G}: relation entries would overflow int64")
     return _solve(genetic_basis_metacyclic(G))
 
 
 @lru_cache(maxsize=SK1_CACHE_SIZE)
 def _solve(basis: MetaGeneticBasis) -> CyclicDecomposition:
     """The cokernel of the relation lattice on ``basis``; ``sk1_metacyclic``
-    has checked the guards.  The basis is the key, rather than G, so that
+    has checked the order guard.  The basis is the key, rather than G, so that
     every call still asks ``genetic_basis_metacyclic`` for it, through the
     module global that the perfbench tracer wraps; it hashes and compares
-    by its group, so a hit costs O(1)."""
+    by its group, so a hit costs O(1).
+
+    The Smith form's modulus, the largest column order p^(n-2), is
+    checked before the rows are built: they hold about n^2 p entries, so
+    at n in the thousands they alone would take gigabytes."""
+    guard_modulus(max(basis.index), basis.group)
     return cokernel_decomposition(_relation_rows(basis.group, basis))

@@ -59,21 +59,13 @@ from .abelian import (
     ENUMERATION_LIMIT,
     SK1_CACHE_SIZE,
     AbelianPGroup,
-    _p_power_exponent,
     guard_order,
 )
-from .genetic import (
-    GeneticBasis,
-    _key_code,
-    cyclic_quotients,
-    genetic_basis_abelian,
-    guard_int64,
-)
+from .genetic import GeneticBasis, _key_code, genetic_basis_abelian
 from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, seeds_first
 
 REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
-STRATEGIES = (REPRESENTATIVES, EXHAUSTIVE)
 
 # Columns per membership pass of ``relation_matrix``: its transient arrays
 # are (reference elements) x COLUMN_CHUNK, beside the exhaustive
@@ -88,10 +80,6 @@ class TargetProduct:
 
     columns: GeneticBasis
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(self.columns.index.tolist())
-
 
 @dataclass(frozen=True, eq=False)
 class RelationSet:
@@ -103,14 +91,8 @@ class RelationSet:
     torus: _Torus | None = None
 
 
-def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
-    if basis is None:
-        basis = genetic_basis_abelian(G)
-    return TargetProduct(basis[basis.index > 1])
-
-
 def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarray:
-    """Every element (as ``enumerate_elements``) under ``exhaustive``; else
+    """Every element, in lexicographic order, under ``exhaustive``; else
     the basis tuples or, given ``torus``, those of the identity basis[0]
     and of the column-orbit representatives (the columns are basis[1:])."""
     if strategy == EXHAUSTIVE:
@@ -174,7 +156,7 @@ def relation_matrix(
     T'-orbit of cyclic subgroups (see the module docstring).
     """
     basis = genetic_basis_abelian(G)
-    target = target_product(G, basis)
+    target = TargetProduct(basis[basis.index > 1])
     torus = _torus(G, target) if per_orbit else None
     refs = _references(G, strategy, basis, torus)
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
@@ -397,11 +379,10 @@ def sk1(
     The last SK1_CACHE_SIZE results are cached per (group, strategy); the
     computation is pure, so a repeated call is free.  The ``exhaustive``
     order guard, which only this entry point holds, is checked before the
-    cache, so a hit never answers a call the guard refuses.  So is the
-    int64 refusal, which the basis holds too: it comes before the split
-    gate's column count, which takes seconds on the exponents it refuses.
+    cache, so a hit never answers a call the guard refuses.  Every other
+    refusal belongs to the basis, which ``_solve`` asks for first: a
+    refused call raises there, and an exception is never cached.
     """
-    guard_int64(G)
     if strategy == EXHAUSTIVE:
         guard_order(G, max_order, "exhaustive-strategy guard")
     return _solve(G, strategy)
@@ -409,17 +390,19 @@ def sk1(
 
 @lru_cache(maxsize=SK1_CACHE_SIZE)
 def _solve(G: AbelianPGroup, strategy: str) -> CyclicDecomposition:
-    """The cokernel of G's relation lattice; ``sk1`` has checked the guard.
+    """The cokernel of G's relation lattice; ``sk1`` has checked the
+    exhaustive guard.
 
-    Below SPLIT_MIN_PAIRS (column, generator) pairs, the columns counted
-    by ``cyclic_quotients`` before the basis, the relation lattice is
-    eliminated whole.  Above, the per-orbit rows are split over the torus,
-    and each block's divisors count once per character of its orbit size.
+    The basis comes first: its guards (int64 and the tuple count) refuse
+    before any long step, and its columns, every member but the index-1
+    one, place the gate.  Below SPLIT_MIN_PAIRS (column, generator) pairs
+    the relation lattice is eliminated whole.  Above, the per-orbit rows
+    are split over the torus, and each block's divisors count once per
+    character of its orbit size.  ``genetic_basis_abelian``,
     ``relation_matrix`` and ``cokernel_decomposition`` are looked up as
     module globals, where the perfbench tracer wraps them.
     """
-    exponents = [_p_power_exponent(o, G.prime) for o in G.orders]
-    if cyclic_quotients(G.prime, exponents) * len(G.orders) < SPLIT_MIN_PAIRS:
+    if (len(genetic_basis_abelian(G)) - 1) * len(G.orders) < SPLIT_MIN_PAIRS:
         rel = relation_matrix(G, strategy=strategy)
         return cokernel_decomposition(rel.rows)
     rel = relation_matrix(G, strategy=strategy, per_orbit=True)

@@ -49,11 +49,13 @@ own way: a Lattice from the gcd of each column's seed entries, read off
 its triples in one array pass, and SparseRows from its orders.  One tail
 then checks the precondition for both (``_local_form``): every column
 has a seed row, the lcm q of the moduli is a prime power, and q**2 <
-2**63.  An input that fails one raises ValueError naming it.  The
-elimination runs on Python integers.  When q = 1 every column has a
-unit seed, the rows span Z^cols, and the trivial decomposition is
-returned without an elimination.  A seed row in every column gives full
-rank, so the cokernel is always finite.
+2**63.  A malformed input, one that fails either of the first two,
+raises ValueError naming the condition; the third is a size limit
+(``guard_modulus``), the one numeric limit of the metacyclic pipeline,
+and raises TooLarge.  The elimination runs on Python integers.  When q
+= 1 every column has a unit seed, the rows span Z^cols, and the
+trivial decomposition is returned without an elimination.  A seed row
+in every column gives full rank, so the cokernel is always finite.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import TooLarge
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,8 @@ def cokernel_decomposition(mat) -> CyclicDecomposition:
 
     ``mat`` is SparseRows, a Lattice or a dense integer matrix, which is
     converted to a Lattice once.  Raises ValueError, naming the
-    condition, when the seed rows do not meet the precondition of
-    ``_local_form``.
+    condition, when the seed rows are malformed for ``_local_form``, and
+    TooLarge when their modulus is past ``guard_modulus``.
     """
     if isinstance(mat, SparseRows):
         p, e, rows, cols, mods = _local_rows(mat)
@@ -258,6 +262,13 @@ def cokernel_decomposition(mat) -> CyclicDecomposition:
     if e == 0:
         return CyclicDecomposition()
     return CyclicDecomposition(_cokernel_mod_prime_power(p, e, rows, cols, mods))
+
+
+def guard_modulus(q: int, what) -> None:
+    """Raise TooLarge, naming ``what``, unless q**2 < 2**63: the limit of
+    the elimination on its modulus q (see ``_local_form``)."""
+    if q * q >= 2**63:
+        raise TooLarge(f"{what}: the Smith form's modulus q has q**2 >= 2**63")
 
 
 def _local_form(mods: list[int], walk):
@@ -271,10 +282,10 @@ def _local_form(mods: list[int], walk):
     is the set of rows with an entry in column c.  One seed row {c:
     mods[c]} (none when mods[c] = q) is then added for each column.
 
-    Raises ValueError when a column has no seed row, when q is not a
-    prime power, or when q**2 >= 2**63.  That bound keeps the reduced
-    entries inside int64 and the trial division that finds p below 2**16
-    steps.
+    Raises ValueError when a column has no seed row or when q is not a
+    prime power, and TooLarge (``guard_modulus``) when q**2 >= 2**63.
+    That bound keeps the reduced entries inside int64 and the trial
+    division that finds p below 2**16 steps.
     """
     if 0 in mods:
         raise ValueError(f"column {mods.index(0)} has no seed row (a row with one nonzero entry)")
@@ -282,8 +293,7 @@ def _local_form(mods: list[int], walk):
     if q == 1:
         # A unit seed in every column: the rows span Z^cols.
         return 1, 0, [], [], mods
-    if q * q >= 2**63:
-        raise ValueError(f"the seed rows give q = {q}, and q**2 >= 2**63")
+    guard_modulus(q, "the seed rows")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e, rest = 0, q
     while rest % p == 0:

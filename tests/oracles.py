@@ -14,12 +14,42 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sk1.abelian import AbelianPGroup, Element, _p_power_exponent, enumerate_elements
+from sk1.abelian import ENUMERATION_LIMIT, AbelianPGroup, Element, _p_power_exponent, guard_order
 from sk1.errors import DomainViolation
 from sk1.genetic import GeneticBasis, _key_code, enumerate_cyclic_homs, genetic_basis_abelian
 from sk1.metacyclic import MElement, MetacyclicGroup, MetaGeneticSubgroup
-from sk1.sk1_abelian import _references, _teichmuller_unit, _torus, target_product
+from sk1.sk1_abelian import (
+    EXHAUSTIVE,
+    REPRESENTATIVES,
+    TargetProduct,
+    _references,
+    _teichmuller_unit,
+    _torus,
+)
 from sk1.snf import Lattice, seeds_first
+
+# The strategies of ``sk1`` and ``relation_matrix``.
+STRATEGIES = (REPRESENTATIVES, EXHAUSTIVE)
+
+
+def enumerate_elements(G: AbelianPGroup) -> list[Element]:
+    """All elements in lexicographic coordinate order, up to
+    ``ENUMERATION_LIMIT`` of them."""
+    guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
+    return list(product(*(range(o) for o in G.orders)))
+
+
+def target_product(G: AbelianPGroup, basis=None) -> TargetProduct:
+    """The columns of G's relation lattice, as ``relation_matrix`` builds
+    them: the basis members with nontrivial quotient."""
+    if basis is None:
+        basis = genetic_basis_abelian(G)
+    return TargetProduct(basis[basis.index > 1])
+
+
+def column_orders(target: TargetProduct) -> tuple[int, ...]:
+    """The order of each column of ``target``, its member's index."""
+    return tuple(target.columns.index.tolist())
 
 
 def mul(G: AbelianPGroup, x: Element, y: Element) -> Element:

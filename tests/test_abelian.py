@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
-from sk1.errors import NonOddPrime, NotPPower, TooLarge
+from sk1.abelian import make_group
+from sk1.errors import NonOddPrime, NotPPower
 
 import oracles
-from oracles import mul
+from oracles import enumerate_elements, mul
 
 
 def test_make_group_normalizes_orders_descending():
@@ -77,13 +77,6 @@ def test_enumeration_is_lexicographic():
 def test_enumeration_count():
     G = make_group(3, [9, 9])
     assert len(enumerate_elements(G)) == 81
-
-
-def test_enumeration_guard():
-    G = make_group(3, [3] * 15)  # 3^15 > 10^7
-    assert G.order > ENUMERATION_LIMIT
-    with pytest.raises(TooLarge):
-        enumerate_elements(G)
 
 
 def test_mul_is_associative_commutative_with_identity():

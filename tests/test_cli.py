@@ -274,17 +274,17 @@ def test_metacyclic_guard_and_override(capsys):
     assert out == "SK1 = (C3)^10\n"
 
 
-def test_metacyclic_int64_refusal_exits_4_from_m21_3(capsys):
-    # The int64 refusal keeps its threshold, its message and its exit
-    # code: M_20(3) is the largest p = 3 group it admits.
+def test_metacyclic_int64_refusal_exits_4_from_m22_3(capsys):
+    # The Smith form's modulus limit, q**2 < 2**63 for q = p^(n-2), is a
+    # tripped guard: M_21(3) is the largest p = 3 group it admits.
     rc, out, _ = run(
-        capsys, "metacyclic", "--prime", "3", "--n", "20", "--max-order", str(3**20),
+        capsys, "metacyclic", "--prime", "3", "--n", "21", "--max-order", str(3**21),
         "--format", "tsv",
     )
-    assert (rc, out) == (EXIT_OK, "3\t36\n")
-    rc, out, err = run(capsys, "metacyclic", "--prime", "3", "--n", "21", "--max-order", str(3**21))
+    assert (rc, out) == (EXIT_OK, "3\t38\n")
+    rc, out, err = run(capsys, "metacyclic", "--prime", "3", "--n", "22", "--max-order", str(3**22))
     assert rc == EXIT_GUARD == 4
-    assert out == "" and "M_21(3)" in err and "int64" in err
+    assert out == "" and "M_22(3)" in err and "q**2 >= 2**63" in err
 
 
 @pytest.mark.parametrize("n", [9100, 10**9])
@@ -303,8 +303,7 @@ def test_metacyclic_guard_on_orders_past_the_printable(capsys, n):
         ["metacyclic", "--prime", "3", "--n", "4", "--max-order", "0"],
         ["abelian", "--prime", "3", "--orders", "3,3", "--max-order", "-1",
          "--strategy", "exhaustive"],
-        ["conjecture", "--prime", "3", "--n", "2", "--verify", "--max-order", "0",
-         "--strategy", "exhaustive"],
+        ["abelian", "--prime", "3", "--orders", "3,3", "--max-order", "0"],
         ["metacyclic", "--prime", "3", "--n", "4", "--max-order", "many"],
     ],
 )
@@ -315,6 +314,16 @@ def test_max_order_below_one_is_invalid_input(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert "--max-order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [("--strategy", "exhaustive"), ("--max-order", "0")])
+def test_conjecture_takes_no_strategy_or_max_order(extra, capsys):
+    # conjecture --verify always solves through representatives, so it has
+    # neither option: each is an unknown argument (exit 2).
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "--prime", "3", "--n", "2", "--verify", *extra])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_via_argparse():

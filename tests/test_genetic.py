@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sk1.abelian import ENUMERATION_LIMIT, enumerate_elements, make_group
+from sk1.abelian import ENUMERATION_LIMIT, make_group
 from sk1.errors import BadParams, TooLarge
 from sk1.genetic import (
     GeneticSubgroupA,
@@ -15,6 +15,7 @@ from sk1.genetic import (
 )
 
 import oracles
+from oracles import enumerate_elements
 
 
 def form_class(S, x):

@@ -295,7 +295,8 @@ def test_relation_component_rejects_uncentralized_pairs():
 
 def test_relation_component_is_exact_beyond_int64():
     # |a| = 3^24: products of the entry routine pass 2^63, so it works
-    # on Python integers; the pipeline refuses such a group outright.
+    # on Python integers; the pipeline refuses such a group by the Smith
+    # form's modulus limit, q = 3^23 with q**2 >= 2**63.
     G = make_metacyclic(3, 25)
     basis = genetic_basis_metacyclic(G)
     top = basis[-2]  # <a^(3^23), b>, form (1, 0) mod 3^23
@@ -475,11 +476,39 @@ def test_sk1_guard_compares_exponents():
     assert sk1_metacyclic(make_metacyclic(3, 7), max_order=2187).divisors == (3,) * 10
 
 
-def test_int64_refusal_starts_at_m21_3():
-    # M_20(3) is the largest n for p = 3 whose entries fit int64 (it is
-    # pinned in LARGE_SK1_CASES); M_21(3) is refused past the order guard.
-    G = make_metacyclic(3, 21)
-    with pytest.raises(TooLarge, match="int64"):
+# The largest n each prime admits, the last with q**2 < 2**63 for the
+# Smith form's modulus q = p^(n-2), and the multiplicity of C_p in its SK1.
+LARGEST_ADMITTED = [(3, 21, 38), (5, 15, 52), (7, 13, 66), (11, 11, 90), (13, 10, 96),
+                    (1009, 5, 3024)]
+
+
+@pytest.mark.parametrize("p,n,m", LARGEST_ADMITTED)
+def test_largest_admitted_n_answers_and_the_next_is_refused(p, n, m):
+    assert p ** (2 * (n - 2)) < 2**63 <= p ** (2 * (n - 1))
+    G = make_metacyclic(p, n)
+    assert m == (n - 2) * (p - 1)
+    assert sk1_metacyclic(G, max_order=G.order).multiplicities() == {p: m}
+    G = make_metacyclic(p, n + 1)
+    with pytest.raises(TooLarge, match=r"q\*\*2 >= 2\*\*63"):
+        sk1_metacyclic(G, max_order=G.order)
+
+
+def test_int64_refusal_starts_at_m22_3(monkeypatch):
+    # M_21(3) is the largest n for p = 3: its modulus 3^19 has q**2 < 2**63.
+    # M_22(3) is refused past the order guard, before its rows are built,
+    # and the Smith form refuses those rows by the same limit.
+    from sk1 import metacyclic
+
+    G = make_metacyclic(3, 22)
+    rows = _relation_rows(G, genetic_basis_metacyclic(G))
+    with pytest.raises(TooLarge, match=r"q\*\*2 >= 2\*\*63"):
+        cokernel_decomposition(rows)
+
+    def unreachable(*args):
+        raise AssertionError("the rows were built past the limit")
+
+    monkeypatch.setattr(metacyclic, "_relation_rows", unreachable)
+    with pytest.raises(TooLarge, match=r"M_22\(3\): .*q\*\*2 >= 2\*\*63"):
         sk1_metacyclic(G, max_order=G.order)
 
 
@@ -494,10 +523,13 @@ def test_cache_hit_does_not_skip_the_guards():
     assert sk1_metacyclic(G).divisors == (3,) * 6
     with pytest.raises(TooLarge):
         sk1_metacyclic(G, max_order=100)
-    # The int64 refusal comes before the basis too, on every call.
-    G = make_metacyclic(3, 21)
+    # The modulus limit runs inside the cached solve, and a refusal is
+    # never cached: M_22(3) is refused on every call, also once M_21(3),
+    # the largest p = 3 group admitted, is in the cache.
+    assert sk1_metacyclic(make_metacyclic(3, 21), max_order=3**21).divisors == (3,) * 38
+    G = make_metacyclic(3, 22)
     for _ in range(2):
-        with pytest.raises(TooLarge, match="int64"):
+        with pytest.raises(TooLarge, match=r"q\*\*2 >= 2\*\*63"):
             sk1_metacyclic(G, max_order=G.order)
 
 
@@ -599,7 +631,9 @@ def test_rows_match_one_generator_per_cyclic_subgroup(p, n):
 
 
 def int64_admitted(p):
-    # Every n >= 3 that the int64 refusal of sk1_metacyclic admits.
+    # Every n >= 3 with 2 * p^(2(n-1)) < 2^63, the bound by which
+    # sk1_metacyclic refused before the Smith form's modulus limit took
+    # its place: the battery is kept as it was.
     n = 3
     while 2 * p ** (2 * (n - 1)) < 2**63:
         yield n

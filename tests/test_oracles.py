@@ -4,8 +4,17 @@ function mirrors any more."""
 import numpy as np
 import pytest
 
-from oracles import distinct_rows, repeated_rows
+from oracles import distinct_rows, enumerate_elements, repeated_rows
+from sk1.abelian import ENUMERATION_LIMIT, make_group
+from sk1.errors import TooLarge
 from sk1.snf import seeds_first
+
+
+def test_enumeration_guard():
+    G = make_group(3, [3] * 15)  # 3^15 > 10^7
+    assert G.order > ENUMERATION_LIMIT
+    with pytest.raises(TooLarge):
+        enumerate_elements(G)
 
 
 def test_distinct_rows_dedupes_across_integer_dtypes():

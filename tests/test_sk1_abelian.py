@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import STRATEGIES, column_orders, enumerate_elements, target_product
 
 from sk1.abelian import (
     DEFAULT_MAX_ORDER,
     ENUMERATION_LIMIT,
     SK1_CACHE_SIZE,
-    enumerate_elements,
     make_group,
 )
 from sk1.errors import TooLarge
@@ -21,14 +21,12 @@ from sk1.genetic import genetic_basis_abelian
 from sk1.sk1_abelian import (
     EXHAUSTIVE,
     REPRESENTATIVES,
-    STRATEGIES,
     _divisibility_table,
     _divisible,
     _references,
     _torus_blocks,
     relation_matrix,
     sk1,
-    target_product,
 )
 from sk1.snf import Lattice, cokernel_decomposition
 
@@ -39,11 +37,14 @@ def columns_by_tuple(G):
 
 
 def test_target_product_c3xc3():
+    # The columns relation_matrix builds inline: the basis members with
+    # nontrivial quotient, as the oracle lists them.
     G = make_group(3, [3, 3])
-    target = target_product(G)
+    target = relation_matrix(G).target
     assert len(target.columns) == 4
     assert tuple(target.columns) == tuple(S for S in genetic_basis_abelian(G) if S.index > 1)
-    assert target.orders == (3, 3, 3, 3)
+    assert target.columns == target_product(G).columns
+    assert column_orders(target) == (3, 3, 3, 3)
     assert set(columns_by_tuple(G)) == {(0, 1), (1, 0), (1, 1), (1, 2)}
 
 
@@ -78,7 +79,7 @@ def test_relation_row_nonidentity_references():
 def test_relation_matrix_starts_with_seed_block():
     G = make_group(3, [9, 9])
     rel = relation_matrix(G)
-    orders = rel.target.orders
+    orders = column_orders(rel.target)
     k = len(orders)
     rows = np.asarray(rel.rows)
     assert rows.dtype == np.int64
@@ -113,7 +114,7 @@ def test_matrix_rows_match_reference_rows(p, orders, strategy):
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    rows = [list(r) for r in np.diag(np.array(target.orders, dtype=np.int64))]
+    rows = [list(r) for r in np.diag(np.array(column_orders(target), dtype=np.int64))]
     seen = {tuple(r) for r in rows}
     refs = reference_elements(G, basis, strategy)
     for h, h_rows in zip(refs, oracles.relation_rows(G, basis, refs, G.generators())):
@@ -181,7 +182,7 @@ def test_exhaustive_lattice_is_every_element_rows_deduplicated(p, orders):
         for i, row in enumerate(h_rows)
         if i != first_unit(p, h)
     ]
-    q = target_product(G, basis).orders
+    q = column_orders(target_product(G, basis))
     want = oracles.distinct_rows(q, np.array(rows, dtype=np.int64))
     got = relation_matrix(G, strategy=EXHAUSTIVE).rows
     assert got.shape == want.shape
@@ -211,7 +212,7 @@ def test_skipped_rows_lie_in_the_span(p, orders, strategy):
     # stacking every skipped row on must not move the cokernel.
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
-    q = np.array(target_product(G, basis).orders, dtype=np.int64)
+    q = np.array(column_orders(target_product(G, basis)), dtype=np.int64)
     rel = relation_matrix(G, strategy=strategy)
     skipped = []
     refs = reference_elements(G, basis, strategy)
@@ -234,7 +235,7 @@ def test_sk1_is_the_cokernel_of_the_unpruned_reference_rows(p, orders):
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
-    rows = np.diag(np.array(target.orders, dtype=np.int64)).tolist()
+    rows = np.diag(np.array(column_orders(target), dtype=np.int64)).tolist()
     refs = reference_elements(G, basis, REPRESENTATIVES)
     for h_rows in oracles.relation_rows(G, basis, refs, G.generators()):
         rows += h_rows
@@ -467,7 +468,9 @@ def test_basis_cache_keeps_the_guards():
             with pytest.raises(TooLarge, match=guard):
                 call(G)
         assert genetic_basis_abelian.cache_info().currsize == size
-    # Both strategies, above and below the split gate, share one basis.
+    # Both strategies, above and below the split gate, share one basis:
+    # each solve asks for it in _solve, to place the gate, and again in
+    # relation_matrix.
     for orders in ([27, 9], [81, 81]):
         G = make_group(3, orders)
         sk1_abelian._solve.cache_clear()
@@ -475,7 +478,7 @@ def test_basis_cache_keeps_the_guards():
         sk1(G)
         sk1(G, strategy=EXHAUSTIVE, max_order=G.order)
         info = genetic_basis_abelian.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.parametrize(

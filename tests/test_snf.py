@@ -5,8 +5,10 @@ is checked against the exact elimination over Z of ``oracles``
 (``smith_divisors``), which is itself pinned against gcds of k x k
 cofactor minors, additive-closure lattice indices and unimodular
 invariance, and, where installed, against sympy.  Lattices outside the
-elimination's precondition are refused with a ValueError naming the
-condition; a unit seed row in every column gives the trivial answer.
+elimination's precondition are refused, naming the condition: a
+malformed lattice with a ValueError, and one whose modulus q has q**2 >=
+2**63 with TooLarge.  A unit seed row in every column gives the trivial
+answer.
 """
 
 import math
@@ -15,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from sk1.errors import TooLarge
 from sk1.snf import CyclicDecomposition, SparseRows, cokernel_decomposition, seeds_first
 
 import oracles
@@ -347,31 +350,40 @@ def test_row_order_changes_the_cost_not_the_answer(p, orders):
             assert cokernel_decomposition(_with_non_seed_rows_permuted(block, rng)) == want
 
 
+# The modulus limit q**2 < 2**63 is a size limit, raised as TooLarge; a
+# malformed input, with a column without a seed row or a q that is not a
+# prime power, raises ValueError.
+TOO_LARGE = (TooLarge, r"q\*\*2 >= 2\*\*63")
+
+
 @pytest.mark.parametrize(
-    "rows,condition",
+    "rows,error",
     [
-        ([[2, 0], [0, 3], [1, 1]], "q = 6, which is not a prime power"),
-        ([[4, 0], [0, 6], [2, 2], [2, 4]], "q = 12, which is not a prime power"),
-        ([[9, 0], [1, 3], [2, -3]], "column 1 has no seed row"),
-        ([[27, 0, 0], [0, 9, 0], [3, 3, 3], [0, 3, 6]], "column 2 has no seed row"),
-        ([[3**20, 0], [0, 3**20], [3**7, 3**12]], r"q\*\*2 >= 2\*\*63"),
-        ([[3**40, 0], [0, 3**40], [3**20, 3**39]], r"q\*\*2 >= 2\*\*63"),  # q beyond int64
+        ([[2, 0], [0, 3], [1, 1]], (ValueError, "q = 6, which is not a prime power")),
+        ([[4, 0], [0, 6], [2, 2], [2, 4]], (ValueError, "q = 12, which is not a prime power")),
+        ([[9, 0], [1, 3], [2, -3]], (ValueError, "column 1 has no seed row")),
+        ([[27, 0, 0], [0, 9, 0], [3, 3, 3], [0, 3, 6]], (ValueError, "column 2 has no seed row")),
+        ([[3**20, 0], [0, 3**20], [3**7, 3**12]], TOO_LARGE),
+        ([[3**40, 0], [0, 3**40], [3**20, 3**39]], TOO_LARGE),  # q beyond int64
         # Seed orders and dict rows, as the metacyclic rows reach the Smith form.
-        (SparseRows((2, 3), ({0: 1, 1: 1},)), "q = 6, which is not a prime power"),
-        (SparseRows((3**20, 3**20), ({0: 3**7, 1: 3**12},)), r"q\*\*2 >= 2\*\*63"),
-        (SparseRows((9, 0), ({0: 3, 1: 3},)), "column 1 has no seed row"),
+        (SparseRows((2, 3), ({0: 1, 1: 1},)), (ValueError, "q = 6, which is not a prime power")),
+        (SparseRows((3**20, 3**20), ({0: 3**7, 1: 3**12},)), TOO_LARGE),
+        (SparseRows((9, 0), ({0: 3, 1: 3},)), (ValueError, "column 1 has no seed row")),
     ],
     ids=[f"rows{i}" for i in range(9)],
 )
-def test_inputs_outside_the_precondition_are_refused(rows, condition, monkeypatch):
+def test_inputs_outside_the_precondition_are_refused(rows, error, monkeypatch):
     import sk1.snf
 
     def refuse(*args):
         raise AssertionError("the elimination ran outside its precondition")
 
     monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
-    with pytest.raises(ValueError, match=condition):
+    kind, condition = error
+    with pytest.raises(kind, match=condition) as caught:
         cokernel_decomposition(rows)
+    # TooLarge is no ValueError, so the CLI exits 4 on it, not 2.
+    assert isinstance(caught.value, ValueError) == (kind is ValueError)
     # The refusal is a contract, not a missing answer: the exact cokernel
     # of each input is finite.
     dense = np.asarray(rows).tolist() if isinstance(rows, SparseRows) else rows
