@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NonOddPrime, NotPPower, TooLarge
 
@@ -17,8 +18,11 @@ from .errors import NonOddPrime, NotPPower, TooLarge
 ENUMERATION_LIMIT = 10**7
 # Default order guard of the exhaustive strategy and of sk1_metacyclic.
 DEFAULT_MAX_ORDER = 3**6
-# Entries of each per-group cache: the genetic bases and SK1 results of
-# both families.
+# Entries of every cache: the interned groups of make_group and
+# make_metacyclic, the genetic bases (genetic_basis_abelian,
+# genetic_basis_metacyclic), the SK1 results of both families (the _solve
+# of sk1_abelian per (group, strategy), of metacyclic per basis), and the
+# divisibility tables of sk1_abelian per prime.
 SK1_CACHE_SIZE = 128
 
 Element = tuple[int, ...]
@@ -108,15 +112,27 @@ def make_group(p: int, orders) -> AbelianPGroup:
     """Build the product of cyclic groups of the given p-power orders.
 
     Orders are normalized to descending order, so the first factor always
-    realizes the group exponent.
+    realizes the group exponent.  The prime is checked first; then the
+    last SK1_CACHE_SIZE groups are kept per (p, orders as a tuple), so a
+    repeated call returns the same frozen group without checking its
+    orders again.  Orders that do not hash are checked on every call.
     """
     if not _is_odd_prime(p):
         raise NonOddPrime(f"p must be an odd prime, got {p}")
-    p = int(p)
-    orders = list(orders)
+    orders = tuple(orders)
+    try:
+        return _interned_group(int(p), orders)
+    except TypeError:
+        return _build_group(int(p), orders)
+
+
+def _build_group(p: int, orders: tuple) -> AbelianPGroup:
     if not orders:
         raise ValueError("at least one cyclic factor is required")
     for o in orders:
         if int(o) != o or _p_power_exponent(int(o), p) is None:
             raise NotPPower(f"{o} is not a positive power of {p}")
     return AbelianPGroup(p, tuple(sorted(map(int, orders), reverse=True)))
+
+
+_interned_group = lru_cache(maxsize=SK1_CACHE_SIZE)(_build_group)

@@ -26,7 +26,11 @@ def predicted_multiplicity(p: int, i: int, n: int) -> int:
         raise BadParams(
             f"need an odd prime and integers i >= 1, n >= 2i, got p={p}, i={i}, n={n}"
         )
-    p, i, n = int(p), int(i), int(n)
+    return _multiplicity(int(p), int(i), int(n))
+
+
+def _multiplicity(p: int, i: int, n: int) -> int:
+    """The closed form of ``predicted_multiplicity`` on checked ints."""
     doubled = 2 if i % 2 == 0 else 1
     return (p - 1) * (doubled * p ** (n - (i // 2 + 2)) + (n - 2 * i) * p ** (i - 1))
 
@@ -54,14 +58,16 @@ class ConjecturePrediction:
 
 
 def predicted_decomposition(p: int, n: int) -> ConjecturePrediction:
-    """Multiplicity of C_{p^i} for every 0 < i < n; n is an integer >= 2."""
+    """Multiplicity of C_{p^i} for every 0 < i < n; n is an integer >= 2.
+
+    (p, n) is checked once, and each exponent evaluates the closed form
+    directly.  Nothing is cached: the values grow like p^n, and each call
+    returns a new prediction."""
     p, n = _check(p, n, 2)
-    mult = {}
-    for i in range(1, n):
-        if 2 * i <= n:
-            mult[i] = predicted_multiplicity(p, i, n)
-        else:
-            mult[i] = predicted_multiplicity(p, n - i, 2 * (n - i))
+    mult = {
+        i: _multiplicity(p, i, n) if 2 * i <= n else _multiplicity(p, n - i, 2 * (n - i))
+        for i in range(1, n)
+    }
     return ConjecturePrediction(p, n, mult)
 
 
@@ -93,4 +99,4 @@ def verify(p: int, n: int, computed: CyclicDecomposition) -> VerifyReport:
         got = actual.get(i, 0)
         if want != got:
             diffs[i] = (want, got)
-    return VerifyReport(p, n, dict(prediction.multiplicities), actual, diffs)
+    return VerifyReport(p, n, prediction.multiplicities, actual, diffs)

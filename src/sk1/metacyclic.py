@@ -89,10 +89,27 @@ class MetacyclicGroup:
 
 
 def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
-    """Group with presentation a^(p^(n-1)) = b^p = 1, b a b^-1 = a^(p^(n-2)+1)."""
-    if not _is_odd_prime(p) or int(n) != n or n < 3:
+    """Group with presentation a^(p^(n-1)) = b^p = 1, b a b^-1 = a^(p^(n-2)+1).
+
+    The prime is checked first; then the last SK1_CACHE_SIZE groups are
+    kept per (p, n), so a repeated call returns the same frozen group
+    without checking n again.  An n that does not hash is checked on
+    every call."""
+    if not _is_odd_prime(p):
         raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
-    return MetacyclicGroup(int(p), int(n))
+    try:
+        return _interned_metacyclic(int(p), n)
+    except TypeError:
+        return _build_metacyclic(int(p), n)
+
+
+def _build_metacyclic(p: int, n) -> MetacyclicGroup:
+    if int(n) != n or n < 3:
+        raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
+    return MetacyclicGroup(p, int(n))
+
+
+_interned_metacyclic = lru_cache(maxsize=SK1_CACHE_SIZE)(_build_metacyclic)
 
 
 @dataclass(frozen=True)

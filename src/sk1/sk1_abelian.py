@@ -48,7 +48,7 @@ components are eliminated, each about half the lattice when p = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -68,9 +68,12 @@ REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
 
 # Columns per membership pass of ``relation_matrix``: its transient arrays
-# are (reference elements) x COLUMN_CHUNK, beside the exhaustive
-# signatures of one bit per (element, column).
+# are (reference elements) x COLUMN_CHUNK.
 COLUMN_CHUNK = 256
+# Elements per block of the exhaustive signature pass: its transient
+# arrays are ELEMENT_BLOCK x COLUMN_CHUNK, and the signatures of one bit
+# per (element, column) ELEMENT_BLOCK rows, whatever |G|.
+ELEMENT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,12 @@ class RelationSet:
 def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarray:
     """Every element, in lexicographic order, under ``exhaustive``; else
     the basis tuples or, given ``torus``, those of the identity basis[0]
-    and of the column-orbit representatives (the columns are basis[1:])."""
+    and of the column-orbit representatives (the columns are basis[1:]).
+    ``relation_matrix`` streams the exhaustive elements instead
+    (``_first_of_each_signature``)."""
     if strategy == EXHAUSTIVE:
         guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
-        return np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), -1).T
+        return _elements(G, 0, G.order)
     if strategy != REPRESENTATIVES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if torus is not None:
@@ -105,7 +110,39 @@ def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarra
     return basis.coeffs
 
 
-@cache
+def _elements(G: AbelianPGroup, lo: int, hi: int) -> np.ndarray:
+    """Elements lo..hi-1 of G in lexicographic order, as int64 rows."""
+    flat = np.arange(lo, hi, dtype=np.int64)
+    return np.column_stack(np.unravel_index(flat, G.orders)).astype(np.int64, copy=False)
+
+
+def _first_of_each_signature(G: AbelianPGroup, inside, n_cols: int) -> np.ndarray:
+    """The first element, in lexicographic order, of each membership
+    signature: the bits of the n_cols columns that contain it, read by
+    ``inside(elements, columns)``.  Every element is tested, up to
+    ``ENUMERATION_LIMIT``, in blocks of ELEMENT_BLOCK; each block keeps
+    the first element of each signature that no earlier block has seen,
+    so only one block and the distinct signatures, one per cyclic
+    subgroup, are held at a time."""
+    guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
+    chunks = [slice(lo, lo + COLUMN_CHUNK) for lo in range(0, n_cols, COLUMN_CHUNK)]
+    seen, kept = None, []
+    for lo in range(0, G.order, ELEMENT_BLOCK):
+        block = _elements(G, lo, min(lo + ELEMENT_BLOCK, G.order))
+        signature = np.hstack([np.packbits(inside(block, c), axis=1) for c in chunks])
+        signature = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
+        # The distinct signatures seen so far go first: the first index of
+        # each of them lies before the block, so only new ones index it.
+        n_seen = 0 if seen is None else len(seen)
+        if n_seen:
+            signature = np.concatenate((seen, signature))
+        first = np.sort(np.unique(signature, return_index=True)[1])
+        seen = signature[first]
+        kept.append(block[first[n_seen:] - n_seen])
+    return np.concatenate(kept)
+
+
+@lru_cache(maxsize=SK1_CACHE_SIZE)
 def _divisibility_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every q = p^j with q^2 < 2^63, which holds for each column order
     that ``guard_int64`` admits: q (int64), and the constants of
@@ -158,7 +195,6 @@ def relation_matrix(
     basis = genetic_basis_abelian(G)
     target = TargetProduct(basis[basis.index > 1])
     torus = _torus(G, target) if per_orbit else None
-    refs = _references(G, strategy, basis, torus)
     # Column c is its member's form F[c] onto Z/q[c]: F[c, i] is the class
     # of e_i, and h is in the kernel iff F[c].h = 0 mod q[c].  Both are
     # non-negative, so guard_int64 keeps refs @ F.T in [0, 2^63).
@@ -167,14 +203,14 @@ def relation_matrix(
     at_q = np.searchsorted(powers, q)
     inverse, top = inverse[at_q], top[at_q]
 
-    def inside(c: slice) -> np.ndarray:
+    def inside(refs: np.ndarray, c: slice) -> np.ndarray:
         return _divisible(refs @ F[c].T, inverse[c], top[c])
 
-    chunks = [slice(lo, lo + COLUMN_CHUNK) for lo in range(0, len(q), COLUMN_CHUNK)]
     if strategy == EXHAUSTIVE:
-        signature = np.hstack([np.packbits(inside(c), axis=1) for c in chunks])
-        signature = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
-        refs = refs[np.sort(np.unique(signature, return_index=True)[1])]
+        refs = _first_of_each_signature(G, inside, len(q))
+    else:
+        refs = _references(G, strategy, basis, torus)
+    chunks = [slice(lo, lo + COLUMN_CHUNK) for lo in range(0, len(q), COLUMN_CHUNK)]
     n_gens = len(G.orders)
     # Slot r * n_gens + i is (reference r, generator i): its entry in column
     # c is F[c, i] where refs[r] is in the kernel of column c.  The slot of
@@ -187,7 +223,7 @@ def relation_matrix(
     renumber = np.cumsum(kept) - 1
     parts = []
     for c in chunks:
-        mask = inside(c)
+        mask = inside(refs, c)
         ref, col = np.divmod(np.flatnonzero(mask), mask.shape[1])
         col += c.start
         at, gen = np.nonzero(F[col])

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,15 +71,26 @@ from .errors import TooLarge
 
 @dataclass(frozen=True)
 class CyclicDecomposition:
-    """A finite abelian group given as a sorted multiset of cyclic orders > 1."""
+    """A finite abelian group given as a sorted multiset of cyclic orders > 1.
+
+    The multiset is counted once, when it is sorted; the views read that
+    count, and ``prime_power_multiplicities`` keeps its answer per p.
+    Every view returns a fresh dict, so a caller that changes one never
+    changes a later answer of this (possibly cached and shared) object.
+    """
 
     divisors: tuple[int, ...] = ()
+    _counts: dict[int, int] = field(init=False, repr=False, compare=False)
+    _by_prime: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         divs = tuple(sorted(_exact_int(d) for d in self.divisors))
         if divs and divs[0] <= 1:
             raise ValueError("cyclic orders must all exceed 1")
         object.__setattr__(self, "divisors", divs)
+        # Counter keeps first-seen order, so the keys of sorted input ascend.
+        object.__setattr__(self, "_counts", dict(Counter(divs)))
+        object.__setattr__(self, "_by_prime", {})
 
     @property
     def is_trivial(self) -> bool:
@@ -91,26 +102,39 @@ class CyclicDecomposition:
 
     def multiplicities(self) -> dict[int, int]:
         """Map cyclic order -> multiplicity, ascending key order."""
-        return dict(sorted(Counter(self.divisors).items()))
+        return dict(self._counts)
 
     def prime_power_multiplicities(self, p: int) -> dict[int, int]:
         """Map exponent e -> multiplicity of C_{p^e}; every divisor must be
-        a power of p, and p must be at least 2."""
+        a power of p, and p must be at least 2.
+
+        The answer is kept per int p that answers, so a refused p raises on
+        every call.  Every p answers the trivial group, which keeps none;
+        any other keeps only p with a power equal to its least divisor, at
+        most log2 of it.  A p of another type (3.0 divides as a float) is
+        counted on every call."""
         if p < 2:
             raise ValueError(f"p must be at least 2, got {p}")
-        out: Counter = Counter()
-        for d in self.divisors:
+        memo = self._by_prime if type(p) is int and self._counts else {}
+        out = memo.get(p)
+        if out is None:
+            out = memo[p] = self._count_powers(p)
+        return dict(out)
+
+    def _count_powers(self, p) -> dict[int, int]:
+        out = {}
+        for d, m in self._counts.items():
             e, v = 0, d
             while v % p == 0:
                 v //= p
                 e += 1
             if v != 1:
                 raise ValueError(f"{d} is not a power of {p}")
-            out[e] += 1
-        return dict(sorted(out.items()))
+            out[e] = m
+        return out
 
     def __str__(self) -> str:
-        return _format_multiplicities(self.multiplicities())
+        return _format_multiplicities(self._counts)
 
 
 def _format_multiplicities(multiplicities: dict[int, int]) -> str:

@@ -21,6 +21,7 @@ from oracles import (
 )
 from sk1.metacyclic import (
     DEFAULT_MAX_ORDER,
+    MetacyclicGroup,
     MetaGeneticSubgroup,
     _member_columns,
     _relation_rows,
@@ -685,8 +686,9 @@ def test_closed_form_basis_matches_the_class_forms(p, n):
 def test_bases_of_equal_groups_are_equal():
     # The basis is a function of G: equal groups give equal bases with
     # equal hashes, built apart, and other groups give other bases.
+    # make_metacyclic interns its groups, so the two are built directly.
     build = genetic_basis_metacyclic.__wrapped__
-    A, B = build(make_metacyclic(5, 4)), build(make_metacyclic(5, 4))
+    A, B = build(MetacyclicGroup(5, 4)), build(MetacyclicGroup(5, 4))
     assert A is not B and A.group is not B.group
     assert A == B and hash(A) == hash(B)
     assert A != build(make_metacyclic(5, 5)) and A != build(make_metacyclic(7, 4))

@@ -19,6 +19,7 @@ from sk1.abelian import (
 from sk1.errors import TooLarge
 from sk1.genetic import genetic_basis_abelian
 from sk1.sk1_abelian import (
+    ELEMENT_BLOCK,
     EXHAUSTIVE,
     REPRESENTATIVES,
     _divisibility_table,
@@ -315,6 +316,53 @@ def test_exhaustive_references_keep_the_enumeration_guard():
     assert G.order > ENUMERATION_LIMIT
     with pytest.raises(TooLarge, match="enumeration guard"):
         relation_matrix(G, strategy=EXHAUSTIVE)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("p,orders", [(3, [9, 3]), (3, [27, 9, 3]), (5, [25, 5]), (3, [81, 81])])
+def test_exhaustive_blocks_keep_the_first_of_each_signature(p, orders, block, monkeypatch):
+    # Streamed in blocks of any size, the exhaustive pass keeps the
+    # elements of one pass over every element: the first of each
+    # signature, in lexicographic order, so the lattice is byte-identical.
+    from sk1 import sk1_abelian
+
+    G = make_group(p, orders)
+    want = oracles.relation_rows_by_remainder(G, EXHAUSTIVE, per_orbit=False)
+    refs = _references(G, EXHAUSTIVE, genetic_basis_abelian(G))
+    columns = target_product(G).columns
+    q, F = columns.index, columns.form
+    signature = [tuple(bits) for bits in (refs @ F.T % q == 0).tolist()]
+    first = sorted({s: i for i, s in reversed(list(enumerate(signature)))}.values())
+    stream, kept = sk1_abelian._first_of_each_signature, []
+
+    def spy(*args):
+        kept.append(stream(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(sk1_abelian, "ELEMENT_BLOCK", block)
+    monkeypatch.setattr(sk1_abelian, "_first_of_each_signature", spy)
+    got = relation_matrix(G, strategy=EXHAUSTIVE)
+    assert kept[0].tolist() == refs[first].tolist()
+    assert got.rows.shape == want.shape
+    for a, b in ((got.rows.row, want.row), (got.rows.col, want.col), (got.rows.val, want.val)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_exhaustive_pass_memory_does_not_grow_with_the_group():
+    # C_243^2 has 59049 elements and 484 columns.  One product over every
+    # element took a 131 MB tracemalloc peak; in blocks of ELEMENT_BLOCK
+    # elements the peak stays near one block's product.
+    G = make_group(3, [243, 243])
+    assert G.order > 10 * ELEMENT_BLOCK
+    genetic_basis_abelian(G)
+    tracemalloc.start()
+    try:
+        rel = relation_matrix(G, strategy=EXHAUSTIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert rel.rows.shape == relation_matrix(G).rows.shape
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
