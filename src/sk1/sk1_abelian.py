@@ -62,7 +62,7 @@ from .abelian import (
     guard_order,
 )
 from .genetic import GeneticBasis, _key_code, genetic_basis_abelian
-from .snf import CyclicDecomposition, Lattice, cokernel_decomposition, seeds_first
+from .snf import CyclicDecomposition, Lattice, SparseRows, cokernel_decomposition
 
 REPRESENTATIVES = "representatives"
 EXHAUSTIVE = "exhaustive"
@@ -90,7 +90,7 @@ class RelationSet:
     ``torus`` the per-orbit rows that it projects (``relation_matrix``)."""
 
     target: TargetProduct
-    rows: Lattice
+    rows: SparseRows | Lattice
     torus: _Torus | None = None
 
 
@@ -111,9 +111,22 @@ def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarra
 
 
 def _elements(G: AbelianPGroup, lo: int, hi: int) -> np.ndarray:
-    """Elements lo..hi-1 of G in lexicographic order, as int64 rows."""
-    flat = np.arange(lo, hi, dtype=np.int64)
-    return np.column_stack(np.unravel_index(flat, G.orders)).astype(np.int64, copy=False)
+    """Elements lo..hi-1 of G in lexicographic order, as int64 rows: an
+    odometer over the trailing factors of at most ELEMENT_BLOCK elements
+    (``np.indices``) under each prefix of leading coordinates in range."""
+    orders, k = G.orders, len(G.orders)
+    t, span = k, 1
+    while t and span * orders[t - 1] <= ELEMENT_BLOCK:
+        t -= 1
+        span *= orders[t]
+    tail = np.indices(orders[t:], dtype=np.int64).reshape(k - t, span).T
+    if not t:
+        return tail[lo:hi]
+    first, last = lo // span, (hi - 1) // span + 1
+    out = np.empty((last - first, span, k), dtype=np.int64)
+    out[:, :, t:] = tail
+    out[:, :, :t] = np.column_stack(np.unravel_index(np.arange(first, last), orders[:t]))[:, None]
+    return out.reshape(-1, k)[lo - first * span : hi - first * span]
 
 
 def _first_of_each_signature(G: AbelianPGroup, inside, n_cols: int) -> np.ndarray:
@@ -186,11 +199,12 @@ def relation_matrix(
     that contain it), so they give equal rows.  ``sk1`` holds the order
     guard of that strategy.
 
-    The default is the relation lattice from ``seeds_first``.  Its rows are
-    observed never to repeat, so none is dropped.  ``per_orbit`` gives the
-    input of ``_torus_blocks``: the torus and the rows without seeds;
-    ``representatives`` then keeps the identity and one reference per
-    T'-orbit of cyclic subgroups (see the module docstring).
+    The default is the relation lattice, SparseRows of the column orders
+    and these rows.  Its rows are observed never to repeat, so none is
+    dropped.  ``per_orbit`` gives the input of ``_torus_blocks``: the
+    torus and the rows without seeds; ``representatives`` then keeps the
+    identity and one reference per T'-orbit of cyclic subgroups (see the
+    module docstring).
     """
     basis = genetic_basis_abelian(G)
     target = TargetProduct(basis[basis.index > 1])
@@ -236,7 +250,7 @@ def relation_matrix(
     rows = Lattice(row[order], col[order], val[order], (int(kept.sum()), len(q)))
     if per_orbit:
         return RelationSet(target, rows, torus)
-    return RelationSet(target, seeds_first(q, rows))
+    return RelationSet(target, SparseRows(q, rows))
 
 
 # Below this many (column, generator) pairs, about the lattice's rows, the
@@ -359,50 +373,51 @@ def _components(torus: _Torus, chars: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keep, coef
 
 
-def _project(torus: _Torus, rows: Lattice, chars: np.ndarray) -> Lattice:
-    """The relation lattice of the components of ``chars``, block-diagonal
-    with one block per character: rows projected by each character's
-    idempotent onto the orbits its ``_components`` keep.  ``seeds_first``
-    puts the seed rows diag(q_coords) first, then every nonzero projection
-    in (character, row) order; exact repeats stay.
+def _project(torus: _Torus, rows: Lattice, char_sets: list[np.ndarray]) -> list[SparseRows]:
+    """One relation lattice per array of characters in ``char_sets``, of
+    the components of its characters and block-diagonal with one block
+    per character: rows projected by each character's idempotent onto
+    the orbits its ``_components`` keep.  Each is SparseRows of the seed
+    orders q_coords and every nonzero projection, in (character, row)
+    order; exact repeats stay.
     """
     q = torus.q
-    keep, coef = _components(torus, chars)
-    coord = (np.cumsum(keep) - 1).reshape(keep.shape)
-    n_coords = int(keep.sum())
-    q_coords = np.tile(q[torus.reps], len(chars))[keep.ravel()]
     # The entries of a row in one orbit sum into one coordinate per
-    # character: group them by (row, orbit of the column).
+    # character: group them by (row, orbit of the column), once.
     n_orbits = len(torus.reps)
     group = rows.row * n_orbits + torus.orbit[rows.col]
     order = np.argsort(group, kind="stable")
     group = group[order]
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     row, orb = np.divmod(group[starts], n_orbits)
-    col = rows.col[order]
-    sums = np.add.reduceat(rows.val[order, None] * coef[col] % q[col, None], starts)
-    sums %= q[torus.reps[orb], None]
-    # Row a * len(rows) + r projects row r onto character a; nonzero walks
-    # the characters in turn, each in (row, orbit) order, so the keys never
-    # decrease.  Zero projections are skipped and the rest numbered in
-    # order.
-    a, at = np.nonzero(keep[:, orb] & (sums != 0).T)
-    first = np.diff(a * len(rows) + row[at], prepend=-1) != 0
-    projected = Lattice(np.cumsum(first) - 1, coord[a, orb[at]], sums[at, a],
-                        (int(first.sum()), n_coords))
-    return seeds_first(q_coords, projected)
+    col, val = rows.col[order], rows.val[order, None]
+    blocks = []
+    for chars in char_sets:
+        keep, coef = _components(torus, chars)
+        coord = (np.cumsum(keep) - 1).reshape(keep.shape)
+        q_coords = np.tile(q[torus.reps], len(chars))[keep.ravel()]
+        sums = np.add.reduceat(val * coef[col] % q[col, None], starts)
+        sums %= q[torus.reps[orb], None]
+        # Row a * len(rows) + r projects row r onto character a; nonzero
+        # walks the characters in turn, each in (row, orbit) order, so the
+        # keys never decrease.  Zero projections are skipped and the rest
+        # numbered in order.
+        a, at = np.nonzero(keep[:, orb] & (sums != 0).T)
+        first = np.diff(a * len(rows) + row[at], prepend=-1) != 0
+        projected = Lattice(np.cumsum(first) - 1, coord[a, orb[at]], sums[at, a],
+                            (int(first.sum()), len(q_coords)))
+        blocks.append(SparseRows(q_coords, projected))
+    return blocks
 
 
-def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, Lattice]]:
+def _torus_blocks(G: AbelianPGroup, rel: RelationSet) -> list[tuple[int, SparseRows]]:
     """The rows of ``relation_matrix(..., per_orbit=True)`` split over the
     characters of the diagonal torus, as (multiplicity, block-diagonal
     lattice) pairs: one lattice per orbit size of the equal-order factor
     permutations, holding one character of each orbit of that size."""
     chars, mult = _characters(G)
-    return [
-        (int(size), _project(rel.torus, rel.rows, chars[mult == size]))
-        for size in sorted(set(mult.tolist()) - {0})
-    ]
+    sizes = sorted(set(mult.tolist()) - {0})
+    return list(zip(sizes, _project(rel.torus, rel.rows, [chars[mult == s] for s in sizes])))
 
 
 def sk1(

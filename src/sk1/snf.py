@@ -1,34 +1,31 @@
 """Smith normal form and cokernel decompositions of integer matrices.
 
-Relation lattices are sparse, and they reach the Smith form in one of
-two forms, neither of them a dense matrix:
-
-- a ``Lattice`` holds the (row, column, value) triples of the nonzero
-  entries, sorted by row and then column, and the shape.
-  ``seeds_first`` assembles the abelian ones, the whole lattice and each
-  torus block: the seed rows diag(orders), then the other rows in order,
-  none dropped;
-- ``SparseRows`` holds the seed orders and the other rows as dicts
-  {column: entry}, the form the metacyclic rows are built in.  It reads
-  as the lattice ``seeds_first`` would give (``.lattice()``).
-
+Relation lattices are sparse, and both families hand them to the Smith
+form in one input, ``SparseRows``: the seed orders, and the other rows,
+either dicts {column: entry} (the metacyclic rows, as they are built)
+or a ``Lattice`` (the abelian rows, the whole lattice or one torus
+block).  A ``Lattice`` holds the (row, column, value) triples of the
+nonzero entries, sorted by row and then column, and the shape.
+``SparseRows.lattice()`` stacks the seed rows diag(orders) on top of
+the other rows in order (``seeds_first``), none dropped, and
 ``np.asarray`` of either gives the dense matrix for readers that want
 one.
 
 ``cokernel_decomposition`` computes Z^cols modulo the row span.  A dense
-matrix is converted to a Lattice once.  The relation lattices of this
-package carry seed rows, rows with a single nonzero entry, whose entries
-put q*Z^cols inside the row span for a prime power q = p^e (the group
-exponent).  The cokernel is then exact over the local ring Z/q, where
-each nonzero entry is p^k times a unit for its valuation k < e, and one
-sparse elimination computes it:
+matrix or a Lattice passed to it is converted to SparseRows once: its
+seed rows, the rows with a single nonzero entry, give column c the gcd
+g_c of its seed entries (``_find_seeds``).  The seed orders put q*Z^cols
+inside the row span for a prime power q = p^e (the group exponent).  The
+cokernel is then exact over the local ring Z/q, where each nonzero
+entry is p^k times a unit for its valuation k < e, and one sparse
+elimination computes it:
 
-- rows are dicts {column: entry}, built in one walk over the input
+- rows are dicts {column: entry}, built in one walk over the other rows
   together with an index from each column to the rows that have an
   entry there;
-- the seed rows of column c put g*e_c into the span for some g | q, so
-  the other entries of column c are kept mod g and one seed row {c: g}
-  stands in for all of them (none when g = q);
+- the seed order of column c puts g*e_c into the span for g = |orders[c]|,
+  g | q, so the other entries of column c are kept mod g and one seed
+  row {c: g} stands in for the seeds (none when g = q);
 - the elimination runs in valuation phases k = 0, ..., e-1.  In phase k
   every entry left has valuation >= k, so any entry of valuation exactly
   k divides all of them and can be the pivot.  One pass visits the rows
@@ -44,18 +41,16 @@ sparse elimination computes it:
   either way no entry is left, and each column without a pivot is a
   C_q.
 
-This is the only elimination.  Each input gives the column moduli g its
-own way: a Lattice from the gcd of each column's seed entries, read off
-its triples in one array pass, and SparseRows from its orders.  One tail
-then checks the precondition for both (``_local_form``): every column
-has a seed row, the lcm q of the moduli is a prime power, and q**2 <
-2**63.  A malformed input, one that fails either of the first two,
-raises ValueError naming the condition; the third is a size limit
-(``guard_modulus``), the one numeric limit of the metacyclic pipeline,
-and raises TooLarge.  The elimination runs on Python integers.  When q
-= 1 every column has a unit seed, the rows span Z^cols, and the
-trivial decomposition is returned without an elimination.  A seed row
-in every column gives full rank, so the cokernel is always finite.
+This is the only elimination.  Its precondition is checked on the seed
+orders (``_local_rows``): every column has a nonzero one, their lcm q is
+a prime power, and q**2 < 2**63.  A malformed input, one that fails
+either of the first two, raises ValueError naming the condition; the
+third is a size limit (``guard_modulus``), the one numeric limit of the
+metacyclic pipeline, and raises TooLarge.  The elimination runs on
+Python integers.  When q = 1 every column has a unit seed, the rows
+span Z^cols, and the trivial decomposition is returned without an
+elimination.  A seed row in every column gives full rank, so the
+cokernel is always finite.
 """
 
 from __future__ import annotations
@@ -236,17 +231,17 @@ def seeds_first(orders, rows) -> Lattice:
 
 @dataclass(frozen=True, eq=False)
 class SparseRows:
-    """Relation lattice as the seed rows diag(orders), then ``rows``, each
-    a dict {column: entry} of its nonzero entries; no row is dropped.
+    """Relation lattice as the seed rows diag(orders), then ``rows``: a
+    tuple of dicts {column: entry} of their nonzero entries, or a Lattice
+    sorted by row; no row is dropped.
 
     ``len``, ``shape`` and ``np.asarray`` read it as the lattice that
-    ``seeds_first(orders, ...)`` gives for the same rows, and
-    ``.lattice()`` returns that lattice.  ``cokernel_decomposition``
-    reads the dicts as they are, with no array on the way.
+    ``.lattice()`` returns.  ``cokernel_decomposition`` reads the orders
+    and the rows as they are, with no seed search on the way.
     """
 
-    orders: tuple[int, ...]
-    rows: tuple[dict[int, int], ...]
+    orders: tuple[int, ...] | np.ndarray
+    rows: tuple[dict[int, int], ...] | Lattice
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -259,30 +254,31 @@ class SparseRows:
         return self.lattice().__array__(dtype, copy)
 
     def lattice(self) -> Lattice:
-        """The same rows as a Lattice, by ``seeds_first``."""
-        entries = [sorted(row.items()) for row in self.rows]
-        flat = [entry for row in entries for entry in row]
-        rows = Lattice(
-            np.repeat(np.arange(len(entries), dtype=np.int64), [len(row) for row in entries]),
-            np.array([c for c, _ in flat], dtype=np.int64),
-            np.array([v for _, v in flat], dtype=np.int64),
-            (len(entries), len(self.orders)),
-        )
+        """The seed rows, then the other rows, as one Lattice (``seeds_first``)."""
+        rows = self.rows
+        if not isinstance(rows, Lattice):
+            entries = [sorted(row.items()) for row in rows]
+            flat = [entry for row in entries for entry in row]
+            rows = Lattice(
+                np.repeat(np.arange(len(entries), dtype=np.int64), [len(row) for row in entries]),
+                np.array([c for c, _ in flat], dtype=np.int64),
+                np.array([v for _, v in flat], dtype=np.int64),
+                (len(entries), len(self.orders)),
+            )
         return seeds_first(self.orders, rows)
 
 
 def cokernel_decomposition(mat) -> CyclicDecomposition:
     """Z^cols modulo the row span, as a cyclic decomposition.
 
-    ``mat`` is SparseRows, a Lattice or a dense integer matrix, which is
-    converted to a Lattice once.  Raises ValueError, naming the
-    condition, when the seed rows are malformed for ``_local_form``, and
-    TooLarge when their modulus is past ``guard_modulus``.
+    ``mat`` is SparseRows, or a Lattice or dense integer matrix, whose
+    seed rows ``_find_seeds`` finds.  Raises ValueError, naming the
+    condition, when the seed orders are malformed for ``_local_rows``,
+    and TooLarge when their modulus is past ``guard_modulus``.
     """
-    if isinstance(mat, SparseRows):
-        p, e, rows, cols, mods = _local_rows(mat)
-    else:
-        p, e, rows, cols, mods = _local_lattice(_as_lattice(mat))
+    if not isinstance(mat, SparseRows):
+        mat = _find_seeds(_as_lattice(mat))
+    p, e, rows, cols, mods = _local_rows(mat)
     if e == 0:
         return CyclicDecomposition()
     return CyclicDecomposition(_cokernel_mod_prime_power(p, e, rows, cols, mods))
@@ -290,27 +286,46 @@ def cokernel_decomposition(mat) -> CyclicDecomposition:
 
 def guard_modulus(q: int, what) -> None:
     """Raise TooLarge, naming ``what``, unless q**2 < 2**63: the limit of
-    the elimination on its modulus q (see ``_local_form``)."""
+    the elimination on its modulus q (see ``_local_rows``)."""
     if q * q >= 2**63:
         raise TooLarge(f"{what}: the Smith form's modulus q has q**2 >= 2**63")
 
 
-def _local_form(mods: list[int], walk):
-    """(p, e, rows, cols, mods) for column moduli ``mods`` whose lcm is q
-    = p^e; (1, 0, [], [], mods) when q = 1.
+def _find_seeds(lat: Lattice) -> SparseRows:
+    """lat as SparseRows: its seed rows are its rows with one nonzero
+    entry, and column c's order is the gcd of its seed entries (0 when
+    it has none), read off the triples in one array pass.  The other
+    rows keep their numbers, the seed rows left empty."""
+    single = np.bincount(lat.row, minlength=lat.shape[0])[lat.row] == 1
+    gcds = np.zeros(lat.shape[1], dtype=lat.val.dtype)
+    np.gcd.at(gcds, lat.col[single], lat.val[single])
+    rest = ~single
+    return SparseRows(gcds, Lattice(lat.row[rest], lat.col[rest], lat.val[rest], lat.shape))
 
-    Column c's seed rows put mods[c] times e_c into the row span, so q
-    works once every column has a seed (mods[c] != 0).  Only then does
-    ``walk()`` build the other rows over Z/q, reduced mod their column's
-    modulus, as (rows, cols): rows are dicts {column: entry}, and cols[c]
-    is the set of rows with an entry in column c.  One seed row {c:
-    mods[c]} (none when mods[c] = q) is then added for each column.
+
+def _local_rows(sparse: SparseRows):
+    """(p, e, rows, cols, mods) for the elimination; (1, 0, [], [], mods)
+    when q = 1.
+
+    Column c's modulus mods[c] = |orders[c]| puts mods[c] times e_c into
+    the row span, so the lcm q of the moduli works once every column has
+    a nonzero one.  Only then are the other rows walked over Z/q, as they
+    are given, each entry reduced mod its column's modulus and dropped
+    when that gives 0, and each row left empty dropped: rows are dicts
+    {column: entry}, and cols[c] is the set of rows with an entry in
+    column c.  The given rows are read, never changed.  One seed row {c:
+    mods[c]} (none when mods[c] = q) is then added for each column.  A
+    given row with a single entry stays a row; folding it into its
+    column's modulus, as ``_find_seeds`` does, changes the pivots, never
+    the cokernel.
 
     Raises ValueError when a column has no seed row or when q is not a
     prime power, and TooLarge (``guard_modulus``) when q**2 >= 2**63.
     That bound keeps the reduced entries inside int64 and the trial
     division that finds p below 2**16 steps.
     """
+    orders = sparse.orders
+    mods = np.abs(orders).tolist() if isinstance(orders, np.ndarray) else [abs(o) for o in orders]
     if 0 in mods:
         raise ValueError(f"column {mods.index(0)} has no seed row (a row with one nonzero entry)")
     q = math.lcm(*mods)
@@ -325,7 +340,31 @@ def _local_form(mods: list[int], walk):
         e += 1
     if rest != 1:
         raise ValueError(f"the seed rows give q = {q}, which is not a prime power")
-    rows, cols = walk()
+    rows: list[dict[int, int]] = []
+    cols = [set() for _ in mods]
+    given = sparse.rows
+    if isinstance(given, Lattice):
+        vals = given.val % np.abs(np.asarray(orders))[given.col]
+        # The entries are sorted by row: a new row starts at the first
+        # nonzero entry of each row.
+        last = -1
+        for i, j, v in zip(given.row.tolist(), given.col.tolist(), vals.tolist()):
+            if v:
+                if i != last:
+                    last, n, row = i, len(rows), {}
+                    rows.append(row)
+                row[j] = v
+                cols[j].add(n)
+    else:
+        for given_row in given:
+            n, row = len(rows), {}
+            for j, v in given_row.items():
+                v %= mods[j]
+                if v:
+                    row[j] = v
+                    cols[j].add(n)
+            if row:
+                rows.append(row)
     for j, m in enumerate(mods):
         if m < q:
             cols[j].add(len(rows))
@@ -333,69 +372,9 @@ def _local_form(mods: list[int], walk):
     return p, e, rows, cols, mods
 
 
-def _local_lattice(lat: Lattice):
-    """``_local_form`` of a lattice, whose seed rows are its rows with one
-    nonzero entry: column c's modulus g_c is the gcd of its seed entries,
-    read off the triples in one array pass, and the walk visits the
-    other triples in their (row, column) order.
-    """
-    n_rows, n_cols = lat.shape
-    single = np.bincount(lat.row, minlength=n_rows)[lat.row] == 1
-    gcds = np.zeros(n_cols, dtype=lat.val.dtype)
-    np.gcd.at(gcds, lat.col[single], lat.val[single])
-
-    def walk():
-        r, c = lat.row[~single], lat.col[~single]
-        vals = (lat.val[~single] % gcds[c]).astype(np.int64)
-        keep = vals != 0
-        r, c, vals = r[keep], c[keep], vals[keep]
-        # The entries are sorted by row: a new row starts where the row changes.
-        rows: list[dict[int, int]] = []
-        cols = [set() for _ in range(n_cols)]
-        starts = (np.diff(r, prepend=-1) != 0).tolist()
-        for start, j, v in zip(starts, c.tolist(), vals.tolist()):
-            if start:
-                n, row = len(rows), {}
-                rows.append(row)
-            row[j] = v
-            cols[j].add(n)
-        return rows, cols
-
-    return _local_form(gcds.tolist(), walk)
-
-
-def _local_rows(sparse: SparseRows):
-    """``_local_form`` of SparseRows: column c's modulus is |orders[c]|,
-    and the walk visits the dict rows as they are, dropping each entry
-    that vanishes mod its column's modulus and each row left empty.  The
-    given dicts are read, never changed.
-
-    A given row with a single entry stays a row: unlike the gcd of
-    ``_local_lattice``, it does not lower its column's modulus, which
-    changes the pivots of the elimination, never the cokernel.
-    """
-    mods = [abs(o) for o in sparse.orders]
-
-    def walk():
-        rows: list[dict[int, int]] = []
-        cols = [set() for _ in mods]
-        for given in sparse.rows:
-            n, row = len(rows), {}
-            for j, v in given.items():
-                v %= mods[j]
-                if v:
-                    row[j] = v
-                    cols[j].add(n)
-            if row:
-                rows.append(row)
-        return rows, cols
-
-    return _local_form(mods, walk)
-
-
 def _cokernel_mod_prime_power(p: int, e: int, rows, cols, mods) -> list[int]:
     """Cyclic orders > 1 of Z^cols modulo the span of the sparse rows over
-    Z/q, q = p^e, as ``_local_form`` builds them, by elimination; the
+    Z/q, q = p^e, as ``_local_rows`` builds them, by elimination; the
     rows and the column index are consumed."""
     q = p**e
     orders: list[int] = []

@@ -723,7 +723,7 @@ def test_sk1_metacyclic_hands_its_rows_to_the_elimination_as_dicts(monkeypatch):
     def refuse(*args):
         raise AssertionError("the metacyclic rows went through a lattice")
 
-    monkeypatch.setattr(snf, "_local_lattice", refuse)
+    monkeypatch.setattr(snf, "_find_seeds", refuse)
     monkeypatch.setattr(snf, "seeds_first", refuse)
     monkeypatch.setattr(metacyclic, "_solve", metacyclic._solve.__wrapped__)
     G = make_metacyclic(3, 7)

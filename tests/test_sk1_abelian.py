@@ -1,5 +1,6 @@
 """Tests for the abelian relation-matrix pipeline."""
 
+import itertools
 import tracemalloc
 from functools import lru_cache
 from math import comb
@@ -24,12 +25,13 @@ from sk1.sk1_abelian import (
     REPRESENTATIVES,
     _divisibility_table,
     _divisible,
+    _elements,
     _references,
     _torus_blocks,
     relation_matrix,
     sk1,
 )
-from sk1.snf import Lattice, cokernel_decomposition
+from sk1.snf import Lattice, SparseRows, cokernel_decomposition
 
 
 def columns_by_tuple(G):
@@ -89,7 +91,7 @@ def test_relation_matrix_starts_with_seed_block():
     seen = {r.tobytes() for r in rows}
     assert len(seen) == len(rows)
     # The triples are sorted by row, then by column, and all nonzero.
-    lat = rel.rows
+    lat = rel.rows.lattice()
     assert np.all(np.diff(lat.row * k + lat.col) > 0)
     assert np.all(lat.val != 0)
 
@@ -160,7 +162,7 @@ def test_representatives_rows_never_repeat(p, orders):
     # Observed, not proved: the relation lattice keeps every row, and no
     # row, seeds included, equals another.  Only the speed of the lattice
     # assembly rests on this; a repeat would leave the cokernel as it is.
-    lattice = relation_matrix(make_group(p, orders)).rows
+    lattice = relation_matrix(make_group(p, orders)).rows.lattice()
     assert oracles.repeated_rows(lattice) == 0
 
 
@@ -185,7 +187,7 @@ def test_exhaustive_lattice_is_every_element_rows_deduplicated(p, orders):
     ]
     q = column_orders(target_product(G, basis))
     want = oracles.distinct_rows(q, np.array(rows, dtype=np.int64))
-    got = relation_matrix(G, strategy=EXHAUSTIVE).rows
+    got = relation_matrix(G, strategy=EXHAUSTIVE).rows.lattice()
     assert got.shape == want.shape
     for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -289,7 +291,8 @@ def test_factor_count_is_the_corank_mod_p(p, orders):
     factors = len(sk1(G).divisors)
     blocks = _torus_blocks(G, relation_matrix(G, per_orbit=True))
     assert factors == sum(
-        size * (block.shape[1] - oracles.rank_mod_p_sparse(block, p)) for size, block in blocks
+        size * (block.shape[1] - oracles.rank_mod_p_sparse(block.lattice(), p))
+        for size, block in blocks
     )
     if G.order <= 729**2:
         rows = relation_matrix(G).rows
@@ -341,10 +344,10 @@ def test_exhaustive_blocks_keep_the_first_of_each_signature(p, orders, block, mo
 
     monkeypatch.setattr(sk1_abelian, "ELEMENT_BLOCK", block)
     monkeypatch.setattr(sk1_abelian, "_first_of_each_signature", spy)
-    got = relation_matrix(G, strategy=EXHAUSTIVE)
+    got = relation_matrix(G, strategy=EXHAUSTIVE).rows.lattice()
     assert kept[0].tolist() == refs[first].tolist()
-    assert got.rows.shape == want.shape
-    for a, b in ((got.rows.row, want.row), (got.rows.col, want.col), (got.rows.val, want.val)):
+    assert got.shape == want.shape
+    for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -363,6 +366,50 @@ def test_exhaustive_pass_memory_does_not_grow_with_the_group():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert rel.rows.shape == relation_matrix(G).rows.shape
+
+
+@pytest.mark.parametrize("orders", [[27, 27], [81, 81]])
+def test_elements_are_the_lexicographic_product_at_every_block_boundary(orders):
+    # C_81^2 has 6561 elements, more than one ELEMENT_BLOCK, so its blocks
+    # start inside a run of the trailing coordinate; C_27^2 fits in one.
+    G = make_group(3, orders)
+    every = list(itertools.product(*map(range, G.orders)))
+    bounds = list(range(0, G.order, ELEMENT_BLOCK)) + [G.order]
+    windows = list(zip(bounds, bounds[1:]))
+    windows += [(max(b - 5, 0), min(b + 5, G.order)) for b in bounds]
+    windows += [(80, 82), (1, G.order - 1), (G.order - 1, G.order)]
+    for lo, hi in windows:
+        got = _elements(G, lo, hi)
+        assert got.dtype == np.int64 and got.shape == (hi - lo, 2)
+        assert got.tolist() == [list(x) for x in every[lo:hi]]
+
+
+@pytest.mark.parametrize("p,orders,want", [
+    (3, [27, 27], {3: 8, 9: 2}),
+    (3, [81, 81], {3: 22, 9: 12, 27: 2}),
+    (3, [27, 27, 3], {3: 45, 9: 21, 27: 2}),
+])
+def test_sk1_hands_its_rows_to_the_elimination_as_sparse_rows(p, orders, want, monkeypatch):
+    # Below the split gate (C_27^2) and above it, every Smith input is
+    # SparseRows of the seed orders and a Lattice of the other rows: no
+    # seed row is stacked on, and none is searched for.
+    from sk1 import sk1_abelian, snf
+
+    def refuse(*args):
+        raise AssertionError("the abelian rows went through a seed search")
+
+    inputs = []
+
+    def spy(mat):
+        inputs.append(mat)
+        return snf.cokernel_decomposition(mat)
+
+    monkeypatch.setattr(snf, "_find_seeds", refuse)
+    monkeypatch.setattr(snf, "seeds_first", refuse)
+    monkeypatch.setattr(sk1_abelian, "cokernel_decomposition", spy)
+    monkeypatch.setattr(sk1_abelian, "_solve", sk1_abelian._solve.__wrapped__)
+    assert sk1(make_group(p, orders)).multiplicities() == want
+    assert inputs and all(isinstance(m, SparseRows) and isinstance(m.rows, Lattice) for m in inputs)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
@@ -618,6 +665,7 @@ def test_representatives_take_one_generator_per_cyclic_subgroup(p, orders):
     [
         (3, 2, 0), (3, 3, 3), (3, 4, 20), (3, 5, 86),
         (5, 3, 10), (5, 4, 100), (7, 3, 21), (11, 3, 55),
+        (3, 8, 3160), (5, 6, 3654), (7, 5, 2471),
     ],
 )
 def test_sk1_elementary_abelian_closed_form(p, k, N):

@@ -162,6 +162,17 @@ def test_divisor_chain_shape_random_wide_range():
             assert b % a == 0
 
 
+def local_rows(rows):
+    """The elimination's input, as ``cokernel_decomposition`` builds it:
+    SparseRows as they are, and the seed rows of any other matrix found
+    by ``_find_seeds``."""
+    from sk1.snf import _as_lattice, _find_seeds, _local_rows
+
+    if not isinstance(rows, SparseRows):
+        rows = _find_seeds(_as_lattice(rows))
+    return _local_rows(rows)
+
+
 def _random_local_lattice(rng, p, c):
     """Seed rows +-p^(e_c) in random places among rows with two or more
     nonzero entries of either sign, some at least the largest seed."""
@@ -180,13 +191,11 @@ def _random_local_lattice(rng, p, c):
 
 
 def test_fast_and_exact_paths_agree():
-    from sk1.snf import _as_lattice, _local_lattice
-
     rng = random.Random(12)
     for _ in range(150):
         p = rng.choice((3, 5, 7))
         rows = _random_local_lattice(rng, p, rng.randint(1, 6))
-        assert _local_lattice(_as_lattice(rows))[0] == p  # the seeds give q = p^e
+        assert local_rows(rows)[0] == p  # the seeds give q = p^e
         assert cokernel_decomposition(rows).divisors == exact_cokernel(rows)
         arr = np.array(rows, dtype=np.int64)
         assert cokernel_decomposition(arr).divisors == exact_cokernel(rows)
@@ -196,10 +205,8 @@ def test_a_row_skipped_in_a_phase_is_updated_by_a_later_pivot():
     # Over Z/9 phase 0 visits (3, 3) first, finds no unit entry and skips
     # it; the pivot of (1, 2) then turns it into (0, 6), which pivots in
     # phase 1.
-    from sk1.snf import _as_lattice, _local_lattice
-
     rows = [[9, 0], [0, 9], [3, 3], [1, 2]]
-    p, e, local, _, _ = _local_lattice(_as_lattice(rows))
+    p, e, local, _, _ = local_rows(rows)
     assert (p, e, local) == (3, 2, [{0: 3, 1: 3}, {0: 1, 1: 2}])
     want = tuple(sorted(oracles.cokernel_by_dense_elimination(rows, p, e)))
     assert cokernel_decomposition(rows).divisors == want == (3,)
@@ -209,10 +216,8 @@ def test_non_seed_entries_that_vanish_mod_their_seed_leave_only_seed_rows():
     # Every non-seed entry is a multiple of its column's seed gcd (9, 3 and
     # 27), so the walk over the triples makes no row, and the local rows
     # are the seeds {c: g_c} with g_c < q = 27.
-    from sk1.snf import _as_lattice, _local_lattice
-
     rows = [[9, 0, 0], [0, 3, 0], [0, 0, 27], [18, 6, 0], [-9, 3, 54], [0, 0, 0], [27, -6, 27]]
-    p, e, local, cols, mods = _local_lattice(_as_lattice(rows))
+    p, e, local, cols, mods = local_rows(rows)
     assert (p, e, local, cols, mods) == (3, 3, [{0: 9}, {1: 3}], [{0}, {1}, set()], [9, 3, 27])
     want = tuple(sorted(oracles.cokernel_by_dense_elimination(rows, p, e)))
     assert cokernel_decomposition(rows).divisors == want == (3, 9, 27)
@@ -264,7 +269,7 @@ def test_lattices_of_full_rank_in_an_early_phase():
         want = exact_cokernel(rows)
         assert want == ((p**k,) * c if k else ())
         assert cokernel_decomposition(rows).divisors == want
-        local = snf._local_lattice(snf._as_lattice(rows))
+        local = local_rows(rows)
         calls = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(snf, "sorted", counting_sorted, raising=False)
@@ -322,17 +327,15 @@ def test_elimination_stops_once_every_column_has_a_pivot(monkeypatch):
     assert calls == 2
 
 
-def _with_non_seed_rows_permuted(lat, rng):
-    """lat with its rows after the seed rows (the first lat.shape[1], as
-    ``seeds_first`` puts them) in a random order."""
+def _with_rows_permuted(sparse, rng):
+    """SparseRows with the same seed orders and the rows of its Lattice in
+    a random order."""
     from sk1.snf import Lattice
 
-    k = lat.shape[1]
-    new = np.arange(lat.shape[0])
-    new[k:] = k + rng.permutation(lat.shape[0] - k)
-    row = new[lat.row]
+    lat = sparse.rows
+    row = rng.permutation(lat.shape[0])[lat.row]
     order = np.lexsort((lat.col, row))
-    return Lattice(row[order], lat.col[order], lat.val[order], lat.shape)
+    return SparseRows(sparse.orders, Lattice(row[order], lat.col[order], lat.val[order], lat.shape))
 
 
 @pytest.mark.parametrize("p,orders", [(3, (243, 243)), (3, (27, 27, 3)), (3, (9, 9, 9))])
@@ -347,7 +350,7 @@ def test_row_order_changes_the_cost_not_the_answer(p, orders):
     for _, block in _torus_blocks(G, relation_matrix(G, per_orbit=True)):
         want = cokernel_decomposition(block)
         for _ in range(3):
-            assert cokernel_decomposition(_with_non_seed_rows_permuted(block, rng)) == want
+            assert cokernel_decomposition(_with_rows_permuted(block, rng)) == want
 
 
 # The modulus limit q**2 < 2**63 is a size limit, raised as TooLarge; a
@@ -391,44 +394,56 @@ def test_inputs_outside_the_precondition_are_refused(rows, error, monkeypatch):
 
 
 def _trivial_relation_rows():
-    """Relation lattices whose seed rows give q = 1: C_3 and C_5, and
-    C_p^2 for p up to 13 with both strategies."""
+    """Relation lattices whose single-entry rows give q = 1: C_3 and C_5,
+    and C_p^2 for p up to 13 with both strategies, as one Lattice."""
     from sk1.abelian import make_group
     from sk1.sk1_abelian import EXHAUSTIVE, REPRESENTATIVES, relation_matrix
 
     groups = [(p, [p]) for p in (3, 5)] + [(p, [p, p]) for p in (3, 5, 7, 11, 13)]
     for p, orders in groups:
         for strategy in (REPRESENTATIVES, EXHAUSTIVE):
-            yield relation_matrix(make_group(p, orders), strategy=strategy).rows
+            yield relation_matrix(make_group(p, orders), strategy=strategy).rows.lattice()
     yield [[1, 0], [0, 1]]
 
 
 def test_unit_seeds_in_every_column_give_the_trivial_cokernel(monkeypatch):
     import sk1.snf
-    from sk1.snf import _as_lattice, _local_lattice
 
     def refuse(*args):
         raise AssertionError("an elimination ran with q = 1")
 
     monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
     for rows in _trivial_relation_rows():
-        assert _local_lattice(_as_lattice(rows))[:2] == (1, 0)  # q = 1^0
+        assert local_rows(rows)[:2] == (1, 0)  # q = 1^0
         assert cokernel_decomposition(rows).is_trivial
         assert exact_cokernel(np.asarray(rows).tolist()) == ()
 
 
-def test_largest_modulus_inside_int64_takes_the_modular_route():
-    from sk1.snf import _as_lattice, _local_lattice
+def test_single_entry_rows_of_sparse_rows_stay_rows():
+    # The same relation rows as SparseRows keep their column orders p as
+    # the moduli: each single entry 1 stays a row, pivots in phase 0, and
+    # the answer is still trivial.
+    from sk1.abelian import make_group
+    from sk1.sk1_abelian import relation_matrix
 
+    for p in (3, 5, 13):
+        rows = relation_matrix(make_group(p, [p, p])).rows
+        prime, e, local, _, _ = local_rows(rows)
+        assert (prime, e) == (p, 1) and {0: 1} in local and {1: 1} in local
+        assert cokernel_decomposition(rows).is_trivial
+
+
+def test_largest_modulus_inside_int64_takes_the_modular_route():
     q = 3**19  # q**2 < 2**63 <= (3 * q)**2
     rows = [[q, 0], [0, q], [3**7, q - 1], [-(q + 5), 3**12]]
-    assert _local_lattice(_as_lattice(rows))[:2] == (3, 19)
+    assert local_rows(rows)[:2] == (3, 19)
     assert cokernel_decomposition(rows).divisors == exact_cokernel(rows)
 
 
 def _relation_rows_of(family, p, size):
-    """The relation rows sk1 or sk1_metacyclic hands to the Smith form: a
-    Lattice, or SparseRows for the metacyclic family."""
+    """The relation rows sk1 or sk1_metacyclic hands to the Smith form, as
+    SparseRows: a Lattice of rows for the abelian family, dicts for the
+    metacyclic one."""
     from sk1.abelian import make_group
     from sk1.metacyclic import _relation_rows, genetic_basis_metacyclic, make_metacyclic
     from sk1.sk1_abelian import relation_matrix
@@ -463,17 +478,18 @@ _ORACLE_GROUPS = [
     ids=["x".join(f"C{o}" for o in s) if f == "abelian" else f"M{s}({p})" for f, p, s in _ORACLE_GROUPS],
 )
 def test_sparse_elimination_matches_dense_oracle(family, p, size):
-    from sk1.snf import _cokernel_mod_prime_power, _local_lattice
+    from sk1.snf import _cokernel_mod_prime_power
 
     rows = _relation_rows_of(family, p, size)
-    lattice = rows.lattice() if family == "metacyclic" else rows
-    local = _local_lattice(lattice)
+    lattice = rows.lattice()
+    local = local_rows(rows)
     assert local[0] == p  # the seeds give q = p^e
     want = sorted(oracles.cokernel_by_dense_elimination(lattice, *local[:2]))
     assert sorted(_cokernel_mod_prime_power(*local)) == want
-    assert cokernel_decomposition(lattice).divisors == tuple(want)
-    # The metacyclic rows also reach the elimination as they are built.
     assert cokernel_decomposition(rows).divisors == tuple(want)
+    # The same rows as one Lattice, whose seed rows are found again.
+    assert local_rows(lattice)[:2] == local[:2]
+    assert cokernel_decomposition(lattice).divisors == tuple(want)
 
 
 def test_sympy_smith_form_agrees_on_relation_matrices():

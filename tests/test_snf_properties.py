@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sk1.snf import _as_lattice, _local_lattice, cokernel_decomposition  # noqa: E402
+from sk1.snf import _as_lattice, _find_seeds, _local_rows, cokernel_decomposition  # noqa: E402
 from oracles import exact_cokernel  # noqa: E402
 
 
@@ -82,7 +82,7 @@ def _apply(rows, ops):
 @given(local_lattices(), unimodular_ops)
 def test_cokernel_is_invariant_under_unimodular_operations(lattice, ops):
     p, q, rows = lattice
-    assert _local_lattice(_as_lattice(rows))[0] == p  # the seeds give q = p^e
+    assert _local_rows(_find_seeds(_as_lattice(rows)))[0] == p  # the seeds give q = p^e
     want = cokernel_decomposition(rows).divisors
     assert want == exact_cokernel(rows)
     # Column operations mix the seed rows; q*e_c lies in every lattice
@@ -91,6 +91,6 @@ def test_cokernel_is_invariant_under_unimodular_operations(lattice, ops):
     work = _apply(rows, ops)
     n_cols = len(work[0])
     work += [[q if j == c else 0 for j in range(n_cols)] for c in range(n_cols)]
-    assert _local_lattice(_as_lattice(work))[0] == p
+    assert _local_rows(_find_seeds(_as_lattice(work)))[0] == p
     assert cokernel_decomposition(work).divisors == want
     assert cokernel_decomposition(np.array(work, dtype=np.int64)).divisors == want

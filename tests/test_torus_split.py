@@ -91,7 +91,8 @@ def test_relation_rows_are_the_remainder_oracles(p, orders, chunk, monkeypatch):
     G = make_group(p, orders)
     for strategy in strategies(G):
         for per_orbit in (False, True):
-            got = relation_matrix(G, strategy=strategy, per_orbit=per_orbit).rows
+            rows = relation_matrix(G, strategy=strategy, per_orbit=per_orbit).rows
+            got = rows if per_orbit else rows.lattice()
             want = relation_rows_by_remainder(G, strategy, per_orbit)
             assert got.shape == want.shape
             for a, b in ((got.row, want.row), (got.col, want.col), (got.val, want.val)):
@@ -100,6 +101,12 @@ def test_relation_rows_are_the_remainder_oracles(p, orders, chunk, monkeypatch):
 
 def row_set(lattice):
     return {tuple(r) for r in np.asarray(lattice).tolist()}
+
+
+def project(torus, rows, chars):
+    """The one block ``_project`` builds for ``chars``, as a Lattice."""
+    [block] = _project(torus, rows, [chars])
+    return block.lattice()
 
 
 @SPLIT_GROUPS
@@ -114,22 +121,24 @@ def test_per_orbit_blocks_have_the_rows_of_the_whole_lattice(p, orders):
         assert rel.target == whole.target
         chars, mult = _characters(G)
         for size, block in _torus_blocks(G, rel):
-            got = rows_up_to_roots_of_unity(block, p)
-            want = rows_up_to_roots_of_unity(_project(rel.torus, whole.rows, chars[mult == size]), p)
+            got = rows_up_to_roots_of_unity(block.lattice(), p)
+            want = project(rel.torus, whole.rows.lattice(), chars[mult == size])
+            want = rows_up_to_roots_of_unity(want, p)
             assert got.shape == want.shape
             assert row_set(got) == row_set(want)
 
 
 @SPLIT_GROUPS
 def test_every_block_is_a_well_formed_lattice(p, orders):
-    # _project builds each block directly: the seed rows diag(q_coords)
-    # first, then one row per nonzero projection, triples sorted by (row,
-    # column) with no zero value.  Every other entry is reduced mod its
-    # column's seed.
+    # _project builds each block directly as the seed orders q_coords and
+    # one row per nonzero projection; as a Lattice the seed rows come
+    # first, then the projections, triples sorted by (row, column) with no
+    # zero value.  Every other entry is reduced mod its column's seed.
     G = make_group(p, orders)
     for strategy in strategies(G):
         rel = relation_matrix(G, strategy=strategy, per_orbit=True)
         for _, block in _torus_blocks(G, rel):
+            block = block.lattice()
             n_rows, k = block.shape
             assert len(block.row) == len(block.col) == len(block.val)
             assert np.array_equal(block.row[:k], np.arange(k))
@@ -184,11 +193,11 @@ def test_components_of_every_character(p, orders):
     chars, mult = _characters(G)
     per_char = {}
     for a in chars:
-        filtered = _project(torus, kept.rows, a[None])
+        filtered = project(torus, kept.rows, a[None])
         # Every row is a torus image of a per-orbit row up to a root of
         # unity, so projecting every row adds no new row up to one.
         got = rows_up_to_roots_of_unity(filtered, p)
-        want = rows_up_to_roots_of_unity(_project(torus, rel.rows, a[None]), p)
+        want = rows_up_to_roots_of_unity(project(torus, rel.rows.lattice(), a[None]), p)
         assert got.shape == want.shape
         assert row_set(got) == row_set(want)
         per_char[tuple(a.tolist())] = cokernel_decomposition(filtered).divisors
@@ -206,7 +215,7 @@ def test_components_of_every_character(p, orders):
     # the unsplit cokernel; so does one lattice holding every component.
     everything = tuple(sorted(d for divisors in per_char.values() for d in divisors))
     assert everything == cokernel_decomposition(rel.rows).divisors
-    assert everything == cokernel_decomposition(_project(torus, kept.rows, chars)).divisors
+    assert everything == cokernel_decomposition(project(torus, kept.rows, chars)).divisors
 
 
 # An observed hypothesis, not a theorem: on every square pinned here, each
@@ -227,7 +236,7 @@ def test_observed_hypothesis_square_components_agree(p, orders, distinct):
     rel = relation_matrix(G, per_orbit=True)
     chars, _ = _characters(G)
     components = {
-        cokernel_decomposition(_project(rel.torus, rel.rows, a[None])).divisors for a in chars
+        cokernel_decomposition(project(rel.torus, rel.rows, a[None])).divisors for a in chars
     }
     assert len(chars) == p - 1
     assert len(components) == distinct
@@ -258,7 +267,7 @@ def test_observed_hypothesis_square_blocks_have_no_rows_equal_up_to_roots_of_uni
     rel = relation_matrix(G, per_orbit=True)
     [(_, block)] = _torus_blocks(G, rel)
     assert len(block) == rows
-    assert len(rows_up_to_roots_of_unity(block, p)) == distinct
+    assert len(rows_up_to_roots_of_unity(block.lattice(), p)) == distinct
 
 
 @pytest.mark.parametrize(
@@ -364,6 +373,23 @@ def test_teichmuller_unit_checks_its_order():
     # 9 is not prime, and the lift of 2 mod 9 to Z/81 does not have order 8.
     with pytest.raises(ValueError, match="order 8"):
         _teichmuller_unit(9, 81)
+
+
+# The blocks of these groups hold many single-entry projected rows (204
+# and 140), each of which stays a row of the elimination rather than
+# lowering its column's modulus; their SK1 is the one CI records.
+@pytest.mark.parametrize(
+    "p,orders,want,single",
+    [(13, [169, 169, 13], {13: 1105, 169: 77}, 204), (11, [121, 121, 11], {11: 671, 121: 54}, 140)],
+    ids=lambda v: str(v),
+)
+def test_blocks_with_single_entry_rows_keep_their_sk1(p, orders, want, single):
+    G = make_group(p, orders)
+    assert sk1(G).multiplicities() == want
+    blocks = _torus_blocks(G, relation_matrix(G, per_orbit=True))
+    assert single == sum(
+        int((np.bincount(block.rows.row, minlength=len(block.rows)) == 1).sum()) for _, block in blocks
+    )
 
 
 # The even-multiplicity law: the swap of the two factors pairs the
