@@ -8,7 +8,7 @@ one coordinate per factor, reduced modulo the factor order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import NonOddPrime, NotPPower, TooLarge
@@ -19,7 +19,8 @@ ENUMERATION_LIMIT = 10**7
 # Default order guard of the exhaustive strategy and of sk1_metacyclic.
 DEFAULT_MAX_ORDER = 3**6
 # Entries of every cache: the interned groups of make_group and
-# make_metacyclic, the genetic bases (genetic_basis_abelian,
+# make_metacyclic, the largest exponent each (prime, limit) of
+# guard_order admits, the genetic bases (genetic_basis_abelian,
 # genetic_basis_metacyclic), the SK1 results of both families (the _solve
 # of sk1_abelian per (group, strategy), of metacyclic per basis), and the
 # divisibility tables of sk1_abelian per prime.
@@ -62,18 +63,33 @@ def guard_order(G, limit: int, guard: str) -> None:
     """Raise TooLarge when |G| = p^n exceeds limit; ``guard`` names the
     check.  n is compared with the largest exponent the limit admits, so
     |G| is never built (p^n takes seconds at n = 10^7) nor printed (Python
-    refuses to print an int past 4300 digits)."""
-    top, power = 0, G.prime
-    while power <= limit:
-        top, power = top + 1, power * G.prime
+    refuses to print an int past 4300 digits).  Both exponents are read
+    once: n is kept on the group, the limit's per (p, limit), and a limit
+    that does not hash (a 0-d array) is read on every call."""
+    try:
+        top = _top_exponent(G.prime, limit)
+    except TypeError:
+        top = _top_exponent.__wrapped__(G.prime, limit)
     if G.log_order > top:
         raise TooLarge(f"|{G}| exceeds the {guard} {limit}")
+
+
+@lru_cache(maxsize=SK1_CACHE_SIZE)
+def _top_exponent(p: int, limit) -> int:
+    """The largest n with p^n <= limit, 0 when limit < p."""
+    top, power = 0, p
+    while power <= limit:
+        top, power = top + 1, power * p
+    return top
 
 
 @dataclass(frozen=True)
 class AbelianPGroup:
     prime: int
     orders: tuple[int, ...]
+    # log_order, summed on its first read, so that a group built directly
+    # with orders that are not powers of p still constructs.
+    _log_order: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def exponent(self) -> int:
@@ -86,7 +102,11 @@ class AbelianPGroup:
     @property
     def log_order(self) -> int:
         """n with |G| = p^n."""
-        return sum(_p_power_exponent(o, self.prime) for o in self.orders)
+        n = self._log_order
+        if n is None:
+            n = sum(_p_power_exponent(o, self.prime) for o in self.orders)
+            object.__setattr__(self, "_log_order", n)
+        return n
 
     def identity(self) -> Element:
         return (0,) * len(self.orders)
@@ -112,21 +132,33 @@ def make_group(p: int, orders) -> AbelianPGroup:
     """Build the product of cyclic groups of the given p-power orders.
 
     Orders are normalized to descending order, so the first factor always
-    realizes the group exponent.  The prime is checked first; then the
-    last SK1_CACHE_SIZE groups are kept per (p, orders as a tuple), so a
-    repeated call returns the same frozen group without checking its
-    orders again.  Orders that do not hash are checked on every call.
+    realizes the group exponent.  The last SK1_CACHE_SIZE groups are kept
+    per (p, orders as a tuple), compared by value, so a repeated call
+    returns the same frozen group at the cost of the lookup.  The prime
+    and then the orders are checked only when a group is built, and a
+    refused input raises there, so it is never kept.  An input that does
+    not hash is checked and built on every call, and orders that are not
+    iterable raise after the prime is checked.
     """
+    try:
+        orders = tuple(orders)
+    except Exception:
+        _check_prime(p)
+        raise
+    try:
+        return _interned_group(p, orders)
+    except TypeError:
+        return _build_group(p, orders)
+
+
+def _check_prime(p) -> None:
     if not _is_odd_prime(p):
         raise NonOddPrime(f"p must be an odd prime, got {p}")
-    orders = tuple(orders)
-    try:
-        return _interned_group(int(p), orders)
-    except TypeError:
-        return _build_group(int(p), orders)
 
 
-def _build_group(p: int, orders: tuple) -> AbelianPGroup:
+def _build_group(p, orders: tuple) -> AbelianPGroup:
+    _check_prime(p)
+    p = int(p)
     if not orders:
         raise ValueError("at least one cyclic factor is required")
     for o in orders:

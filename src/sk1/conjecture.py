@@ -64,11 +64,15 @@ def predicted_decomposition(p: int, n: int) -> ConjecturePrediction:
     directly.  Nothing is cached: the values grow like p^n, and each call
     returns a new prediction."""
     p, n = _check(p, n, 2)
-    mult = {
+    return ConjecturePrediction(p, n, _multiplicities(p, n))
+
+
+def _multiplicities(p: int, n: int) -> dict[int, int]:
+    """The closed form for every 0 < i < n, on checked ints: a new dict."""
+    return {
         i: _multiplicity(p, i, n) if 2 * i <= n else _multiplicity(p, n - i, 2 * (n - i))
         for i in range(1, n)
     }
-    return ConjecturePrediction(p, n, mult)
 
 
 @dataclass(frozen=True, eq=True)
@@ -90,13 +94,15 @@ def verify(p: int, n: int, computed: CyclicDecomposition) -> VerifyReport:
     """Compare a computed decomposition against the prediction.
 
     ``diffs`` maps each disagreeing exponent to (predicted, computed).
+    The closed form is evaluated as ``predicted_decomposition`` does,
+    with no prediction built around it.
     """
-    prediction = predicted_decomposition(p, n)
+    predicted = _multiplicities(*_check(p, n, 2))
     actual = computed.prime_power_multiplicities(p)
     diffs = {}
-    for i in sorted(set(prediction.multiplicities) | set(actual)):
-        want = prediction.multiplicities.get(i, 0)
+    for i in sorted(set(predicted) | set(actual)):
+        want = predicted.get(i, 0)
         got = actual.get(i, 0)
         if want != got:
             diffs[i] = (want, got)
-    return VerifyReport(p, n, prediction.multiplicities, actual, diffs)
+    return VerifyReport(p, n, predicted, actual, diffs)

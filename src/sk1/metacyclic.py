@@ -91,22 +91,21 @@ class MetacyclicGroup:
 def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
     """Group with presentation a^(p^(n-1)) = b^p = 1, b a b^-1 = a^(p^(n-2)+1).
 
-    The prime is checked first; then the last SK1_CACHE_SIZE groups are
-    kept per (p, n), so a repeated call returns the same frozen group
-    without checking n again.  An n that does not hash is checked on
-    every call."""
-    if not _is_odd_prime(p):
-        raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
+    The last SK1_CACHE_SIZE groups are kept per (p, n), compared by value,
+    so a repeated call returns the same frozen group at the cost of the
+    lookup.  The prime and then n are checked only when a group is built,
+    and a refused input raises there, so it is never kept.  An input that
+    does not hash is checked and built on every call."""
     try:
-        return _interned_metacyclic(int(p), n)
+        return _interned_metacyclic(p, n)
     except TypeError:
-        return _build_metacyclic(int(p), n)
+        return _build_metacyclic(p, n)
 
 
-def _build_metacyclic(p: int, n) -> MetacyclicGroup:
-    if int(n) != n or n < 3:
+def _build_metacyclic(p, n) -> MetacyclicGroup:
+    if not _is_odd_prime(p) or int(n) != n or n < 3:
         raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
-    return MetacyclicGroup(p, int(n))
+    return MetacyclicGroup(int(p), int(n))
 
 
 _interned_metacyclic = lru_cache(maxsize=SK1_CACHE_SIZE)(_build_metacyclic)

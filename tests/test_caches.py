@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sk1 import (
+    AbelianPGroup,
     CyclicDecomposition,
     make_group,
     make_metacyclic,
@@ -22,6 +23,7 @@ from sk1 import (
     sk1_metacyclic,
     verify,
 )
+from sk1.abelian import SK1_CACHE_SIZE, _top_exponent, guard_order
 from sk1.errors import BadParams, NonOddPrime, NotPPower, TooLarge
 
 
@@ -150,9 +152,10 @@ def test_every_view_is_a_fresh_recount_of_the_divisors(divisors, primes):
     assert str(dec) == (" x ".join(f"(C{d})^{m}" for d, m in want.items()) or "0")
 
 
-# The refused inputs of test_abelian.py and test_metacyclic.py, and a
-# prime that does not hash.  Each is asked twice, once after the group
-# of a good input has been interned.
+# The refused inputs of test_abelian.py and test_metacyclic.py, a prime
+# that does not hash, and bad primes with orders or an n that are not
+# iterable or do not hash: the prime is refused first.  Each is asked
+# twice, once after the group of a good input has been interned.
 REFUSED_GROUPS = [
     *[(p, [p if p > 1 else 3], NonOddPrime) for p in [2, 4, 9, 1, -3, 15]],
     (3.5, [9, 3], NonOddPrime),
@@ -160,9 +163,17 @@ REFUSED_GROUPS = [
     ([3], [9, 3], NonOddPrime),
     *[(3, orders, NotPPower) for orders in [[6], [1], [9, 5], [0], [27, 2], [27.9, 27]]],
     (3, [], ValueError),
+    (4, None, NonOddPrime),
+    (4, 27, NonOddPrime),
+    (4, [[27]], NonOddPrime),
+    ([3], None, NonOddPrime),
+    (3, None, TypeError),
+    (3, 27, TypeError),
+    (3, [[27]], TypeError),
 ]
 REFUSED_METACYCLIC = [
     (2, 3), (3, 2), (9, 3), (1, 4), (15, 3), (3, 0), (3, 4.5), (3.5, 4), (5.5, 3), ([3], 4),
+    (4, None), (4, [5]), ([3], [5]),
 ]
 
 
@@ -179,6 +190,14 @@ def test_make_metacyclic_refuses_as_before_the_cache(p, n):
     for _ in range(2):
         with pytest.raises(BadParams):
             make_metacyclic(p, n)
+        make_metacyclic(3, 4)
+
+
+@pytest.mark.parametrize("n", [None, [5]])
+def test_an_odd_prime_with_an_n_of_no_number_raises_type_error(n):
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            make_metacyclic(3, n)
         make_metacyclic(3, 4)
 
 
@@ -218,3 +237,107 @@ def test_an_interned_group_still_trips_the_order_guard():
     assert sk1(G, "exhaustive").divisors == sk1(G).divisors
     with pytest.raises(TooLarge, match="exhaustive-strategy guard"):
         sk1(make_group(3, [27, 27]), "exhaustive", max_order=100)
+
+
+def test_a_group_built_directly_with_bad_orders_still_constructs():
+    # The order exponent is read on first use, not at construction.
+    for G in (AbelianPGroup(3, (6, 9)), AbelianPGroup(4, (8,)), AbelianPGroup(3, ())):
+        assert G == AbelianPGroup(G.prime, G.orders)
+        assert repr(G) == f"AbelianPGroup(prime={G.prime}, orders={G.orders})"
+    G = AbelianPGroup(3, (6, 9))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            G.log_order
+    G = AbelianPGroup(3, (27, 9))
+    assert G.log_order == 5 and G == make_group(3, [9, 27]) and hash(G) == hash(make_group(3, [27, 9]))
+
+
+def refused_by_the_loop(G, limit) -> bool:
+    """The order guard as a loop on every call: the largest k with p^k <=
+    limit, against the sum of the factors' exponents (n for M_n(p))."""
+    top, power = 0, G.prime
+    while power <= limit:
+        top, power = top + 1, power * G.prime
+    if isinstance(G, AbelianPGroup):
+        n = 0
+        for o in G.orders:
+            while o > 1:
+                o //= G.prime
+                n += 1
+    else:
+        n = G.n
+    return n > top
+
+
+def _limits(p, k):
+    """Limits about p^k: one below, at and one above, as ints and floats,
+    and the half-way floats."""
+    q = p**k
+    return [q - 1, q, q + 1, float(q - 1), float(q), float(q + 1), q - 0.5, q + 0.5]
+
+
+groups = st.one_of(
+    st.builds(
+        lambda p, exps: make_group(p, [p**e for e in exps]),
+        st.sampled_from([3, 5, 7, 11, 13]),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    ),
+    st.builds(make_metacyclic, st.sampled_from([3, 5, 7, 11, 13]), st.integers(3, 9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups, st.integers(0, 14), st.sampled_from([0, 1, 2, -7, 0.5, 2.5]))
+def test_the_order_guard_refuses_as_the_loop_does(G, k, below):
+    # Limits about every p^k up to past |G|, and limits below p, each
+    # asked twice: the second verdict reads the kept exponents.
+    limits = _limits(G.prime, k) + [below, G.prime - 1, G.prime - 0.5]
+    for limit in limits + limits:
+        if refused_by_the_loop(G, limit):
+            with pytest.raises(TooLarge, match="exceeds the test guard"):
+                guard_order(G, limit, "test guard")
+        else:
+            guard_order(G, limit, "test guard")
+
+
+def test_a_limit_that_does_not_hash_still_guards():
+    G, M = make_group(3, [27, 27]), make_metacyclic(3, 5)
+    for _ in range(2):
+        assert sk1(G, "exhaustive", max_order=np.array(729)) == sk1(G)
+        assert sk1_metacyclic(M, max_order=np.array(243.0)).divisors == (3,) * 6
+        with pytest.raises(TooLarge):
+            sk1(G, "exhaustive", max_order=np.array(728))
+        with pytest.raises(TooLarge):
+            sk1_metacyclic(M, max_order=np.array(242.5))
+        with pytest.raises(TypeError):
+            sk1_metacyclic(M, max_order=None)
+
+
+def test_the_kept_limit_exponents_are_bounded():
+    assert _top_exponent.cache_info().maxsize == SK1_CACHE_SIZE
+    assert [_top_exponent(3, limit) for limit in (2, 3, 8, 9, 9.0, 728.9, 729, 730)] == [
+        0, 1, 1, 2, 2, 5, 6, 6,
+    ]
+
+
+def test_a_guarded_hit_sums_no_exponent(monkeypatch):
+    from sk1 import abelian, metacyclic
+
+    G = make_group(3, [27, 27])
+    sk1(G, "exhaustive", max_order=729)
+    M = make_metacyclic(3, 5)
+    sk1_metacyclic(M, max_order=243)
+
+    def refuse(*args):
+        raise AssertionError("an exponent was summed again")
+
+    monkeypatch.setattr(abelian, "_p_power_exponent", refuse)
+    monkeypatch.setattr(abelian, "_is_odd_prime", refuse)
+    monkeypatch.setattr(metacyclic, "_is_odd_prime", refuse)
+    for _ in range(2):
+        assert sk1(make_group(3, [27, 27]), "exhaustive", max_order=729) is sk1(G, "exhaustive")
+        assert sk1_metacyclic(make_metacyclic(3, 5), max_order=243).divisors == (3,) * 6
+        with pytest.raises(TooLarge):
+            sk1(make_group(3, [27, 27]), "exhaustive", max_order=728)
+        with pytest.raises(TooLarge):
+            sk1_metacyclic(make_metacyclic(3, 5), max_order=242)
