@@ -19,8 +19,7 @@ ENUMERATION_LIMIT = 10**7
 # Default order guard of the exhaustive strategy and of sk1_metacyclic.
 DEFAULT_MAX_ORDER = 3**6
 # Entries of every cache: the interned groups of make_group and
-# make_metacyclic, the largest exponent each (prime, limit) of
-# guard_order admits, the genetic bases (genetic_basis_abelian,
+# make_metacyclic, the genetic bases (genetic_basis_abelian,
 # genetic_basis_metacyclic), the SK1 results of both families (the _solve
 # of sk1_abelian per (group, strategy), of metacyclic per basis), and the
 # divisibility tables of sk1_abelian per prime.
@@ -63,24 +62,13 @@ def guard_order(G, limit: int, guard: str) -> None:
     """Raise TooLarge when |G| = p^n exceeds limit; ``guard`` names the
     check.  n is compared with the largest exponent the limit admits, so
     |G| is never built (p^n takes seconds at n = 10^7) nor printed (Python
-    refuses to print an int past 4300 digits).  Both exponents are read
-    once: n is kept on the group, the limit's per (p, limit), and a limit
-    that does not hash (a 0-d array) is read on every call."""
-    try:
-        top = _top_exponent(G.prime, limit)
-    except TypeError:
-        top = _top_exponent.__wrapped__(G.prime, limit)
+    refuses to print an int past 4300 digits).  n is kept on the group
+    after its first read."""
+    top, power = 0, G.prime
+    while power <= limit:
+        top, power = top + 1, power * G.prime
     if G.log_order > top:
         raise TooLarge(f"|{G}| exceeds the {guard} {limit}")
-
-
-@lru_cache(maxsize=SK1_CACHE_SIZE)
-def _top_exponent(p: int, limit) -> int:
-    """The largest n with p^n <= limit, 0 when limit < p."""
-    top, power = 0, p
-    while power <= limit:
-        top, power = top + 1, power * p
-    return top
 
 
 @dataclass(frozen=True)
@@ -136,10 +124,14 @@ def make_group(p: int, orders) -> AbelianPGroup:
     per (p, orders as a tuple), compared by value, so a repeated call
     returns the same frozen group at the cost of the lookup.  The prime
     and then the orders are checked only when a group is built, and a
-    refused input raises there, so it is never kept.  An input that does
-    not hash is checked and built on every call, and orders that are not
-    iterable raise after the prime is checked.
+    refused input raises there, so it is never kept.  A prime that is not
+    an int is checked before the lookup too, since one that is refused
+    (3+0j) can equal a kept one.  An input that does not hash is checked
+    and built on every call, and orders that are not iterable raise after
+    the prime is checked.
     """
+    if type(p) is not int:
+        _check_prime(p)
     try:
         orders = tuple(orders)
     except Exception:

@@ -94,17 +94,25 @@ def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
     The last SK1_CACHE_SIZE groups are kept per (p, n), compared by value,
     so a repeated call returns the same frozen group at the cost of the
     lookup.  The prime and then n are checked only when a group is built,
-    and a refused input raises there, so it is never kept.  An input that
-    does not hash is checked and built on every call."""
+    and a refused input raises there, so it is never kept.  A prime that
+    is not an int is checked before the lookup too, since one that is
+    refused (3+0j) can equal a kept one.  An input that does not hash is
+    checked and built on every call."""
+    if type(p) is not int and not _is_odd_prime(p):
+        raise _bad_params(p, n)
     try:
         return _interned_metacyclic(p, n)
     except TypeError:
         return _build_metacyclic(p, n)
 
 
+def _bad_params(p, n) -> BadParams:
+    return BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
+
+
 def _build_metacyclic(p, n) -> MetacyclicGroup:
     if not _is_odd_prime(p) or int(n) != n or n < 3:
-        raise BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
+        raise _bad_params(p, n)
     return MetacyclicGroup(int(p), int(n))
 
 

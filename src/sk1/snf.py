@@ -47,12 +47,10 @@ a prime power, and q**2 < 2**63.  A malformed input, one that fails
 either of the first two, raises ValueError naming the condition; the
 third is a size limit (``guard_modulus``), the one numeric limit of the
 metacyclic pipeline, and raises TooLarge.  The elimination runs on
-Python integers.  A given row with a single entry that is a unit mod
-its column's seed order then folds that order to 1, when the folds
-lower q.  When q = 1, before or after the fold, every column has a
-unit seed, the rows span Z^cols, and the trivial decomposition is
-returned without an elimination (C_p and C_p^2).  A seed row in every
-column gives full rank, so the cokernel is always finite.
+Python integers.  When q = 1 every column has a unit seed, the rows
+span Z^cols, and the trivial decomposition is returned without an
+elimination.  A seed row in every column gives full rank, so the
+cokernel is always finite.
 """
 
 from __future__ import annotations
@@ -316,22 +314,15 @@ def _local_rows(sparse: SparseRows):
     when that gives 0, and each row left empty dropped: rows are dicts
     {column: entry}, and cols[c] is the set of rows with an entry in
     column c.  The given rows are read, never changed.  One seed row {c:
-    mods[c]} (none when mods[c] = q) is then added for each column.
-
-    Before the walk, a given row with a single entry u in column c, u a
-    unit mod mods[c], is folded into the column: u*e_c and mods[c]*e_c
-    lie in the span and gcd(u, mods[c]) = 1, so e_c does too, mods[c]
-    becomes 1 and the column's other entries reduce to 0.  The fold is
-    kept only when it lowers q, to 1 on C_p and C_p^2, where no
-    elimination runs: with q unchanged it would only shorten rows and so
-    reorder the pivots, which made the elimination of C_243^2 slower.  A
-    single entry that is not a unit stays a row.
+    mods[c]} (none when mods[c] = q) is then added for each column.  A
+    given row with a single entry stays a row; folding it into its
+    column's modulus, as ``_find_seeds`` does, changes the pivots, never
+    the cokernel.
 
     Raises ValueError when a column has no seed row or when q is not a
-    prime power, and TooLarge (``guard_modulus``) when q**2 >= 2**63,
-    both checked on the seed orders before the fold.  That bound keeps
-    the reduced entries inside int64 and the trial division that finds p
-    below 2**16 steps.
+    prime power, and TooLarge (``guard_modulus``) when q**2 >= 2**63.
+    That bound keeps the reduced entries inside int64 and the trial
+    division that finds p below 2**16 steps.
     """
     orders = sparse.orders
     mods = np.abs(orders).tolist() if isinstance(orders, np.ndarray) else [abs(o) for o in orders]
@@ -349,31 +340,11 @@ def _local_rows(sparse: SparseRows):
         e += 1
     if rest != 1:
         raise ValueError(f"the seed rows give q = {q}, which is not a prime power")
-    given = sparse.rows
-    if isinstance(given, Lattice):
-        folded = np.abs(np.asarray(orders))
-        single = np.bincount(given.row)[given.row] == 1
-        col = given.col[single]
-        folded[col[np.gcd(given.val[single], folded[col]) == 1]] = 1
-        folded = folded.tolist()
-    else:
-        folded = list(mods)
-        for given_row in given:
-            if len(given_row) == 1:
-                ((j, u),) = given_row.items()
-                if math.gcd(u, folded[j]) == 1:
-                    folded[j] = 1
-    q_folded = math.lcm(*folded)
-    if q_folded < q:
-        mods, q = folded, q_folded
-        if q == 1:
-            return 1, 0, [], [], mods
-        while q % p**e:
-            e -= 1
     rows: list[dict[int, int]] = []
     cols = [set() for _ in mods]
+    given = sparse.rows
     if isinstance(given, Lattice):
-        vals = given.val % np.asarray(mods)[given.col]
+        vals = given.val % np.abs(np.asarray(orders))[given.col]
         # The entries are sorted by row: a new row starts at the first
         # nonzero entry of each row.
         last = -1

@@ -23,7 +23,7 @@ from sk1 import (
     sk1_metacyclic,
     verify,
 )
-from sk1.abelian import SK1_CACHE_SIZE, _top_exponent, guard_order
+from sk1.abelian import guard_order
 from sk1.errors import BadParams, NonOddPrime, NotPPower, TooLarge
 
 
@@ -153,9 +153,10 @@ def test_every_view_is_a_fresh_recount_of_the_divisors(divisors, primes):
 
 
 # The refused inputs of test_abelian.py and test_metacyclic.py, a prime
-# that does not hash, and bad primes with orders or an n that are not
-# iterable or do not hash: the prime is refused first.  Each is asked
-# twice, once after the group of a good input has been interned.
+# that does not hash, a refused prime equal to a kept one (3+0j == 3),
+# and bad primes with orders or an n that are not iterable or do not
+# hash: the prime is refused first.  Each is asked twice, once after the
+# group of a good input has been interned.
 REFUSED_GROUPS = [
     *[(p, [p if p > 1 else 3], NonOddPrime) for p in [2, 4, 9, 1, -3, 15]],
     (3.5, [9, 3], NonOddPrime),
@@ -170,10 +171,11 @@ REFUSED_GROUPS = [
     (3, None, TypeError),
     (3, 27, TypeError),
     (3, [[27]], TypeError),
+    (3 + 0j, [9, 3], NonOddPrime),
 ]
 REFUSED_METACYCLIC = [
     (2, 3), (3, 2), (9, 3), (1, 4), (15, 3), (3, 0), (3, 4.5), (3.5, 4), (5.5, 3), ([3], 4),
-    (4, None), (4, [5]), ([3], [5]),
+    (4, None), (4, [5]), ([3], [5]), (3 + 0j, 4),
 ]
 
 
@@ -290,7 +292,7 @@ groups = st.one_of(
 @given(groups, st.integers(0, 14), st.sampled_from([0, 1, 2, -7, 0.5, 2.5]))
 def test_the_order_guard_refuses_as_the_loop_does(G, k, below):
     # Limits about every p^k up to past |G|, and limits below p, each
-    # asked twice: the second verdict reads the kept exponents.
+    # asked twice: the second verdict reads the kept group exponent.
     limits = _limits(G.prime, k) + [below, G.prime - 1, G.prime - 0.5]
     for limit in limits + limits:
         if refused_by_the_loop(G, limit):
@@ -311,13 +313,6 @@ def test_a_limit_that_does_not_hash_still_guards():
             sk1_metacyclic(M, max_order=np.array(242.5))
         with pytest.raises(TypeError):
             sk1_metacyclic(M, max_order=None)
-
-
-def test_the_kept_limit_exponents_are_bounded():
-    assert _top_exponent.cache_info().maxsize == SK1_CACHE_SIZE
-    assert [_top_exponent(3, limit) for limit in (2, 3, 8, 9, 9.0, 728.9, 729, 730)] == [
-        0, 1, 1, 2, 2, 5, 6, 6,
-    ]
 
 
 def test_a_guarded_hit_sums_no_exponent(monkeypatch):

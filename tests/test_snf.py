@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sk1.errors import TooLarge
-from sk1.snf import CyclicDecomposition, Lattice, SparseRows, cokernel_decomposition, seeds_first
+from sk1.snf import CyclicDecomposition, SparseRows, cokernel_decomposition, seeds_first
 
 import oracles
 from oracles import exact_cokernel, smith_divisors
@@ -419,53 +419,18 @@ def test_unit_seeds_in_every_column_give_the_trivial_cokernel(monkeypatch):
         assert exact_cokernel(np.asarray(rows).tolist()) == ()
 
 
-def test_unit_single_entry_rows_fold_into_their_column(monkeypatch):
-    # The relation rows of C_p and C_p^2 as SparseRows keep their column
-    # orders p as the seed orders, and their single entries 1 are units
-    # mod p: each folds its column's modulus to 1, so q = 1 and the
-    # trivial answer needs no elimination.
-    import sk1.snf
+def test_single_entry_rows_of_sparse_rows_stay_rows():
+    # The same relation rows as SparseRows keep their column orders p as
+    # the moduli: each single entry 1 stays a row, pivots in phase 0, and
+    # the answer is still trivial.
     from sk1.abelian import make_group
-    from sk1.sk1_abelian import EXHAUSTIVE, REPRESENTATIVES, relation_matrix
+    from sk1.sk1_abelian import relation_matrix
 
-    def refuse(*args):
-        raise AssertionError("an elimination ran with q = 1")
-
-    monkeypatch.setattr(sk1.snf, "_cokernel_mod_prime_power", refuse)
     for p in (3, 5, 13):
-        for orders in ([p], [p, p]):
-            for strategy in (REPRESENTATIVES, EXHAUSTIVE):
-                rows = relation_matrix(make_group(p, orders), strategy=strategy).rows
-                assert isinstance(rows, SparseRows)
-                assert local_rows(rows)[:2] == (1, 0)
-                assert cokernel_decomposition(rows).is_trivial
-
-
-def _as_dicts_and_lattice(orders, dicts):
-    """The same SparseRows with dict rows and with Lattice rows."""
-    entries = [(i, j, v) for i, row in enumerate(dicts) for j, v in sorted(row.items())]
-    row, col, val = (np.array(x, dtype=np.int64) for x in zip(*entries))
-    return SparseRows(orders, dicts), SparseRows(orders, Lattice(row, col, val, (len(dicts), len(orders))))
-
-
-def test_single_entry_rows_that_are_not_units_stay_rows():
-    # Column 1's single entry 2 is a unit mod 27: the column folds to
-    # modulus 1, q drops from 27 to 9, and the column's other entry goes.
-    # Column 0's single entry 3 is not a unit mod 9 and stays a row.
-    for rows in _as_dicts_and_lattice((9, 27), ({0: 3}, {1: 2}, {0: 6, 1: 5})):
-        assert local_rows(rows) == (3, 2, [{0: 3}, {0: 6}, {1: 1}], [{0, 1}, {2}], [9, 1])
-        want = exact_cokernel(np.asarray(rows).tolist())
-        assert cokernel_decomposition(rows).divisors == want == (3,)
-    # A unit that leaves q as it is: the fold would only reorder the
-    # pivots, so the single entry stays a row too.
-    for rows in _as_dicts_and_lattice((9, 9), ({1: 2}, {0: 3}, {0: 1, 1: 4})):
-        assert local_rows(rows)[:3] == (3, 2, [{1: 2}, {0: 3}, {0: 1, 1: 4}])
+        rows = relation_matrix(make_group(p, [p, p])).rows
+        prime, e, local, _, _ = local_rows(rows)
+        assert (prime, e) == (p, 1) and {0: 1} in local and {1: 1} in local
         assert cokernel_decomposition(rows).is_trivial
-    # No unit: every single entry stays a row, and q stays 9.
-    for rows in _as_dicts_and_lattice((9, 9), ({0: 3}, {1: -6}, {0: 1, 1: 1})):
-        assert local_rows(rows)[:3] == (3, 2, [{0: 3}, {1: 3}, {0: 1, 1: 1}])
-        want = exact_cokernel(np.asarray(rows).tolist())
-        assert cokernel_decomposition(rows).divisors == want == (3,)
 
 
 def test_largest_modulus_inside_int64_takes_the_modular_route():
