@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NonOddPrime, NotPPower, TooLarge
+from .errors import BadParams, NonOddPrime, NotPPower, TooLarge
 
 # Hard ceiling on brute-force element enumeration: fail fast instead of
 # thrashing on groups sized beyond desk scale.
@@ -28,16 +28,28 @@ SK1_CACHE_SIZE = 128
 Element = tuple[int, ...]
 
 
-def _is_odd_prime(p) -> bool:
-    """True when p is an odd prime.  An integral value such as 3.0 counts
-    (callers then use int(p)); 3.5 and non-numbers do not."""
+def _integral(x) -> int | None:
+    """int(x) when that equals x, else None: 3.0, numpy integers and 0-d
+    arrays count; 3.5, nan, inf, None, "3", [3] and every complex value
+    do not.  A numpy value is read as its Python scalar first, so that
+    int() never drops an imaginary part."""
+    if type(x) is int:
+        return x
+    if hasattr(x, "ndim"):
+        if x.ndim:
+            return None
+        x = x.item()
     try:
-        if int(p) != p:
-            return False
-    except (TypeError, ValueError, OverflowError):
-        return False
-    p = int(p)
-    if p < 3 or p % 2 == 0:
+        i = int(x)
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+    return i if i == x else None
+
+
+def _is_odd_prime(p) -> bool:
+    """True when p is an odd prime; an integral value such as 3.0 counts."""
+    p = _integral(p)
+    if p is None or p < 3 or p % 2 == 0:
         return False
     d = 3
     while d * d <= p:
@@ -45,6 +57,14 @@ def _is_odd_prime(p) -> bool:
             return False
         d += 2
     return True
+
+
+def _check_params(p, n, n_min: int) -> tuple[int, int]:
+    """(p, n) as ints; BadParams unless p is an odd prime and n an integer >= n_min."""
+    m = _integral(n)
+    if not _is_odd_prime(p) or m is None or m < n_min:
+        raise BadParams(f"need an odd prime and an integer n >= {n_min}, got p={p}, n={n}")
+    return int(p), m
 
 
 def _p_power_exponent(value: int, p: int) -> int | None:
@@ -121,26 +141,25 @@ def make_group(p: int, orders) -> AbelianPGroup:
 
     Orders are normalized to descending order, so the first factor always
     realizes the group exponent.  The last SK1_CACHE_SIZE groups are kept
-    per (p, orders as a tuple), compared by value, so a repeated call
-    returns the same frozen group at the cost of the lookup.  The prime
-    and then the orders are checked only when a group is built, and a
-    refused input raises there, so it is never kept.  A prime that is not
-    an int is checked before the lookup too, since one that is refused
-    (3+0j) can equal a kept one.  An input that does not hash is checked
-    and built on every call, and orders that are not iterable raise after
-    the prime is checked.
+    per (p, orders) as ints.  An int p with int orders goes straight to
+    that lookup, and is checked only when a group is built; any other
+    argument (3.0, a numpy integer) is checked on every call, then finds
+    the group of its ints.  So a lookup never decides a refusal.  Orders
+    that are not iterable raise after the prime is checked.
     """
-    if type(p) is not int:
-        _check_prime(p)
     try:
         orders = tuple(orders)
     except Exception:
         _check_prime(p)
         raise
-    try:
-        return _interned_group(p, orders)
-    except TypeError:
-        return _build_group(p, orders)
+    if type(p) is int:
+        for o in orders:  # a loop: any() over a generator doubles a hit's cost
+            if type(o) is not int:
+                break
+        else:
+            return _interned_group(p, orders)
+    p = _build_group(p, orders).prime
+    return _interned_group(p, tuple(map(_integral, orders)))
 
 
 def _check_prime(p) -> None:
@@ -153,10 +172,11 @@ def _build_group(p, orders: tuple) -> AbelianPGroup:
     p = int(p)
     if not orders:
         raise ValueError("at least one cyclic factor is required")
-    for o in orders:
-        if int(o) != o or _p_power_exponent(int(o), p) is None:
+    exact = [_integral(o) for o in orders]
+    for o, e in zip(orders, exact):
+        if e is None or _p_power_exponent(e, p) is None:
             raise NotPPower(f"{o} is not a positive power of {p}")
-    return AbelianPGroup(p, tuple(sorted(map(int, orders), reverse=True)))
+    return AbelianPGroup(p, tuple(sorted(exact, reverse=True)))
 
 
 _interned_group = lru_cache(maxsize=SK1_CACHE_SIZE)(_build_group)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import ENUMERATION_LIMIT, _is_odd_prime
+from .abelian import ENUMERATION_LIMIT, _check_params, _integral
 from .errors import BadParams, TooLarge
-from .ranks import _check
 from .snf import CyclicDecomposition
 
 
@@ -22,11 +21,11 @@ def predicted_multiplicity(p: int, i: int, n: int) -> int:
     Valid for integers i >= 1 and n >= 2i; even i get a doubled leading
     term.  Integral floats act as ints.
     """
-    if not _is_odd_prime(p) or int(i) != i or int(n) != n or i < 1 or n < 2 * i:
-        raise BadParams(
-            f"need an odd prime and integers i >= 1, n >= 2i, got p={p}, i={i}, n={n}"
-        )
-    return _multiplicity(int(p), int(i), int(n))
+    p, n = _check_params(p, n, 2)
+    k = _integral(i)
+    if k is None or not 1 <= k <= n // 2:
+        raise BadParams(f"need integers i >= 1 and n >= 2i, got i={i}, n={n}")
+    return _multiplicity(p, k, n)
 
 
 def _multiplicity(p: int, i: int, n: int) -> int:
@@ -63,7 +62,7 @@ def predicted_decomposition(p: int, n: int) -> ConjecturePrediction:
     (p, n) is checked once, and each exponent evaluates the closed form
     directly.  Nothing is cached: the values grow like p^n, and each call
     returns a new prediction."""
-    p, n = _check(p, n, 2)
+    p, n = _check_params(p, n, 2)
     return ConjecturePrediction(p, n, _multiplicities(p, n))
 
 
@@ -97,7 +96,7 @@ def verify(p: int, n: int, computed: CyclicDecomposition) -> VerifyReport:
     The closed form is evaluated as ``predicted_decomposition`` does,
     with no prediction built around it.
     """
-    predicted = _multiplicities(*_check(p, n, 2))
+    predicted = _multiplicities(*_check_params(p, n, 2))
     actual = computed.prime_power_multiplicities(p)
     diffs = {}
     for i in sorted(set(predicted) | set(actual)):

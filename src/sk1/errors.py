@@ -6,11 +6,12 @@ class Sk1Error(Exception):
 
 
 class NonOddPrime(Sk1Error):
-    """The prime parameter is not an odd prime."""
+    """The prime given to ``make_group`` is not an odd prime."""
 
 
 class NotPPower(Sk1Error):
-    """A cyclic factor order is not a positive power of the prime."""
+    """A cyclic factor order given to ``make_group`` is not an integer
+    positive power of the prime."""
 
 
 class TooLarge(Sk1Error):
@@ -18,7 +19,9 @@ class TooLarge(Sk1Error):
 
 
 class BadParams(Sk1Error):
-    """Parameters lie outside the domain of a closed-form formula."""
+    """Parameters lie outside the domain of a closed-form formula or of
+    ``make_metacyclic``: p is not an odd prime, or n, i or m is not an
+    integer in range."""
 
 
 class DomainViolation(Sk1Error):

@@ -30,7 +30,8 @@ from .abelian import (
     ENUMERATION_LIMIT,
     SK1_CACHE_SIZE,
     AbelianPGroup,
-    _is_odd_prime,
+    _check_params,
+    _integral,
     _p_power_exponent,
 )
 from .errors import BadParams, TooLarge
@@ -265,6 +266,8 @@ def cyclic_quotient_count(p: int, n: int, m: int) -> int:
 
     Integral values such as 3.0 act as ints; 1.5 raises BadParams.
     """
-    if not _is_odd_prime(p) or int(n) != n or int(m) != m or not 1 <= n <= m:
-        raise BadParams(f"need an odd prime and integers 1 <= n <= m, got p={p}, n={n}, m={m}")
-    return 1 + cyclic_quotients(int(p), (int(n), int(m)))
+    p, n = _check_params(p, n, 1)
+    k = _integral(m)
+    if k is None or k < n:
+        raise BadParams(f"need integers 1 <= n <= m, got n={n}, m={m}")
+    return 1 + cyclic_quotients(p, (n, k))

@@ -47,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import DEFAULT_MAX_ORDER, SK1_CACHE_SIZE, _is_odd_prime, guard_order
-from .errors import BadParams, DomainViolation
+from .abelian import DEFAULT_MAX_ORDER, SK1_CACHE_SIZE, _check_params, guard_order
+from .errors import DomainViolation
 from .snf import CyclicDecomposition, SparseRows, cokernel_decomposition, guard_modulus
 
 MElement = tuple[int, int]
@@ -91,29 +91,16 @@ class MetacyclicGroup:
 def make_metacyclic(p: int, n: int) -> MetacyclicGroup:
     """Group with presentation a^(p^(n-1)) = b^p = 1, b a b^-1 = a^(p^(n-2)+1).
 
-    The last SK1_CACHE_SIZE groups are kept per (p, n), compared by value,
-    so a repeated call returns the same frozen group at the cost of the
-    lookup.  The prime and then n are checked only when a group is built,
-    and a refused input raises there, so it is never kept.  A prime that
-    is not an int is checked before the lookup too, since one that is
-    refused (3+0j) can equal a kept one.  An input that does not hash is
-    checked and built on every call."""
-    if type(p) is not int and not _is_odd_prime(p):
-        raise _bad_params(p, n)
-    try:
-        return _interned_metacyclic(p, n)
-    except TypeError:
-        return _build_metacyclic(p, n)
-
-
-def _bad_params(p, n) -> BadParams:
-    return BadParams(f"need an odd prime and an integer n >= 3, got p={p}, n={n}")
+    The last SK1_CACHE_SIZE groups are kept per (p, n) as ints, under the
+    lookup rule of ``make_group``: an int p and n go straight to the
+    lookup, and any other argument is checked on every call (BadParams)."""
+    if type(p) is not int or type(n) is not int:
+        p, n = _check_params(p, n, 3)
+    return _interned_metacyclic(p, n)
 
 
 def _build_metacyclic(p, n) -> MetacyclicGroup:
-    if not _is_odd_prime(p) or int(n) != n or n < 3:
-        raise _bad_params(p, n)
-    return MetacyclicGroup(int(p), int(n))
+    return MetacyclicGroup(*_check_params(p, n, 3))
 
 
 _interned_metacyclic = lru_cache(maxsize=SK1_CACHE_SIZE)(_build_metacyclic)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import _is_odd_prime
-from .errors import BadParams
+from .abelian import _check_params
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -20,13 +19,6 @@ def _exact_div(a: int, b: int) -> int:
     if r:
         raise ArithmeticError(f"{a} is not divisible by {b}: formula transcription bug")
     return q
-
-
-def _check(p: int, n: int, n_min: int) -> tuple[int, int]:
-    """(p, n) as ints; BadParams unless p is an odd prime and n an integer >= n_min."""
-    if not _is_odd_prime(p) or int(n) != n or n < n_min:
-        raise BadParams(f"need an odd prime and an integer n >= {n_min}, got p={p}, n={n}")
-    return int(p), int(n)
 
 
 @dataclass(frozen=True)
@@ -40,7 +32,7 @@ class IrrepCounts:
 
 def irrep_counts_square_abelian(p: int, n: int) -> IrrepCounts:
     """Representation counts for C_{p^n} x C_{p^n}."""
-    p, n = _check(p, n, 1)
+    p, n = _check_params(p, n, 1)
     c = p ** (2 * n)
     real = _exact_div(c + 1, 2)
     rational = p**n + _exact_div(2 * (p**n - 1), p - 1)
@@ -49,14 +41,14 @@ def irrep_counts_square_abelian(p: int, n: int) -> IrrepCounts:
 
 def rank_square_abelian(p: int, n: int) -> int:
     """Free rank of the Whitehead group of C_{p^n} x C_{p^n}."""
-    p, n = _check(p, n, 1)
+    p, n = _check_params(p, n, 1)
     k = _exact_div(p - 1, 2)
     return _exact_div(k * p ** (2 * n) - (p + 1) * p**n + k + 2, p - 1)
 
 
 def irrep_counts_metacyclic(p: int, n: int) -> IrrepCounts:
     """Representation counts for the modular metacyclic group of order p^n."""
-    p, n = _check(p, n, 3)
+    p, n = _check_params(p, n, 3)
     c = p ** (n - 3) * (p - 1) + p ** (n - 1)
     real = _exact_div(c + 1, 2)
     rational = (n - 2) * p + 3
@@ -65,5 +57,5 @@ def irrep_counts_metacyclic(p: int, n: int) -> IrrepCounts:
 
 def rank_metacyclic(p: int, n: int) -> int:
     """Free rank of the Whitehead group of the modular metacyclic group."""
-    p, n = _check(p, n, 3)
+    p, n = _check_params(p, n, 3)
     return _exact_div((p - 1) * p ** (n - 3) + p ** (n - 1) - 2 * (n - 2) * p - 5, 2)

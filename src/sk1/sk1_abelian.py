@@ -94,17 +94,12 @@ class RelationSet:
     torus: _Torus | None = None
 
 
-def _references(G: AbelianPGroup, strategy: str, basis, torus=None) -> np.ndarray:
-    """Every element, in lexicographic order, under ``exhaustive``; else
-    the basis tuples or, given ``torus``, those of the identity basis[0]
-    and of the column-orbit representatives (the columns are basis[1:]).
-    ``relation_matrix`` streams the exhaustive elements instead
+def _references(basis, torus=None) -> np.ndarray:
+    """The reference elements of ``representatives``: the basis tuples
+    or, given ``torus``, those of the identity basis[0] and of the
+    column-orbit representatives (the columns are basis[1:]).
+    ``exhaustive`` streams every element instead
     (``_first_of_each_signature``)."""
-    if strategy == EXHAUSTIVE:
-        guard_order(G, ENUMERATION_LIMIT, "enumeration guard")
-        return _elements(G, 0, G.order)
-    if strategy != REPRESENTATIVES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     if torus is not None:
         return basis.coeffs[np.concatenate(([0], 1 + torus.reps))]
     return basis.coeffs
@@ -222,8 +217,10 @@ def relation_matrix(
 
     if strategy == EXHAUSTIVE:
         refs = _first_of_each_signature(G, inside, len(q))
+    elif strategy == REPRESENTATIVES:
+        refs = _references(basis, torus)
     else:
-        refs = _references(G, strategy, basis, torus)
+        raise ValueError(f"unknown strategy {strategy!r}")
     chunks = [slice(lo, lo + COLUMN_CHUNK) for lo in range(0, len(q), COLUMN_CHUNK)]
     n_gens = len(G.orders)
     # Slot r * n_gens + i is (reference r, generator i): its entry in column

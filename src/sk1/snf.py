@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abelian import _integral
 from .errors import TooLarge
 
 
@@ -69,7 +70,7 @@ class CyclicDecomposition:
     """A finite abelian group given as a sorted multiset of cyclic orders > 1.
 
     The multiset is counted once, when it is sorted; the views read that
-    count, and ``prime_power_multiplicities`` keeps its answer per p.
+    count, and ``prime_power_multiplicities`` keeps its answer per int p.
     Every view returns a fresh dict, so a caller that changes one never
     changes a later answer of this (possibly cached and shared) object.
     """
@@ -101,22 +102,22 @@ class CyclicDecomposition:
 
     def prime_power_multiplicities(self, p: int) -> dict[int, int]:
         """Map exponent e -> multiplicity of C_{p^e}; every divisor must be
-        a power of p, and p must be at least 2.
+        a power of p, and p must be an integer at least 2.
 
-        The answer is kept per int p that answers, so a refused p raises on
-        every call.  Every p answers the trivial group, which keeps none;
-        any other keeps only p with a power equal to its least divisor, at
-        most log2 of it.  A p of another type (3.0 divides as a float) is
-        counted on every call."""
-        if p < 2:
-            raise ValueError(f"p must be at least 2, got {p}")
-        memo = self._by_prime if type(p) is int and self._counts else {}
-        out = memo.get(p)
+        The answer is kept per int(p) that answers, so a refused p raises
+        on every call, and 3.0 reads the answer of 3.  Every p answers the
+        trivial group, which keeps none; any other keeps only p with a
+        power equal to its least divisor, at most log2 of it."""
+        q = _integral(p)
+        if q is None or q < 2:
+            raise ValueError(f"p must be an integer at least 2, got {p!r}")
+        memo = self._by_prime if self._counts else {}
+        out = memo.get(q)
         if out is None:
-            out = memo[p] = self._count_powers(p)
+            out = memo[q] = self._count_powers(q)
         return dict(out)
 
-    def _count_powers(self, p) -> dict[int, int]:
+    def _count_powers(self, p: int) -> dict[int, int]:
         out = {}
         for d, m in self._counts.items():
             e, v = 0, d
@@ -140,13 +141,10 @@ def _format_multiplicities(multiplicities: dict[int, int]) -> str:
 
 def _exact_int(v) -> int:
     """v as a Python integer; ValueError unless v is an integer value."""
-    try:
-        i = int(v)
-        if i == v:
-            return i
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{v!r} is not an integer")
+    i = _integral(v)
+    if i is None:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
 
 
 def _as_int_rows(mat) -> list[list[int]]:

@@ -530,13 +530,16 @@ def relation_rows_by_remainder(G: AbelianPGroup, strategy: str, per_orbit: bool)
     ``refs @ F.T % q == 0`` over every column at once, walked by the 2-d
     ``np.nonzero``: how the library tested membership before its
     division-free test, and the reference the tests compare it with.  The
-    references, the torus and the row assembly are the library's."""
+    representatives, the torus and the row assembly are the library's;
+    the exhaustive elements come from ``enumerate_elements``."""
     basis = genetic_basis_abelian(G)
     target = target_product(G, basis)
     torus = _torus(G, target) if per_orbit else None
-    refs = _references(G, strategy, basis, torus)
     q, F = target.columns.index, target.columns.form
-    if strategy == "exhaustive":
+    if strategy == REPRESENTATIVES:
+        refs = _references(basis, torus)
+    else:
+        refs = np.array(enumerate_elements(G), dtype=np.int64)
         signature = np.packbits(refs @ F.T % q == 0, axis=1)
         signature = signature.view(np.dtype((np.void, signature.shape[1]))).ravel()
         refs = refs[np.sort(np.unique(signature, return_index=True)[1])]

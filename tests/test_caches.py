@@ -103,15 +103,12 @@ def test_the_trivial_group_keeps_no_prime():
 
 
 def test_a_prime_of_another_type_is_not_kept():
-    # 3.0 divides as a float, which cannot hold 3^40 exactly, and 3.0 == 3:
-    # were it kept, its answer would stand in for the int 3's.
+    # 3.0 is read as the int 3, and its answer is kept under 3: a float
+    # could not hold 3^40 exactly, and it never keys the memo.
     dec = CyclicDecomposition((3**40, 3))
     for _ in range(2):
-        try:
-            dec.prime_power_multiplicities(3.0)
-        except ValueError:
-            pass
-    assert dec._by_prime == {}
+        assert dec.prime_power_multiplicities(3.0) == {1: 1, 40: 1}
+    assert [type(p) for p in dec._by_prime] == [int]
     assert dec.prime_power_multiplicities(3) == {1: 1, 40: 1}
     assert [type(p) for p in dec._by_prime] == [int]
 
@@ -155,8 +152,11 @@ def test_every_view_is_a_fresh_recount_of_the_divisors(divisors, primes):
 # The refused inputs of test_abelian.py and test_metacyclic.py, a prime
 # that does not hash, a refused prime equal to a kept one (3+0j == 3),
 # and bad primes with orders or an n that are not iterable or do not
-# hash: the prime is refused first.  Each is asked twice, once after the
-# group of a good input has been interned.
+# hash: the prime is refused first.  An order that is no number ([27])
+# raises NotPPower, and orders that are not iterable a TypeError.  Each
+# is asked twice, once after the group of a good input has been interned
+# (tests/test_inputs.py crosses every refused value with every entry
+# point).
 REFUSED_GROUPS = [
     *[(p, [p if p > 1 else 3], NonOddPrime) for p in [2, 4, 9, 1, -3, 15]],
     (3.5, [9, 3], NonOddPrime),
@@ -170,7 +170,7 @@ REFUSED_GROUPS = [
     ([3], None, NonOddPrime),
     (3, None, TypeError),
     (3, 27, TypeError),
-    (3, [[27]], TypeError),
+    (3, [[27]], NotPPower),
     (3 + 0j, [9, 3], NonOddPrime),
 ]
 REFUSED_METACYCLIC = [
@@ -196,9 +196,9 @@ def test_make_metacyclic_refuses_as_before_the_cache(p, n):
 
 
 @pytest.mark.parametrize("n", [None, [5]])
-def test_an_odd_prime_with_an_n_of_no_number_raises_type_error(n):
+def test_an_odd_prime_with_an_n_of_no_number_raises_bad_params(n):
     for _ in range(2):
-        with pytest.raises(TypeError):
+        with pytest.raises(BadParams):
             make_metacyclic(3, n)
         make_metacyclic(3, 4)
 
@@ -216,12 +216,12 @@ def test_constructors_intern_their_groups():
 
 def test_orders_that_do_not_hash_are_still_checked():
     # A 0-d array is an integral order but does not hash: it is checked
-    # and built on every call, as before the cache.
+    # on every call, and then finds the group of its ints.
     G = make_group(3, [np.array(27), 9])
-    assert G == make_group(3, [27, 9]) and type(G.orders[0]) is int
+    assert G is make_group(3, [27, 9]) and type(G.orders[0]) is int
     with pytest.raises(NotPPower):
         make_group(3, [np.array(6)])
-    assert make_metacyclic(3, np.array(5)) == make_metacyclic(3, 5)
+    assert make_metacyclic(3, np.array(5)) is make_metacyclic(3, 5)
     with pytest.raises(BadParams):
         make_metacyclic(3, np.array(2))
 
@@ -316,7 +316,7 @@ def test_a_limit_that_does_not_hash_still_guards():
 
 
 def test_a_guarded_hit_sums_no_exponent(monkeypatch):
-    from sk1 import abelian, metacyclic
+    from sk1 import abelian
 
     G = make_group(3, [27, 27])
     sk1(G, "exhaustive", max_order=729)
@@ -324,11 +324,11 @@ def test_a_guarded_hit_sums_no_exponent(monkeypatch):
     sk1_metacyclic(M, max_order=243)
 
     def refuse(*args):
-        raise AssertionError("an exponent was summed again")
+        raise AssertionError("a hit summed an exponent or checked an argument")
 
+    # Every integer check of both constructors looks _integral up here.
     monkeypatch.setattr(abelian, "_p_power_exponent", refuse)
-    monkeypatch.setattr(abelian, "_is_odd_prime", refuse)
-    monkeypatch.setattr(metacyclic, "_is_odd_prime", refuse)
+    monkeypatch.setattr(abelian, "_integral", refuse)
     for _ in range(2):
         assert sk1(make_group(3, [27, 27]), "exhaustive", max_order=729) is sk1(G, "exhaustive")
         assert sk1_metacyclic(make_metacyclic(3, 5), max_order=243).divisors == (3,) * 6

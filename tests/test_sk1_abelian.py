@@ -299,17 +299,19 @@ def test_factor_count_is_the_corank_mod_p(p, orders):
         assert factors == rows.shape[1] - oracles.rank_mod_p(rows, p)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+# ``representatives`` is the one strategy with listed references: the
+# exhaustive pass streams its own (test_exhaustive_blocks_keep_...).
+@pytest.mark.parametrize("strategy", [REPRESENTATIVES])
 @pytest.mark.parametrize("p,orders", [(3, [9, 3]), (3, [3, 3, 3]), (3, [27, 9, 3]), (5, [25, 5])])
 def test_references_of_each_strategy(p, orders, strategy):
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
-    refs = _references(G, strategy, basis)
+    refs = _references(basis)
     assert refs.dtype == np.int64
-    if strategy == EXHAUSTIVE:
-        assert refs.tolist() == [list(x) for x in enumerate_elements(G)]
-    else:
-        assert refs.tolist() == [list(S.coeffs) for S in basis]
+    assert refs.tolist() == [list(S.coeffs) for S in basis]
+    # One row per (reference, generator), but the first unit coordinate's.
+    skipped = (refs % p != 0).any(axis=1).sum()
+    assert relation_matrix(G, strategy).rows.rows.shape[0] == refs.size - skipped
 
 
 def test_exhaustive_references_keep_the_enumeration_guard():
@@ -331,7 +333,7 @@ def test_exhaustive_blocks_keep_the_first_of_each_signature(p, orders, block, mo
 
     G = make_group(p, orders)
     want = oracles.relation_rows_by_remainder(G, EXHAUSTIVE, per_orbit=False)
-    refs = _references(G, EXHAUSTIVE, genetic_basis_abelian(G))
+    refs = np.array(enumerate_elements(G), dtype=np.int64)
     columns = target_product(G).columns
     q, F = columns.index, columns.form
     signature = [tuple(bits) for bits in (refs @ F.T % q == 0).tolist()]

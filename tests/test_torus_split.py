@@ -282,7 +282,7 @@ def test_references_meet_every_torus_orbit_once(p, orders):
     G = make_group(p, orders)
     basis = genetic_basis_abelian(G)
     torus = relation_matrix(G, per_orbit=True).torus
-    refs = _references(G, REPRESENTATIVES, basis, torus)
+    refs = _references(basis, torus)
     assert tuple(refs[0]) == G.identity()
     orbit_of = torus_orbits_of_cyclic_subgroups(G)
     met = [orbit_of[tuple(int(c) for c in h)] for h in refs]
